@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Compare a fresh BENCH_figures.json against the committed baseline.
 
-Absolute wall times are machine-dependent, so the check compares the
+The gate is work, which is the same on any machine: for every figure x
+strategy in `figures` and `figures_noindex`, the rows_scanned,
+index_lookups, subquery_invocations and rows_materialized counters must
+match the baseline exactly, as must the result cardinality and the
+ok/error status. A change in plan or in the amount of work then fails on
+any machine; a change that only makes the same work faster passes.
+
+Absolute wall times are machine-dependent, so the check also compares the
 vs_ni ratios (each strategy's wall time relative to nested iteration on
 the same machine, same run): a strategy regresses when its fresh ratio
 exceeds the baseline ratio by more than --tolerance (default 25%).
-Result cardinalities and the ok/error status of every strategy must
-match exactly — those are correctness, not noise.
 
 Ratios are skipped (with a note) when the nested-iteration time of
 either run is below --ni-floor-ms: dividing by a sub-millisecond NI
@@ -72,6 +77,10 @@ Exit status: 0 = no regression, 1 = regression or incomparable inputs.
 import argparse
 import json
 import sys
+
+# Deterministic per-strategy work counters, compared exactly.
+WORK_COUNTERS = ("rows_scanned", "index_lookups", "subquery_invocations",
+                 "rows_materialized")
 
 
 def load(path):
@@ -158,6 +167,11 @@ def main():
                 errors.append(
                     f"{tag}: result cardinality changed "
                     f"{b.get('rows')} -> {f.get('rows')}")
+            for counter in WORK_COUNTERS:
+                if b.get(counter) != f.get(counter):
+                    errors.append(
+                        f"{tag}: {counter} changed {b.get(counter)} -> "
+                        f"{f.get(counter)} (plan or work changed)")
             if name == "NI":
                 continue  # NI's vs_ni is 1.0 by construction
             if base_ni < args.ni_floor_ms or fresh_ni < args.ni_floor_ms:

@@ -130,6 +130,9 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
             charged_bytes_ += bytes;
             if (spilled) st = ctx->guard->ChargeMemory(bytes);
           }
+          // The flush cleared the index `it` pointed into: slot the key
+          // into the fresh table.
+          if (spilled) it = group_index_.try_emplace(key, 0).first;
         } else {
           charged_bytes_ += bytes;
           st = ctx->guard->ChargeRows(1);
@@ -141,8 +144,6 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
         }
       }
       ++metrics_.build_rows;
-      // try_emplace slotted the key at the pre-flush size; refresh after a
-      // potential flush emptied the vectors.
       it->second = build_keys_.size();
       build_keys_.push_back(std::move(key));
       build_states_.emplace_back(aggs_.size());

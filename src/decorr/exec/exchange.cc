@@ -185,18 +185,8 @@ ParallelScanOp::ParallelScanOp(TablePtr table, std::vector<int> projection,
     : table_(std::move(table)),
       projection_(std::move(projection)),
       filter_(std::move(filter)),
-      dop_(dop < 1 ? 1 : dop) {
-  if (filter_) {
-    std::vector<const Expr*> refs;
-    CollectColumnRefs(*filter_, &refs);
-    for (const Expr* ref : refs) {
-      if (std::find(filter_columns_.begin(), filter_columns_.end(),
-                    ref->slot) == filter_columns_.end()) {
-        filter_columns_.push_back(ref->slot);
-      }
-    }
-  }
-}
+      storage_filter_(*table_, filter_.get()),
+      dop_(dop < 1 ? 1 : dop) {}
 
 Status ParallelScanOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.pscan.open");
@@ -220,10 +210,7 @@ Status ParallelScanOp::OpenImpl(ExecContext* ctx) {
     tasks.push_back([this, ctx, w, n, num_morsels, next_morsel,
                      &worker_stats] {
       ExecStats* stats = &worker_stats[w];
-      Row scratch(table_->num_columns());
-      EvalContext ectx;
-      ectx.row = &scratch;
-      ectx.params = ctx->params;
+      std::vector<char> match;
       while (true) {
         const size_t m =
             next_morsel->fetch_add(1, std::memory_order_relaxed);
@@ -232,16 +219,15 @@ Status ParallelScanOp::OpenImpl(ExecContext* ctx) {
         std::vector<Row>& buf = morsel_buffers_[m];
         const size_t begin = m * kMorselRows;
         const size_t end = std::min(begin + kMorselRows, n);
+        storage_filter_.Eval(ctx->params, RowSet::Range(begin, end - begin),
+                             &match);
         for (size_t r = begin; r < end; ++r) {
           if (ctx->guard) DECORR_RETURN_IF_ERROR(ctx->guard->Check());
           ++stats->rows_scanned;
-          if (filter_) {
-            for (int c : filter_columns_) scratch[c] = table_->GetValue(r, c);
-            if (!EvalPredicate(*filter_, ectx)) continue;
-          }
+          if (!match[r - begin]) continue;
           Row out_row;
           out_row.reserve(projection_.size());
-          for (int c : projection_) out_row.push_back(table_->GetValue(r, c));
+          AppendColumns(*table_, r, projection_, &out_row);
           if (ctx->guard) {
             DECORR_RETURN_IF_ERROR(ctx->guard->ChargeRows(1));
             const int64_t bytes = ApproxRowBytes(out_row);
@@ -319,7 +305,8 @@ std::string ParallelScanOp::name() const {
 }
 
 std::string ParallelScanOp::ToString(int indent) const {
-  std::string out = Indent(indent) + name();
+  std::string out = Indent(indent) + name() + " " +
+                    ColumnList(*table_, projection_);
   if (filter_) out += " filter=" + filter_->ToString();
   return out + "\n";
 }

@@ -35,6 +35,7 @@
 #include "decorr/exec/aggregate.h"
 #include "decorr/exec/join.h"
 #include "decorr/exec/operator.h"
+#include "decorr/exec/scan.h"
 #include "decorr/expr/expr.h"
 #include "decorr/storage/table.h"
 
@@ -111,7 +112,7 @@ class ParallelScanOp : public Operator {
   TablePtr table_;
   std::vector<int> projection_;
   ExprPtr filter_;
-  std::vector<int> filter_columns_;
+  StorageFilter storage_filter_;  // shared by the workers (const)
   int dop_;
 
   std::vector<std::vector<Row>> morsel_buffers_;

@@ -658,17 +658,22 @@ std::string NestedLoopJoinOp::ToString(int indent) const {
 
 IndexJoinOp::IndexJoinOp(OperatorPtr left, TablePtr table,
                          std::shared_ptr<HashIndex> index,
-                         std::vector<ExprPtr> key_exprs, ExprPtr residual)
+                         std::vector<ExprPtr> key_exprs,
+                         std::vector<int> projection, ExprPtr table_filter,
+                         ExprPtr residual)
     : left_(std::move(left)),
       table_(std::move(table)),
       index_(std::move(index)),
       key_exprs_(std::move(key_exprs)),
+      projection_(std::move(projection)),
+      table_filter_(std::move(table_filter)),
+      storage_filter_(*table_, table_filter_.get()),
       residual_(std::move(residual)) {}
 
 Status IndexJoinOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.indexjoin.open");
   ctx_ = ctx;
-  matches_ = nullptr;
+  matches_.Reset(RowSet{}, 0);
   left_eof_ = false;
   left_reader_.Reset(left_.get(), ctx->batch_size);
   return left_->Open(ctx);
@@ -676,28 +681,28 @@ Status IndexJoinOp::OpenImpl(ExecContext* ctx) {
 
 Status IndexJoinOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.indexjoin.next");
+  EvalContext ectx;
+  ectx.params = ctx_->params;
   while (true) {
     DECORR_RETURN_IF_ERROR(ctx_->Check());
-    if (matches_ != nullptr) {
-      while (match_cursor_ < matches_->size()) {
-        const size_t r = (*matches_)[match_cursor_++];
-        ++ctx_->stats->rows_scanned;
-        ++metrics_.rows_in_self;
-        Row combined = current_left_;
-        for (int c = 0; c < table_->num_columns(); ++c) {
-          combined.push_back(table_->GetValue(r, c));
-        }
-        if (residual_) {
-          EvalContext ectx;
-          ectx.row = &combined;
-          ectx.params = ctx_->params;
-          if (!EvalPredicate(*residual_, ectx)) continue;
-        }
-        *out = std::move(combined);
-        *eof = false;
-        return Status::OK();
+    size_t r = 0;
+    bool pass = false;
+    while (matches_.Next(storage_filter_, ctx_->params, &r, &pass)) {
+      ++ctx_->stats->rows_scanned;
+      ++metrics_.rows_in_self;
+      if (!pass) continue;
+      Row combined;
+      combined.reserve(current_left_.size() + projection_.size());
+      combined.insert(combined.end(), current_left_.begin(),
+                      current_left_.end());
+      AppendColumns(*table_, r, projection_, &combined);
+      if (residual_) {
+        ectx.row = &combined;
+        if (!EvalPredicate(*residual_, ectx)) continue;
       }
-      matches_ = nullptr;
+      *out = std::move(combined);
+      *eof = false;
+      return Status::OK();
     }
     if (left_eof_) {
       *eof = true;
@@ -709,9 +714,7 @@ Status IndexJoinOp::NextImpl(Row* out, bool* eof) {
       left_eof_ = true;
       continue;
     }
-    EvalContext ectx;
     ectx.row = &current_left_;
-    ectx.params = ctx_->params;
     Row key;
     key.reserve(key_exprs_.size());
     bool null_key = false;
@@ -723,14 +726,14 @@ Status IndexJoinOp::NextImpl(Row* out, bool* eof) {
     if (null_key) continue;
     ++ctx_->stats->index_lookups;
     ++metrics_.index_probes;
-    matches_ = &index_->Lookup(key);
-    match_cursor_ = 0;
+    matches_.Reset(RowSet::List(index_->Lookup(key)),
+                   static_cast<size_t>(batch_size()));
   }
 }
 
 void IndexJoinOp::CloseImpl() {
   left_->Close();
-  matches_ = nullptr;
+  matches_.Reset(RowSet{}, 0);
 }
 
 std::string IndexJoinOp::ToString(int indent) const {
@@ -740,11 +743,11 @@ std::string IndexJoinOp::ToString(int indent) const {
     if (i > 0) out += ", ";
     out += key_exprs_[i]->ToString();
   }
-  out += ")";
+  out += ") " + ColumnList(*table_, projection_);
+  if (table_filter_) out += " filter=" + table_filter_->ToString();
   if (residual_) out += " residual=" + residual_->ToString();
   return out + "\n" + left_->ToString(indent + 1);
 }
-
 
 void HashJoinOp::Introspect(PlanIntrospection* out) const {
   const int lw = left_->output_width();
@@ -790,9 +793,18 @@ void IndexJoinOp::Introspect(PlanIntrospection* out) const {
     out->exprs.push_back(
         {key_exprs_[i].get(), lw, StrFormat("index key %zu", i)});
   }
+  if (table_filter_) {
+    out->exprs.push_back(
+        {table_filter_.get(), table_->num_columns(), "table filter"});
+  }
   if (residual_) {
     out->exprs.push_back(
-        {residual_.get(), lw + table_->num_columns(), "residual"});
+        {residual_.get(), lw + static_cast<int>(projection_.size()),
+         "residual"});
+  }
+  for (size_t i = 0; i < projection_.size(); ++i) {
+    out->ordinals.push_back({projection_[i], table_->num_columns(),
+                             StrFormat("projection %zu", i)});
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "decorr/exec/operator.h"
+#include "decorr/exec/scan.h"
 #include "decorr/expr/expr.h"
 #include "decorr/storage/hash_index.h"
 #include "decorr/storage/table.h"
@@ -136,20 +137,24 @@ class NestedLoopJoinOp : public Operator {
 };
 
 // Index nested-loop join: for each left row, evaluates `key_exprs` (over
-// the left row) and probes `index` on `table`; matching table rows pass the
-// residual filter (over the combined row) and are emitted concatenated.
-// Inner-join semantics. The access path of choice when the outer side is
-// tiny (magic/supplementary tables) and the inner side is indexed.
+// the left row) and probes `index` on `table`. Matching table rows pass
+// `table_filter` in place over the table's column storage (column refs are
+// table column ordinals), then carry their `projection` columns onto the
+// left row and pass `residual` (over that combined row; the key pairs the
+// index does not cover). Inner-join semantics. The access path of choice
+// when the outer side is tiny (magic/supplementary tables) and the inner
+// side is indexed.
 class IndexJoinOp : public Operator {
  public:
   IndexJoinOp(OperatorPtr left, TablePtr table,
               std::shared_ptr<HashIndex> index, std::vector<ExprPtr>
-              key_exprs, ExprPtr residual);
+              key_exprs, std::vector<int> projection, ExprPtr table_filter,
+              ExprPtr residual);
 
   std::string name() const override { return "IndexJoin"; }
   std::string ToString(int indent) const override;
   int output_width() const override {
-    return left_->output_width() + table_->num_columns();
+    return left_->output_width() + static_cast<int>(projection_.size());
   }
   void Introspect(PlanIntrospection* out) const override;
 
@@ -163,6 +168,9 @@ class IndexJoinOp : public Operator {
   TablePtr table_;
   std::shared_ptr<HashIndex> index_;
   std::vector<ExprPtr> key_exprs_;
+  std::vector<int> projection_;
+  ExprPtr table_filter_;
+  StorageFilter storage_filter_;
   ExprPtr residual_;
 
   ExecContext* ctx_ = nullptr;
@@ -171,8 +179,7 @@ class IndexJoinOp : public Operator {
   // is what lets a fused scan under an index join (the repeated inner plan
   // of a nested-iteration subquery) run its vectorized path.
   BatchRowReader left_reader_;
-  const std::vector<uint32_t>* matches_ = nullptr;
-  size_t match_cursor_ = 0;
+  FilteredRowCursor matches_;  // the current left row's index matches
   bool left_eof_ = true;
 };
 

@@ -5,178 +5,263 @@
 #include "decorr/common/fault.h"
 #include "decorr/common/string_util.h"
 #include "decorr/expr/eval.h"
-#include "decorr/expr/eval_vector.h"
 
 namespace decorr {
 
 namespace {
 
-std::vector<int> FilterColumns(const Expr* filter) {
-  std::vector<int> cols;
-  if (filter == nullptr) return cols;
-  std::vector<const Expr*> refs;
-  CollectColumnRefs(*filter, &refs);
-  for (const Expr* ref : refs) {
-    if (std::find(cols.begin(), cols.end(), ref->slot) == cols.end()) {
-      cols.push_back(ref->slot);
-    }
-  }
-  return cols;
+// ---- In-place predicate evaluation over column storage ----
+//
+// `match` enters holding the candidate rows (non-zero = still passing) and
+// leaves with 1 exactly for the candidates that satisfy the predicate, so a
+// conjunction evaluates its right side only over its left side's
+// survivors. Each leaf collapses UNKNOWN to 0; under that collapse Kleene
+// AND/OR reduce to plain set operations on the candidates (NOT does not
+// survive it and is left to the row evaluator).
+
+bool IsColumn(const Expr& e) {
+  return e.kind == ExprKind::kColumnRef && e.slot >= 0;
 }
 
-// ---- Storage-level predicate fast path ----
-//
-// The repeated inner scans of a nested-iteration plan evaluate the same
-// small predicate (`col op constant/param`, conjunctions of those) over
-// every storage row. The batch evaluator would first materialize the
-// filter columns as Values; this path instead compares the table's typed
-// column vectors in place — no Value is constructed for rows that fail.
-// match[i] = 1 iff storage row begin+i passes; returns false to fall back
-// to the generic vector evaluator for shapes it does not handle.
+bool IsFixed(const Expr& e) {
+  return e.kind == ExprKind::kConstant || e.kind == ExprKind::kParamRef;
+}
+
+// The shapes the in-place path covers. Operand types are checked per call,
+// since parameters are only known then.
+bool InPlaceShape(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kComparison: {
+      const Expr& l = *e.children[0];
+      const Expr& r = *e.children[1];
+      return (IsColumn(l) && IsFixed(r)) || (IsFixed(l) && IsColumn(r));
+    }
+    case ExprKind::kIsNull:
+      return IsColumn(*e.children[0]);
+    case ExprKind::kLike:
+      return IsColumn(*e.children[0]) && IsFixed(*e.children[1]);
+    case ExprKind::kInList:
+      return IsColumn(*e.children[0]) &&
+             std::all_of(e.children.begin() + 1, e.children.end(),
+                         [](const ExprPtr& item) { return IsFixed(*item); });
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+      return InPlaceShape(*e.children[0]) && InPlaceShape(*e.children[1]);
+    default:
+      return false;
+  }
+}
+
+// A constant's or parameter's value; null for a parameter without a
+// binding, which is left to the row evaluator to report.
+const Value* FixedValue(const Expr& e, const Row* params) {
+  if (e.kind == ExprKind::kConstant) return &e.value;
+  return params != nullptr ? &(*params)[e.param] : nullptr;
+}
 
 template <typename T>
-char ApplyCmp(BinaryOp op, const T& a, const T& b) {
+bool ApplyCmp(BinaryOp op, const T& a, const T& b) {
   switch (op) {
     case BinaryOp::kEq:
     case BinaryOp::kNullEq:  // operands are non-NULL here
-      return a == b ? 1 : 0;
-    case BinaryOp::kNe: return a != b ? 1 : 0;
-    case BinaryOp::kLt: return a < b ? 1 : 0;
-    case BinaryOp::kLe: return a <= b ? 1 : 0;
-    case BinaryOp::kGt: return a > b ? 1 : 0;
-    case BinaryOp::kGe: return a >= b ? 1 : 0;
-    default: return 0;  // unreachable: kComparison carries comparison ops
+      return a == b;
+    case BinaryOp::kNe: return a != b;
+    case BinaryOp::kLt: return a < b;
+    case BinaryOp::kLe: return a <= b;
+    case BinaryOp::kGt: return a > b;
+    case BinaryOp::kGe: return a >= b;
+    default: return false;  // unreachable: kComparison carries comparison ops
   }
 }
 
-bool FixedOperand(const Expr& e, const Row* params, const Value** out) {
-  if (e.kind == ExprKind::kConstant) {
-    *out = &e.value;
-    return true;
+// Keeps candidate i iff the column is non-NULL at rows[i] and test(row).
+template <typename Test>
+void Narrow(const RowSet& rows, const Column& col, char* match, Test test) {
+  if (rows.ids != nullptr) {
+    for (size_t i = 0; i < rows.size; ++i) {
+      if (!match[i]) continue;
+      const size_t r = rows.ids[i];
+      match[i] = !col.IsNull(r) && test(r);
+    }
+  } else {
+    for (size_t i = 0; i < rows.size; ++i) {
+      if (!match[i]) continue;
+      const size_t r = rows.begin + i;
+      match[i] = !col.IsNull(r) && test(r);
+    }
   }
-  if (e.kind == ExprKind::kParamRef && params != nullptr) {
-    *out = &(*params)[e.param];
-    return true;
-  }
-  return false;
 }
 
-bool EvalFilterOverStorage(const Expr& e, const Table& t, const Row* params,
-                           size_t begin, size_t chunk,
-                           std::vector<char>* match) {
-  switch (e.kind) {
-    case ExprKind::kComparison: {
-      const Expr* col_side = e.children[0].get();
-      const Expr* fixed_side = e.children[1].get();
-      BinaryOp op = e.op;
-      if (col_side->kind != ExprKind::kColumnRef) {
-        std::swap(col_side, fixed_side);
-        op = MirrorComparison(op);
-      }
-      if (col_side->kind != ExprKind::kColumnRef || col_side->slot < 0) {
-        return false;
-      }
-      const Value* fixed = nullptr;
-      if (!FixedOperand(*fixed_side, params, &fixed)) return false;
-      const Column& col = t.column(col_side->slot);
-      match->assign(chunk, 0);
-      if (fixed->is_null()) {
-        // NULL comparand: UNKNOWN for every row (never matches) — except
-        // the null-safe equal, which matches exactly the NULL rows.
-        if (op == BinaryOp::kNullEq) {
-          for (size_t i = 0; i < chunk; ++i) {
-            (*match)[i] = col.IsNull(begin + i) ? 1 : 0;
-          }
-        }
+bool CompareInPlace(const Expr& e, const Table& t, const Row* params,
+                    const RowSet& rows, char* match) {
+  const Expr* col_side = e.children[0].get();
+  const Expr* fixed_side = e.children[1].get();
+  BinaryOp op = e.op;
+  if (!IsColumn(*col_side)) {
+    std::swap(col_side, fixed_side);
+    op = MirrorComparison(op);
+  }
+  const Value* fixed_value = FixedValue(*fixed_side, params);
+  if (fixed_value == nullptr) return false;
+  const Value& fixed = *fixed_value;
+  const Column& col = t.column(col_side->slot);
+  if (fixed.is_null()) {
+    // NULL comparand: UNKNOWN for every row — except the null-safe equal,
+    // which matches exactly the NULL rows.
+    for (size_t i = 0; i < rows.size; ++i) {
+      if (match[i]) match[i] = op == BinaryOp::kNullEq && col.IsNull(rows[i]);
+    }
+    return true;
+  }
+  switch (col.type()) {
+    case TypeId::kInt64:
+      if (fixed.type() == TypeId::kInt64) {
+        const int64_t rv = fixed.int64_value();
+        Narrow(rows, col, match,
+               [&](size_t r) { return ApplyCmp(op, col.Int64At(r), rv); });
         return true;
       }
-      switch (col.type()) {
-        case TypeId::kInt64:
-          if (fixed->type() == TypeId::kInt64) {
-            const int64_t rv = fixed->int64_value();
-            for (size_t i = 0; i < chunk; ++i) {
-              if (!col.IsNull(begin + i)) {
-                (*match)[i] = ApplyCmp(op, col.Int64At(begin + i), rv);
-              }
-            }
-          } else if (fixed->type() == TypeId::kDouble) {
-            const double rv = fixed->double_value();
-            for (size_t i = 0; i < chunk; ++i) {
-              if (!col.IsNull(begin + i)) {
-                (*match)[i] = ApplyCmp(
-                    op, static_cast<double>(col.Int64At(begin + i)), rv);
-              }
-            }
-          } else {
-            return false;
-          }
-          return true;
-        case TypeId::kDouble: {
-          if (fixed->type() != TypeId::kInt64 &&
-              fixed->type() != TypeId::kDouble) {
-            return false;
-          }
-          const double rv = fixed->AsDouble();
-          for (size_t i = 0; i < chunk; ++i) {
-            if (!col.IsNull(begin + i)) {
-              (*match)[i] = ApplyCmp(op, col.DoubleAt(begin + i), rv);
-            }
-          }
-          return true;
-        }
-        case TypeId::kString: {
-          if (fixed->type() != TypeId::kString) return false;
-          const std::string& rv = fixed->string_value();
-          for (size_t i = 0; i < chunk; ++i) {
-            if (!col.IsNull(begin + i)) {
-              (*match)[i] = ApplyCmp(op, col.StringAt(begin + i), rv);
-            }
-          }
-          return true;
-        }
-        case TypeId::kBool: {
-          if (fixed->type() != TypeId::kBool) return false;
-          const int64_t rv = fixed->bool_value() ? 1 : 0;
-          for (size_t i = 0; i < chunk; ++i) {
-            if (!col.IsNull(begin + i)) {
-              (*match)[i] = ApplyCmp(
-                  op, static_cast<int64_t>(col.BoolAt(begin + i) ? 1 : 0), rv);
-            }
-          }
-          return true;
-        }
-        default:
-          return false;
+      if (fixed.type() == TypeId::kDouble) {
+        const double rv = fixed.double_value();
+        Narrow(rows, col, match, [&](size_t r) {
+          return ApplyCmp(op, static_cast<double>(col.Int64At(r)), rv);
+        });
+        return true;
       }
+      return false;
+    case TypeId::kDouble: {
+      if (fixed.type() != TypeId::kInt64 && fixed.type() != TypeId::kDouble) {
+        return false;
+      }
+      const double rv = fixed.AsDouble();
+      Narrow(rows, col, match,
+             [&](size_t r) { return ApplyCmp(op, col.DoubleAt(r), rv); });
+      return true;
     }
+    case TypeId::kString: {
+      if (fixed.type() != TypeId::kString) return false;
+      const std::string& rv = fixed.string_value();
+      Narrow(rows, col, match,
+             [&](size_t r) { return ApplyCmp(op, col.StringAt(r), rv); });
+      return true;
+    }
+    case TypeId::kBool: {
+      if (fixed.type() != TypeId::kBool) return false;
+      const bool rv = fixed.bool_value();
+      Narrow(rows, col, match,
+             [&](size_t r) { return ApplyCmp(op, col.BoolAt(r), rv); });
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+// [NOT] IN over fixed items, with Value::Compare's equality: numbers compare
+// across INT64/DOUBLE, other types only within their own type. A row equal
+// to some item yields !negated; otherwise a NULL item makes it UNKNOWN.
+bool InListInPlace(const Expr& e, const Table& t, const Row* params,
+                   const RowSet& rows, char* match) {
+  const Column& col = t.column(e.children[0]->slot);
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<const std::string*> strings;
+  std::vector<bool> bools;
+  bool saw_null = false;
+  for (size_t c = 1; c < e.children.size(); ++c) {
+    const Value* value = FixedValue(*e.children[c], params);
+    if (value == nullptr) return false;
+    const Value& item = *value;
+    switch (item.type()) {
+      case TypeId::kNull: saw_null = true; break;
+      case TypeId::kInt64: ints.push_back(item.int64_value()); break;
+      case TypeId::kDouble: doubles.push_back(item.double_value()); break;
+      case TypeId::kString: strings.push_back(&item.string_value()); break;
+      case TypeId::kBool: bools.push_back(item.bool_value()); break;
+    }
+  }
+  const bool on_hit = !e.negated;
+  const bool on_miss = e.negated && !saw_null;
+  auto has = [](const auto& items, const auto& v) {
+    return std::find(items.begin(), items.end(), v) != items.end();
+  };
+  switch (col.type()) {
+    case TypeId::kInt64:
+      Narrow(rows, col, match, [&](size_t r) {
+        const int64_t v = col.Int64At(r);
+        return has(ints, v) || has(doubles, static_cast<double>(v)) ? on_hit
+                                                                    : on_miss;
+      });
+      return true;
+    case TypeId::kDouble:
+      for (int64_t v : ints) doubles.push_back(static_cast<double>(v));
+      Narrow(rows, col, match, [&](size_t r) {
+        return has(doubles, col.DoubleAt(r)) ? on_hit : on_miss;
+      });
+      return true;
+    case TypeId::kString:
+      Narrow(rows, col, match, [&](size_t r) {
+        const std::string& v = col.StringAt(r);
+        return std::any_of(strings.begin(), strings.end(),
+                           [&](const std::string* s) { return *s == v; })
+                   ? on_hit
+                   : on_miss;
+      });
+      return true;
+    case TypeId::kBool:
+      Narrow(rows, col, match, [&](size_t r) {
+        return has(bools, col.BoolAt(r)) ? on_hit : on_miss;
+      });
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Returns false (with `match` clobbered) on operand types it does not
+// handle; the caller then falls back to the row evaluator.
+bool EvalInPlace(const Expr& e, const Table& t, const Row* params,
+                 const RowSet& rows, char* match) {
+  switch (e.kind) {
+    case ExprKind::kComparison:
+      return CompareInPlace(e, t, params, rows, match);
     case ExprKind::kIsNull: {
-      const Expr& child = *e.children[0];
-      if (child.kind != ExprKind::kColumnRef || child.slot < 0) return false;
-      const Column& col = t.column(child.slot);
-      match->resize(chunk);
-      for (size_t i = 0; i < chunk; ++i) {
-        const bool is_null = col.IsNull(begin + i);
-        (*match)[i] = (e.negated ? !is_null : is_null) ? 1 : 0;
+      const Column& col = t.column(e.children[0]->slot);
+      for (size_t i = 0; i < rows.size; ++i) {
+        if (match[i]) match[i] = col.IsNull(rows[i]) != e.negated;
       }
       return true;
     }
-    case ExprKind::kAnd:
-    case ExprKind::kOr: {
-      // In predicate context UNKNOWN has collapsed to 0 in each child,
-      // under which Kleene AND/OR reduce to & and |. NOT does not survive
-      // the collapse and falls back to the generic evaluator.
-      std::vector<char> right;
-      if (!EvalFilterOverStorage(*e.children[0], t, params, begin, chunk,
-                                 match) ||
-          !EvalFilterOverStorage(*e.children[1], t, params, begin, chunk,
-                                 &right)) {
+    case ExprKind::kLike: {
+      const Column& col = t.column(e.children[0]->slot);
+      const Value* pattern = FixedValue(*e.children[1], params);
+      if (pattern == nullptr) return false;
+      if (pattern->is_null()) {
+        std::fill(match, match + rows.size, 0);
+        return true;
+      }
+      if (col.type() != TypeId::kString || pattern->type() != TypeId::kString) {
         return false;
       }
-      if (e.kind == ExprKind::kAnd) {
-        for (size_t i = 0; i < chunk; ++i) (*match)[i] &= right[i];
-      } else {
-        for (size_t i = 0; i < chunk; ++i) (*match)[i] |= right[i];
+      const std::string& like = pattern->string_value();
+      Narrow(rows, col, match, [&](size_t r) {
+        return LikeMatch(col.StringAt(r), like) != e.negated;
+      });
+      return true;
+    }
+    case ExprKind::kInList:
+      return InListInPlace(e, t, params, rows, match);
+    case ExprKind::kAnd:
+      return EvalInPlace(*e.children[0], t, params, rows, match) &&
+             EvalInPlace(*e.children[1], t, params, rows, match);
+    case ExprKind::kOr: {
+      std::vector<char> rest(match, match + rows.size);
+      if (!EvalInPlace(*e.children[0], t, params, rows, match)) return false;
+      for (size_t i = 0; i < rows.size; ++i) rest[i] &= !match[i];
+      if (!EvalInPlace(*e.children[1], t, params, rows, rest.data())) {
+        return false;
       }
+      for (size_t i = 0; i < rows.size; ++i) match[i] |= rest[i];
       return true;
     }
     default:
@@ -186,42 +271,98 @@ bool EvalFilterOverStorage(const Expr& e, const Table& t, const Row* params,
 
 }  // namespace
 
+// ---- StorageFilter ----
+
+StorageFilter::StorageFilter(const Table& table, const Expr* filter)
+    : table_(table), filter_(filter) {
+  if (filter_ == nullptr) return;
+  in_place_ = InPlaceShape(*filter_);
+  std::vector<const Expr*> refs;
+  CollectColumnRefs(*filter_, &refs);
+  for (const Expr* ref : refs) {
+    if (std::find(columns_.begin(), columns_.end(), ref->slot) ==
+        columns_.end()) {
+      columns_.push_back(ref->slot);
+    }
+  }
+}
+
+void StorageFilter::Eval(const Row* params, const RowSet& rows,
+                         std::vector<char>* match) const {
+  match->assign(rows.size, 1);
+  if (filter_ == nullptr) return;
+  if (in_place_ &&
+      EvalInPlace(*filter_, table_, params, rows, match->data())) {
+    return;
+  }
+  Row scratch(table_.num_columns());
+  EvalContext ectx;
+  ectx.row = &scratch;
+  ectx.params = params;
+  for (size_t i = 0; i < rows.size; ++i) {
+    for (int c : columns_) scratch[c] = table_.GetValue(rows[i], c);
+    (*match)[i] = EvalPredicate(*filter_, ectx) ? 1 : 0;
+  }
+}
+
+bool FilteredRowCursor::Next(const StorageFilter& filter, const Row* params,
+                             size_t* row, bool* pass) {
+  if (pos_ == rows_.size) return false;
+  if (pos_ == end_) {
+    start_ = pos_;
+    end_ = std::min(rows_.size, pos_ + chunk_);
+    filter.Eval(params, rows_.Slice(start_, end_ - start_), &match_);
+  }
+  *row = rows_[pos_];
+  *pass = match_[pos_ - start_] != 0;
+  ++pos_;
+  return true;
+}
+
+void AppendColumns(const Table& table, size_t row, const std::vector<int>& cols,
+                   Row* out) {
+  for (int c : cols) out->push_back(table.GetValue(row, c));
+}
+
+std::string ColumnList(const Table& table, const std::vector<int>& cols) {
+  std::string out = "cols=[";
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += table.schema().column(cols[i]).name;
+  }
+  return out + "]";
+}
+
 // ---- SeqScanOp ----
 
 SeqScanOp::SeqScanOp(TablePtr table, std::vector<int> projection,
                      ExprPtr filter)
     : table_(std::move(table)),
       projection_(std::move(projection)),
-      filter_(std::move(filter)) {
-  filter_columns_ = FilterColumns(filter_.get());
-}
+      filter_(std::move(filter)),
+      storage_filter_(*table_, filter_.get()) {}
 
 Status SeqScanOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.seqscan.open");
   ctx_ = ctx;
   cursor_ = 0;
-  scratch_.assign(table_->num_columns(), Value());
+  rows_.Reset(RowSet::Range(0, table_->num_rows()),
+              static_cast<size_t>(batch_size()));
   return Status::OK();
 }
 
 Status SeqScanOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.seqscan.next");
-  const size_t n = table_->num_rows();
-  EvalContext ectx;
-  ectx.row = &scratch_;
-  ectx.params = ctx_->params;
-  while (cursor_ < n) {
+  size_t r = 0;
+  bool pass = false;
+  while (rows_.Next(storage_filter_, ctx_->params, &r, &pass)) {
     DECORR_RETURN_IF_ERROR(ctx_->Check());
-    const size_t r = cursor_++;
     ++ctx_->stats->rows_scanned;
     ++metrics_.rows_in_self;
-    if (filter_) {
-      for (int c : filter_columns_) scratch_[c] = table_->GetValue(r, c);
-      if (!EvalPredicate(*filter_, ectx)) continue;
-    }
+    if (!pass) continue;
     out->clear();
     out->reserve(projection_.size());
-    for (int c : projection_) out->push_back(table_->GetValue(r, c));
+    AppendColumns(*table_, r, projection_, out);
     *eof = false;
     return Status::OK();
   }
@@ -241,43 +382,16 @@ Status SeqScanOp::NextBatchImpl(Batch* out, bool* eof) {
     const size_t chunk = std::min(target, n - cursor_);
     ctx_->stats->rows_scanned += static_cast<int64_t>(chunk);
     metrics_.rows_in_self += static_cast<int64_t>(chunk);
-    if (filter_ == nullptr) {
-      for (size_t c = 0; c < projection_.size(); ++c) {
-        std::vector<Value>& col = out->column(static_cast<int>(c));
-        for (size_t i = 0; i < chunk; ++i) {
-          col.push_back(table_->GetValue(cursor_ + i, projection_[c]));
-        }
-      }
-      out->set_num_rows(static_cast<int>(chunk));
-      cursor_ += chunk;
-      break;
-    }
-    // Predicate the whole chunk at once — directly over the typed column
-    // storage when the filter has a fast shape, else by loading only the
-    // columns the filter touches (same narrowing the tuple path's scratch
-    // row does) for the generic vector evaluator — then materialize the
-    // projection for survivors only.
-    if (!EvalFilterOverStorage(*filter_, *table_, ctx_->params, cursor_,
-                               chunk, &match_)) {
-      filter_batch_.Reset(table_->num_columns());
-      for (int c : filter_columns_) {
-        std::vector<Value>& col = filter_batch_.column(c);
-        col.reserve(chunk);
-        for (size_t i = 0; i < chunk; ++i) {
-          col.push_back(table_->GetValue(cursor_ + i, c));
-        }
-      }
-      filter_batch_.set_num_rows(static_cast<int>(chunk));
-      DECORR_RETURN_IF_ERROR(
-          EvalPredicateVector(*filter_, filter_batch_, ctx_->params, &match_));
-    }
+    storage_filter_.Eval(ctx_->params, RowSet::Range(cursor_, chunk),
+                         &match_);
     int survivors = 0;
-    for (size_t i = 0; i < chunk; ++i) {
-      if (!match_[i]) continue;
-      ++survivors;
-      for (size_t c = 0; c < projection_.size(); ++c) {
-        out->column(static_cast<int>(c))
-            .push_back(table_->GetValue(cursor_ + i, projection_[c]));
+    for (size_t i = 0; i < chunk; ++i) survivors += match_[i];
+    for (size_t c = 0; c < projection_.size(); ++c) {
+      std::vector<Value>& col = out->column(static_cast<int>(c));
+      col.reserve(static_cast<size_t>(survivors));
+      for (size_t i = 0; i < chunk; ++i) {
+        if (!match_[i]) continue;
+        col.push_back(table_->GetValue(cursor_ + i, projection_[c]));
       }
     }
     out->set_num_rows(survivors);
@@ -294,7 +408,8 @@ std::string SeqScanOp::name() const {
 }
 
 std::string SeqScanOp::ToString(int indent) const {
-  std::string out = Indent(indent) + name();
+  std::string out = Indent(indent) + name() + " " +
+                    ColumnList(*table_, projection_);
   if (filter_) out += " filter=" + filter_->ToString();
   return out + "\n";
 }
@@ -309,57 +424,47 @@ IndexLookupOp::IndexLookupOp(TablePtr table, std::shared_ptr<HashIndex> index,
       index_(std::move(index)),
       key_exprs_(std::move(key_exprs)),
       projection_(std::move(projection)),
-      filter_(std::move(residual_filter)) {
-  filter_columns_ = FilterColumns(filter_.get());
-}
+      filter_(std::move(residual_filter)),
+      storage_filter_(*table_, filter_.get()) {}
 
 Status IndexLookupOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.indexlookup.open");
   ctx_ = ctx;
-  cursor_ = 0;
-  scratch_.assign(table_->num_columns(), Value());
   Row key;
   key.reserve(key_exprs_.size());
   EvalContext ectx;
   ectx.row = nullptr;
   ectx.params = ctx->params;
-  null_key_ = false;
+  bool null_key = false;
   for (const ExprPtr& expr : key_exprs_) {
     Value v = Eval(*expr, ectx);
-    if (v.is_null()) null_key_ = true;
+    if (v.is_null()) null_key = true;
     key.push_back(std::move(v));
   }
   // A NULL key matches nothing and performs no probe, so it is not counted
   // as an index lookup.
-  if (!null_key_) {
+  RowSet matches;
+  if (!null_key) {
     ++ctx->stats->index_lookups;
     ++metrics_.index_probes;
+    matches = RowSet::List(index_->Lookup(key));
   }
-  matches_ = null_key_ ? nullptr : &index_->Lookup(key);
+  rows_.Reset(matches, static_cast<size_t>(batch_size()));
   return Status::OK();
 }
 
 Status IndexLookupOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.indexlookup.next");
-  if (matches_ == nullptr) {
-    *eof = true;
-    return Status::OK();
-  }
-  EvalContext ectx;
-  ectx.row = &scratch_;
-  ectx.params = ctx_->params;
-  while (cursor_ < matches_->size()) {
+  size_t r = 0;
+  bool pass = false;
+  while (rows_.Next(storage_filter_, ctx_->params, &r, &pass)) {
     DECORR_RETURN_IF_ERROR(ctx_->Check());
-    const size_t r = (*matches_)[cursor_++];
     ++ctx_->stats->rows_scanned;
     ++metrics_.rows_in_self;
-    if (filter_) {
-      for (int c : filter_columns_) scratch_[c] = table_->GetValue(r, c);
-      if (!EvalPredicate(*filter_, ectx)) continue;
-    }
+    if (!pass) continue;
     out->clear();
     out->reserve(projection_.size());
-    for (int c : projection_) out->push_back(table_->GetValue(r, c));
+    AppendColumns(*table_, r, projection_, out);
     *eof = false;
     return Status::OK();
   }
@@ -367,7 +472,7 @@ Status IndexLookupOp::NextImpl(Row* out, bool* eof) {
   return Status::OK();
 }
 
-void IndexLookupOp::CloseImpl() { matches_ = nullptr; }
+void IndexLookupOp::CloseImpl() { rows_.Reset(RowSet{}, 0); }
 
 std::string IndexLookupOp::name() const {
   return "IndexLookup(" + table_->schema().name() + ")";
@@ -379,7 +484,7 @@ std::string IndexLookupOp::ToString(int indent) const {
     if (i > 0) out += ", ";
     out += key_exprs_[i]->ToString();
   }
-  out += ")";
+  out += ") " + ColumnList(*table_, projection_);
   if (filter_) out += " filter=" + filter_->ToString();
   return out + "\n";
 }

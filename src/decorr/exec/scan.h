@@ -1,10 +1,14 @@
 // Base-table access: sequential scan with fused filter, and hash-index
 // lookup (the key may depend on correlation parameters, which is how nested
-// iteration exploits indexes inside subqueries).
+// iteration exploits indexes inside subqueries). Every base-table access
+// path filters in place over the table's typed column storage and
+// materializes only its projection, and only for rows that pass.
 #ifndef DECORR_EXEC_SCAN_H_
 #define DECORR_EXEC_SCAN_H_
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "decorr/expr/expr.h"
@@ -14,11 +18,80 @@
 
 namespace decorr {
 
+// A set of table rows: the contiguous range [begin, begin + size) or, when
+// `ids` is set, the listed rows (an index match list).
+struct RowSet {
+  size_t begin = 0;
+  const uint32_t* ids = nullptr;
+  size_t size = 0;
+
+  static RowSet Range(size_t begin, size_t size) {
+    return {begin, nullptr, size};
+  }
+  static RowSet List(const std::vector<uint32_t>& ids) {
+    return {0, ids.data(), ids.size()};
+  }
+  size_t operator[](size_t i) const { return ids ? ids[i] : begin + i; }
+  RowSet Slice(size_t from, size_t n) const {
+    return ids ? RowSet{0, ids + from, n} : RowSet{begin + from, nullptr, n};
+  }
+};
+
+// A predicate over one table's raw rows (its column refs are table column
+// ordinals), evaluated in place over the typed column storage: comparisons
+// of a column with a constant or parameter, IS [NOT] NULL, [NOT] LIKE and
+// [NOT] IN lists, under AND/OR. Rows that fail never build a Value. Other
+// shapes load only the columns the predicate reads into a scratch row for
+// the row evaluator. A null filter passes every row. Const, so exchange
+// workers share one instance.
+class StorageFilter {
+ public:
+  StorageFilter(const Table& table, const Expr* filter);
+
+  // match[i] = 1 iff row rows[i] satisfies the filter (TRUE; FALSE and
+  // UNKNOWN both reject).
+  void Eval(const Row* params, const RowSet& rows,
+            std::vector<char>* match) const;
+
+ private:
+  const Table& table_;
+  const Expr* filter_;
+  bool in_place_ = false;     // shape handled over column storage
+  std::vector<int> columns_;  // table columns the filter reads (fallback)
+};
+
+// Walks a RowSet in order, filtering it at most `chunk` rows ahead of the
+// caller. The caller counts every row Next returns, passing or not, so work
+// counters do not depend on the chunking.
+class FilteredRowCursor {
+ public:
+  void Reset(const RowSet& rows, size_t chunk) {
+    rows_ = rows;
+    chunk_ = chunk;
+    pos_ = start_ = end_ = 0;
+  }
+  // False at the end; otherwise the next table row and its verdict.
+  bool Next(const StorageFilter& filter, const Row* params, size_t* row,
+            bool* pass);
+
+ private:
+  RowSet rows_;
+  size_t chunk_ = 0;
+  size_t pos_ = 0;    // next position in rows_
+  size_t start_ = 0;  // positions [start_, end_) have verdicts in match_
+  size_t end_ = 0;
+  std::vector<char> match_;
+};
+
+// Appends `cols` of table row `row` to *out.
+void AppendColumns(const Table& table, size_t row, const std::vector<int>& cols,
+                   Row* out);
+
+// EXPLAIN rendering of a projection: "cols=[a, b]".
+std::string ColumnList(const Table& table, const std::vector<int>& cols);
+
 // Sequential scan producing `projection` columns of `table`, restricted by
 // an optional `filter` whose column refs are slots into the FULL table row.
-// The filter is evaluated against a scratch row holding only the columns it
-// references, so non-matching rows never materialize strings they don't
-// need.
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(TablePtr table, std::vector<int> projection, ExprPtr filter);
@@ -33,9 +106,9 @@ class SeqScanOp : public Operator {
  protected:
   Status OpenImpl(ExecContext* ctx) override;
   Status NextImpl(Row* out, bool* eof) override;
-  // Fused scan+filter+project over one chunk of the table per call: filter
-  // columns load into a columnar scratch batch, the predicate runs
-  // vectorized, and only surviving rows materialize their projection.
+  // Fused scan+filter+project over one chunk of the table per call: the
+  // filter runs over the chunk in place, then only surviving rows
+  // materialize their projection, column by column.
   Status NextBatchImpl(Batch* out, bool* eof) override;
   void CloseImpl() override;
 
@@ -43,12 +116,11 @@ class SeqScanOp : public Operator {
   TablePtr table_;
   std::vector<int> projection_;
   ExprPtr filter_;
-  std::vector<int> filter_columns_;  // table columns the filter touches
-  Row scratch_;                      // full-width scratch row for the filter
-  Batch filter_batch_;               // columnar scratch (filter columns only)
-  std::vector<char> match_;          // vectorized predicate results
+  StorageFilter storage_filter_;
+  FilteredRowCursor rows_;   // tuple path
+  std::vector<char> match_;  // batch path verdicts
   ExecContext* ctx_ = nullptr;
-  size_t cursor_ = 0;
+  size_t cursor_ = 0;  // batch path: next table row
 };
 
 // Hash-index lookup: evaluates `key_exprs` (constants and/or parameter
@@ -78,12 +150,9 @@ class IndexLookupOp : public Operator {
   std::vector<ExprPtr> key_exprs_;
   std::vector<int> projection_;
   ExprPtr filter_;
-  std::vector<int> filter_columns_;
-  Row scratch_;
+  StorageFilter storage_filter_;
+  FilteredRowCursor rows_;  // over the match list; empty on a NULL key
   ExecContext* ctx_ = nullptr;
-  const std::vector<uint32_t>* matches_ = nullptr;
-  size_t cursor_ = 0;
-  bool null_key_ = false;  // NULL key matches nothing
 };
 
 // Scan over an in-memory row vector (materialized intermediate results).

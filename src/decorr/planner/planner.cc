@@ -215,6 +215,7 @@ class Planner::Impl {
 
   Result<PhysicalPlan> PlanRoot(QueryGraph* graph) {
     graph_ = graph;
+    CollectAccessColumns(*graph);
     ParamEnv root_env;
     DECORR_ASSIGN_OR_RETURN(OperatorPtr op, PlanBox(graph->root(), &root_env));
     if (!root_env.sources.empty()) {
@@ -273,6 +274,95 @@ class Planner::Impl {
     }
     return std::make_unique<SeqScanOp>(std::move(table), std::move(projection),
                                        std::move(filter));
+  }
+
+  // ---- column pruning ----
+
+  // True when `pred`, a predicate of `box`, is evaluated by the access path
+  // of FROM quantifier `qid` over that quantifier's own row: it references
+  // `qid` and no other quantifier of the box, holds no subquery (nor the
+  // placeholder standing for an extracted one), and `qid` is not the
+  // null-padded side of an outer join, whose predicates form the join
+  // condition over the combined row. Correlated references to enclosing
+  // boxes reach the access path as parameters. Column pruning
+  // (CollectAccessColumns) and planning (LocalPredicates) both follow this
+  // one rule, so a column left out of the layout is never read above it.
+  static bool IsAccessLocal(const Box& box, const Expr& pred, int qid) {
+    if (qid == box.null_padded_qid) return false;
+    bool reads_qid = false;
+    const bool foreign = AnyNode(pred, [&](const Expr& node) {
+      switch (node.kind) {
+        case ExprKind::kScalarSubquery:
+        case ExprKind::kExists:
+        case ExprKind::kInSubquery:
+        case ExprKind::kQuantifiedComparison:
+          return true;
+        case ExprKind::kColumnRef:
+          if (node.qid == qid) {
+            reads_qid = true;
+            return false;
+          }
+          return node.qid <= kPlaceholderBase || box.OwnsQuantifier(node.qid);
+        default:
+          return false;
+      }
+    });
+    return reads_qid && !foreign;
+  }
+
+  // Counts, for every base-table FROM quantifier of a Select box, the
+  // references to each table column from expressions of the graph outside
+  // the quantifier's own access path. The columns counted are all its
+  // access path projects and all RegisterSlots lays out, so rows carry no
+  // column that nothing above the scan reads.
+  void CollectAccessColumns(const QueryGraph& graph) {
+    std::map<int, std::map<int, int>>& used = access_refs_;
+    used.clear();
+    for (const std::unique_ptr<Box>& box : graph.boxes()) {
+      if (box->kind() != BoxKind::kSelect) continue;
+      for (const Quantifier* q : box->quantifiers()) {
+        if (q->kind == QuantifierKind::kForeach &&
+            q->child->kind() == BoxKind::kBaseTable) {
+          used[q->id];
+        }
+      }
+    }
+    auto note = [&used](const Expr& expr, int skip_qid) {
+      VisitExpr(expr, [&](const Expr& node) {
+        if (node.kind != ExprKind::kColumnRef || node.qid == skip_qid) return;
+        auto it = used.find(node.qid);
+        if (it != used.end()) ++it->second[node.col];
+      });
+    };
+    for (const std::unique_ptr<Box>& box : graph.boxes()) {
+      for (const OutputColumn& out : box->outputs) {
+        if (out.expr) note(*out.expr, -1);
+      }
+      for (const ExprPtr& key : box->group_by) note(*key, -1);
+      for (const ExprPtr& pred : box->predicates) {
+        int consumer = -1;
+        for (const Quantifier* q : box->quantifiers()) {
+          if (used.count(q->id) && IsAccessLocal(*box, *pred, q->id)) {
+            consumer = q->id;
+            break;
+          }
+        }
+        note(*pred, consumer);
+      }
+    }
+  }
+
+  // The table columns q's access path projects, in table order: those read
+  // outside it, less any read only by the key pairs an index probe consumes
+  // (`probed`: table column -> number of such pairs).
+  std::vector<int> AccessColumns(const Quantifier* q,
+                                 const std::map<int, int>& probed = {}) const {
+    std::vector<int> cols;
+    for (const auto& [col, refs] : access_refs_.at(q->id)) {
+      auto it = probed.find(col);
+      if (it == probed.end() || refs > it->second) cols.push_back(col);
+    }
+    return cols;
   }
 
   // ---- generic box dispatch ----
@@ -652,7 +742,7 @@ class Planner::Impl {
       std::vector<bool> null_safe_keys;
       std::map<SlotKey, int> right_slots;
       int right_width = 0;
-      RegisterSlotsInto(info.quantifier, &right_slots, &right_width);
+      RegisterSlots(info.quantifier, &right_slots, &right_width);
       SlotContext right_ctx;
       right_ctx.slots = &right_slots;
       right_ctx.env = env;
@@ -699,6 +789,7 @@ class Planner::Impl {
       // NULL-key rows at build time, exactly the rows a binding join must
       // find.
       bool used_index_join = false;
+      std::vector<int> index_join_cols;
       if (options_.use_indexes && !left_keys.empty() && !any_null_safe &&
           info.quantifier->child->kind() == BoxKind::kBaseTable &&
           est_after[step - 1] <
@@ -706,7 +797,7 @@ class Planner::Impl {
         DECORR_ASSIGN_OR_RETURN(
             used_index_join,
             TryIndexJoin(box, info, preds, pred_used, env, left_keys,
-                         right_keys, width, &current));
+                         right_keys, width, &current, &index_join_cols));
       }
       if (!used_index_join) {
         DECORR_ASSIGN_OR_RETURN(
@@ -722,7 +813,8 @@ class Planner::Impl {
               std::move(current), std::move(right), nullptr, JoinType::kInner);
         }
       }
-      RegisterSlots(info.quantifier, &slots, &width);
+      RegisterSlots(info.quantifier, &slots, &width,
+                    used_index_join ? &index_join_cols : nullptr);
       bound_qids.insert(info.quantifier->id);
       DECORR_RETURN_IF_ERROR(apply_ready_preds());
       DECORR_RETURN_IF_ERROR(attach_step_extras(step));
@@ -797,7 +889,7 @@ class Planner::Impl {
         std::vector<bool> null_safe_keys;
         std::map<SlotKey, int> right_slots;
         int right_width = 0;
-        RegisterSlotsInto(info->quantifier, &right_slots, &right_width);
+        RegisterSlots(info->quantifier, &right_slots, &right_width);
         SlotContext right_ctx;
         right_ctx.slots = &right_slots;
         right_ctx.env = env;
@@ -843,6 +935,7 @@ class Planner::Impl {
             std::find(null_safe_keys.begin(), null_safe_keys.end(), true) !=
             null_safe_keys.end();
         bool used_index_join = false;
+        std::vector<int> index_join_cols;
         if (left && options_.use_indexes && !left_keys.empty() &&
             !any_null_safe &&
             info->quantifier->child->kind() == BoxKind::kBaseTable &&
@@ -852,7 +945,7 @@ class Planner::Impl {
           DECORR_ASSIGN_OR_RETURN(
               used_index_join,
               TryIndexJoin(box, *info, preds, pred_used, env, left_keys,
-                           right_keys, width, &left));
+                           right_keys, width, &left, &index_join_cols));
         }
         if (!used_index_join) {
           DECORR_ASSIGN_OR_RETURN(
@@ -875,7 +968,8 @@ class Planner::Impl {
                                   : JoinStepEstimate(box, preds, bound_qids,
                                                      running_est, *info))
                            : info->card;
-        RegisterSlots(info->quantifier, &slots, &width);
+        RegisterSlots(info->quantifier, &slots, &width,
+                      used_index_join ? &index_join_cols : nullptr);
         bound_qids.insert(info->quantifier->id);
         // Preserved-side predicates that became evaluable.
         for (size_t p = 0; p < preds.size(); ++p) {
@@ -903,7 +997,7 @@ class Planner::Impl {
 
     std::map<SlotKey, int> right_slots;
     int right_width = 0;
-    RegisterSlotsInto(padded->quantifier, &right_slots, &right_width);
+    RegisterSlots(padded->quantifier, &right_slots, &right_width);
     SlotContext right_ctx;
     right_ctx.slots = &right_slots;
     right_ctx.env = env;
@@ -915,7 +1009,7 @@ class Planner::Impl {
     // Combined row layout: left columns, then the padded side's columns.
     std::map<SlotKey, int> combined_slots = slots;
     int combined_width = width;
-    RegisterSlotsInto(padded->quantifier, &combined_slots, &combined_width);
+    RegisterSlots(padded->quantifier, &combined_slots, &combined_width);
     SlotContext combined_ctx;
     combined_ctx.slots = &combined_slots;
     combined_ctx.env = env;
@@ -1035,120 +1129,152 @@ class Planner::Impl {
     return std::max(card, 1.0);
   }
 
+  // Appends q's columns to a row layout: `cols` when given (an index join's
+  // projection), else the projected columns of a base-table FROM
+  // quantifier (AccessColumns), else every output.
   void RegisterSlots(const Quantifier* q, std::map<SlotKey, int>* slots,
-                     int* width) {
-    for (int i = 0; i < q->child->num_outputs(); ++i) {
-      (*slots)[{q->id, i}] = (*width)++;
+                     int* width, const std::vector<int>* cols = nullptr) {
+    if (cols == nullptr && access_refs_.count(q->id) == 0) {
+      for (int i = 0; i < q->child->num_outputs(); ++i) {
+        (*slots)[{q->id, i}] = (*width)++;
+      }
+      return;
+    }
+    for (int col : cols != nullptr ? *cols : AccessColumns(q)) {
+      (*slots)[{q->id, col}] = (*width)++;
     }
   }
-  void RegisterSlotsInto(const Quantifier* q, std::map<SlotKey, int>* slots,
-                         int* width) {
-    RegisterSlots(q, slots, width);
+
+  // Predicates still pending that q's access path takes over
+  // (IsAccessLocal).
+  std::vector<int> LocalPredicates(Box* box, const Quantifier* q,
+                                   const std::vector<ExprPtr>& preds,
+                                   const std::vector<bool>& pred_used) {
+    std::vector<int> local;
+    for (size_t p = 0; p < preds.size(); ++p) {
+      if (!pred_used[p] && IsAccessLocal(*box, *preds[p], q->id)) {
+        local.push_back(static_cast<int>(p));
+      }
+    }
+    return local;
+  }
+
+  // The conjunction of the still-unused `local` predicates slotted by
+  // `sctx` (null when none is left); marks them used.
+  Result<ExprPtr> TakeConjunction(const std::vector<int>& local,
+                                  const std::vector<ExprPtr>& preds,
+                                  std::vector<bool>& pred_used,
+                                  const SlotContext& sctx) {
+    std::vector<ExprPtr> parts;
+    for (int p : local) {
+      if (pred_used[p]) continue;
+      DECORR_ASSIGN_OR_RETURN(ExprPtr part, Slotify(*preds[p], sctx));
+      parts.push_back(std::move(part));
+      pred_used[p] = true;
+    }
+    if (parts.empty()) return ExprPtr();
+    return MakeAnd(std::move(parts));
   }
 
   // Builds an IndexJoinOp joining *current against `info`'s base table when
   // an index covers the join keys. Consumes left_keys/right_keys and the
-  // quantifier's local predicates on success.
+  // quantifier's local predicates on success, and returns the table
+  // columns the join appends in *projection.
   Result<bool> TryIndexJoin(Box* box, const QuantPlanInfo& info,
                             std::vector<ExprPtr>& preds,
                             std::vector<bool>& pred_used,
                             ParamEnv* env, std::vector<ExprPtr>& left_keys,
                             std::vector<ExprPtr>& right_keys, int left_width,
-                            OperatorPtr* current) {
+                            OperatorPtr* current,
+                            std::vector<int>* projection) {
     Quantifier* q = info.quantifier;
     TablePtr table = q->child->table;
-    // Right keys must be plain table-column slots.
+    // Right keys must be plain column slots; they index q's access layout,
+    // the index speaks table columns.
+    const std::vector<int> layout = AccessColumns(q);
     std::vector<int> right_cols;
     for (const ExprPtr& key : right_keys) {
       if (key->kind != ExprKind::kColumnRef || key->slot < 0) return false;
-      right_cols.push_back(key->slot);
+      right_cols.push_back(layout[key->slot]);
     }
     std::shared_ptr<HashIndex> index =
         catalog_.FindIndexCoveredBy(table->schema().name(), right_cols);
     if (index == nullptr) return false;
 
-    // Probe keys in index column order; uncovered pairs become residuals.
+    // Probe keys in index column order. The probe consumes those pairs, so
+    // a column read by nothing else is not projected; uncovered pairs stay
+    // a residual over the combined row.
     std::vector<ExprPtr> probe_keys;
     std::vector<bool> consumed(right_cols.size(), false);
+    std::map<int, int> probed;
     for (int index_col : index->key_columns()) {
       bool found = false;
       for (size_t i = 0; i < right_cols.size(); ++i) {
         if (!consumed[i] && right_cols[i] == index_col) {
           probe_keys.push_back(left_keys[i]->Clone());
           consumed[i] = true;
+          ++probed[index_col];
           found = true;
           break;
         }
       }
       if (!found) return false;
     }
+    *projection = AccessColumns(q, probed);
     std::vector<ExprPtr> residuals;
     for (size_t i = 0; i < right_cols.size(); ++i) {
       if (consumed[i]) continue;
+      const auto at = std::find(projection->begin(), projection->end(),
+                                right_cols[i]);
+      const ColumnDef& col = table->schema().column(right_cols[i]);
       residuals.push_back(MakeComparison(
           BinaryOp::kEq, left_keys[i]->Clone(),
-          MakeSlotRef(left_width + right_cols[i],
-                      table->schema().column(right_cols[i]).type)));
-    }
-    // Local predicates of this quantifier, over the combined row.
-    std::map<SlotKey, int> combined_slots;
-    for (int i = 0; i < table->schema().num_columns(); ++i) {
-      combined_slots[{q->id, i}] = left_width + i;
-    }
-    SlotContext combined_ctx;
-    combined_ctx.slots = &combined_slots;
-    combined_ctx.env = env;
-    for (size_t p = 0; p < preds.size(); ++p) {
-      if (pred_used[p]) continue;
-      std::set<int> qids, placeholders;
-      CollectRequirements(*preds[p], box, &qids, &placeholders);
-      if (!placeholders.empty() || qids.size() != 1 ||
-          *qids.begin() != q->id) {
-        continue;
-      }
-      DECORR_ASSIGN_OR_RETURN(ExprPtr res, Slotify(*preds[p], combined_ctx));
-      residuals.push_back(std::move(res));
-      pred_used[p] = true;
+          MakeSlotRef(left_width + static_cast<int>(at - projection->begin()),
+                      col.type, col.name)));
     }
     ExprPtr residual;
     if (!residuals.empty()) residual = MakeAnd(std::move(residuals));
-    *current = std::make_unique<IndexJoinOp>(std::move(*current), table, index,
-                                             std::move(probe_keys),
-                                             std::move(residual));
+    // Local predicates of this quantifier filter the raw table row.
+    DECORR_ASSIGN_OR_RETURN(
+        ExprPtr table_filter,
+        TakeConjunction(LocalPredicates(box, q, preds, pred_used), preds,
+                        pred_used, TableSlots(q, env).ctx));
+    *current = std::make_unique<IndexJoinOp>(
+        std::move(*current), table, index, std::move(probe_keys), *projection,
+        std::move(table_filter), std::move(residual));
     return true;
   }
 
-  // Access path for one F quantifier with its local predicates. May consume
-  // additional `preds` (marking pred_used) when they are local to this
-  // quantifier.
+  // Slot context resolving q's columns to raw table ordinals: the row an
+  // access path's own predicates see.
+  struct TableSlots {
+    TableSlots(const Quantifier* q, ParamEnv* env) {
+      for (int i = 0; i < q->child->table->num_columns(); ++i) {
+        slots[{q->id, i}] = i;
+      }
+      ctx.slots = &slots;
+      ctx.env = env;
+    }
+    TableSlots(const TableSlots&) = delete;
+    TableSlots& operator=(const TableSlots&) = delete;
+
+    std::map<SlotKey, int> slots;
+    SlotContext ctx;
+  };
+
+  // Access path for one F quantifier with its local predicates, which it
+  // consumes (marking pred_used).
   Result<OperatorPtr> BuildAccessPath(Box* box, const QuantPlanInfo& info,
                                       std::vector<ExprPtr>& preds,
                                       std::vector<bool>& pred_used,
                                       ParamEnv* env) {
     Quantifier* q = info.quantifier;
-    // Collect local predicate clones (indexes recorded during classify,
-    // plus any still-unused single-quantifier predicates).
-    std::vector<int> local;
-    for (size_t p = 0; p < preds.size(); ++p) {
-      if (pred_used[p]) continue;
-      std::set<int> qids, placeholders;
-      CollectRequirements(*preds[p], box, &qids, &placeholders);
-      if (placeholders.empty() && qids.size() == 1 &&
-          *qids.begin() == q->id) {
-        local.push_back(static_cast<int>(p));
-      }
-    }
+    const std::vector<int> local = LocalPredicates(box, q, preds, pred_used);
 
     if (q->child->kind() == BoxKind::kBaseTable && !info.lateral) {
       TablePtr table = q->child->table;
-      // Slot context against raw table columns.
-      std::map<SlotKey, int> table_slots;
-      for (int i = 0; i < table->schema().num_columns(); ++i) {
-        table_slots[{q->id, i}] = i;
-      }
-      SlotContext sctx;
-      sctx.slots = &table_slots;
-      sctx.env = env;
+      const TableSlots table_slots(q, env);
+      const std::vector<int> projection = AccessColumns(q);
 
       // Try an index for equality predicates col = <non-local>.
       std::vector<int> eq_cols;
@@ -1179,60 +1305,40 @@ class Planner::Impl {
       if (options_.use_indexes && !eq_cols.empty()) {
         index = catalog_.FindIndexCoveredBy(table->schema().name(), eq_cols);
       }
-      std::vector<int> projection(table->schema().num_columns());
-      for (size_t i = 0; i < projection.size(); ++i) {
-        projection[i] = static_cast<int>(i);
-      }
       if (index != nullptr) {
         std::vector<ExprPtr> keys;
         for (int col : index->key_columns()) {
-          DECORR_ASSIGN_OR_RETURN(ExprPtr key, Slotify(*eq_rhs[col], sctx));
+          DECORR_ASSIGN_OR_RETURN(ExprPtr key,
+                                  Slotify(*eq_rhs[col], table_slots.ctx));
           keys.push_back(std::move(key));
           pred_used[eq_pred[col]] = true;
         }
-        // Residual: remaining local predicates.
-        std::vector<ExprPtr> residuals;
-        for (int p : local) {
-          if (pred_used[p]) continue;
-          DECORR_ASSIGN_OR_RETURN(ExprPtr res, Slotify(*preds[p], sctx));
-          residuals.push_back(std::move(res));
-          pred_used[p] = true;
-        }
-        ExprPtr residual;
-        if (!residuals.empty()) residual = MakeAnd(std::move(residuals));
+        DECORR_ASSIGN_OR_RETURN(
+            ExprPtr residual,
+            TakeConjunction(local, preds, pred_used, table_slots.ctx));
         return OperatorPtr(std::make_unique<IndexLookupOp>(
             table, index, std::move(keys), projection, std::move(residual)));
       }
       // Sequential scan with fused filter.
-      std::vector<ExprPtr> filters;
-      for (int p : local) {
-        DECORR_ASSIGN_OR_RETURN(ExprPtr f, Slotify(*preds[p], sctx));
-        filters.push_back(std::move(f));
-        pred_used[p] = true;
-      }
-      ExprPtr filter;
-      if (!filters.empty()) filter = MakeAnd(std::move(filters));
-      return MakeScan(env, table, std::move(projection), std::move(filter));
+      DECORR_ASSIGN_OR_RETURN(
+          ExprPtr filter,
+          TakeConjunction(local, preds, pred_used, table_slots.ctx));
+      return MakeScan(env, table, projection, std::move(filter));
     }
 
     // Non-base child (derived table / group / union): plan recursively,
     // apply local predicates as a filter.
     DECORR_ASSIGN_OR_RETURN(OperatorPtr op, PlanBox(q->child, env));
-    if (!local.empty()) {
-      std::map<SlotKey, int> child_slots;
-      int w = 0;
-      RegisterSlots(q, &child_slots, &w);
-      SlotContext sctx;
-      sctx.slots = &child_slots;
-      sctx.env = env;
-      std::vector<ExprPtr> filters;
-      for (int p : local) {
-        DECORR_ASSIGN_OR_RETURN(ExprPtr f, Slotify(*preds[p], sctx));
-        filters.push_back(std::move(f));
-        pred_used[p] = true;
-      }
-      op = std::make_unique<FilterOp>(std::move(op),
-                                      MakeAnd(std::move(filters)));
+    std::map<SlotKey, int> child_slots;
+    int w = 0;
+    RegisterSlots(q, &child_slots, &w);
+    SlotContext sctx;
+    sctx.slots = &child_slots;
+    sctx.env = env;
+    DECORR_ASSIGN_OR_RETURN(ExprPtr filter,
+                            TakeConjunction(local, preds, pred_used, sctx));
+    if (filter) {
+      op = std::make_unique<FilterOp>(std::move(op), std::move(filter));
     }
     return op;
   }
@@ -1423,6 +1529,9 @@ class Planner::Impl {
   CardEstimator estimator_;
   QueryGraph* graph_ = nullptr;
   std::map<int, std::shared_ptr<SharedSubplan>> shared_;
+  // Base-table FROM quantifier id -> table column -> references outside
+  // its access path (CollectAccessColumns).
+  std::map<int, std::map<int, int>> access_refs_;
 };
 
 // ----------------------------------------------------------------------------

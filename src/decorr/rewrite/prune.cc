@@ -204,11 +204,19 @@ bool TryEliminateBackJoin(QueryGraph* graph, Box* join, Quantifier* qm) {
     if (!b.null_safe && source_props.nullable[b.ordinal]) return false;
   }
 
+  // Witnesses are copied out: they live inside the binding predicates,
+  // which the rewrite below erases before retargeting references.
+  struct WitnessRef {
+    int qid;
+    int col;
+    std::string name;
+  };
   ColumnSet covered;
-  std::map<int, const Expr*> witness_for;
+  std::map<int, WitnessRef> witness_for;
   for (const Binding& b : bindings) {
     covered.push_back(b.ordinal);
-    witness_for.emplace(b.ordinal, b.witness);
+    witness_for.emplace(b.ordinal, WitnessRef{b.witness->qid, b.witness->col,
+                                              b.witness->name});
   }
   std::sort(covered.begin(), covered.end());
   covered.erase(std::unique(covered.begin(), covered.end()), covered.end());
@@ -245,10 +253,10 @@ bool TryEliminateBackJoin(QueryGraph* graph, Box* join, Quantifier* qm) {
     for (Expr* root : box->AllExprs()) {
       VisitExprMutable(root, [&](Expr* node) {
         if (node->kind != ExprKind::kColumnRef || node->qid != qm->id) return;
-        const Expr* witness = witness_for.at(node->col);
-        node->qid = witness->qid;
-        node->col = witness->col;
-        node->name = witness->name;
+        const WitnessRef& witness = witness_for.at(node->col);
+        node->qid = witness.qid;
+        node->col = witness.col;
+        node->name = witness.name;
       });
     }
   }

@@ -236,7 +236,7 @@ TEST(IndexJoinTest, ProbesPerLeftRow) {
   TablePtr table = SmallTable();
   auto index = std::make_shared<HashIndex>(*table, std::vector<int>{0});
   IndexJoinOp join(Rows({{I(2)}, {I(7)}, {I(1)}}, 1), table, index, KeyAt(0),
-                   nullptr);
+                   {0, 1}, nullptr, nullptr);
   auto rows = Drain(&join);
   EXPECT_EQ(rows.size(), 3u);  // k=2 twice, k=7 none, k=1 once
   for (const Row& row : rows) {

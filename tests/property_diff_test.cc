@@ -461,16 +461,37 @@ TEST(PropertyDiffTest, PruneSweepRowIdenticalOnVsOffForEveryStrategy) {
   EXPECT_GT(pruned_plans, 0);
 }
 
+// The timing leg's yardstick. Optimized builds compare whole-query wall
+// time. Debug builds run the rewrites and the planner unoptimized, where
+// Mag's front end alone costs several times NI's whole query, and
+// sanitizers slow that front end further; those builds compare the
+// execution phase instead. Sanitizers also slow execution unevenly across
+// plans, so they get a wider bound, which still catches a pick that is off
+// by an order of magnitude.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kTimesWholeQuery = false;
+constexpr double kPickRatio = 2.0;
+constexpr double kPickSlackMs = 8.0;
+#elif !defined(NDEBUG)
+constexpr bool kTimesWholeQuery = false;
+constexpr double kPickRatio = 1.25;
+constexpr double kPickSlackMs = 2.0;
+#else
+constexpr bool kTimesWholeQuery = true;
+constexpr double kPickRatio = 1.25;
+constexpr double kPickSlackMs = 2.0;
+#endif
+
 // Auto differential sweep (the ISSUE 8 acceptance gate): the same 240
 // seeded queries under cost-based selection at dop {1, 4} with the subquery
 // cache on and off, fallback off, multiset-identical to the NI ground
 // truth. Correctness must hold whatever the cost model picks — including on
 // the COUNT-bug shapes, where the selector statically refuses Kim. A timing
-// leg then holds the pick competitive: the chosen strategy's best-of-3 wall
-// time must stay within 1.25x of the best *correct* hand-picked strategy
-// for that query (plus a 2 ms absolute floor — these queries run in
-// microseconds, where scheduler noise would otherwise dominate a pure
-// ratio). Hand picks whose rows diverge from NI (Kim's sanctioned COUNT
+// leg then holds the pick competitive: in an optimized build the chosen
+// strategy's best-of-3 wall time must stay within 1.25x of the best
+// *correct* hand-picked strategy for that query (plus a 2 ms absolute
+// floor — these queries run in microseconds, where scheduler noise would
+// otherwise dominate a pure ratio; other builds: see kTimesWholeQuery). Hand picks whose rows diverge from NI (Kim's sanctioned COUNT
 // bug) are not a bar the selector has to clear.
 TEST(PropertyDiffTest, AutoSweepMatchesNestedIterationAndPicksCompetitively) {
   constexpr uint64_t kDatabases = 8;
@@ -493,19 +514,25 @@ TEST(PropertyDiffTest, AutoSweepMatchesNestedIterationAndPicksCompetitively) {
   int timing_checks = 0;
   std::map<std::string, int> chosen_counts;
 
-  // Best-of-3 wall time: the minimum strips one-off scheduler hiccups and
+  // Best-of-3 time: the minimum strips one-off scheduler hiccups and
   // first-touch allocation costs, which at this scale dwarf plan quality.
+  // Timed runs skip verification, which Debug builds turn on by default and
+  // which would otherwise swamp the plans being compared; the row checks
+  // keep it on.
   auto best_of_3_ms = [](Database& db, const std::string& sql,
-                         const QueryOptions& options) {
+                         QueryOptions options) {
+    options.verify = false;
     double best = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
       const auto start = std::chrono::steady_clock::now();
       auto r = db.Execute(sql, options);
       const auto stop = std::chrono::steady_clock::now();
       if (!r.ok()) return -1.0;
-      best = std::min(
-          best,
-          std::chrono::duration<double, std::milli>(stop - start).count());
+      const double ms =
+          kTimesWholeQuery
+              ? std::chrono::duration<double, std::milli>(stop - start).count()
+              : static_cast<double>(r->profile.exec_nanos) / 1e6;
+      best = std::min(best, ms);
     }
     return best;
   };
@@ -557,8 +584,8 @@ TEST(PropertyDiffTest, AutoSweepMatchesNestedIterationAndPicksCompetitively) {
       if (chosen != "NI") ++decorrelated_picks;
 
       // Timing leg (serial, default cache — the variant the pick above was
-      // made under): the chosen strategy must be within 1.25x of the best
-      // correct hand-picked strategy. Every timed strategy is first vetted
+      // made under): the chosen strategy must be within the bound of the
+      // best correct hand-picked strategy. Every timed strategy is first vetted
       // against the NI rows, so a fast-but-wrong Kim never sets the bar.
       double best_ms = -1.0;
       double chosen_ms = -1.0;
@@ -577,7 +604,7 @@ TEST(PropertyDiffTest, AutoSweepMatchesNestedIterationAndPicksCompetitively) {
       ASSERT_GE(chosen_ms, 0.0)
           << "auto chose " << chosen
           << ", which is not a correct hand-pickable strategy here\n" << sql;
-      EXPECT_LE(chosen_ms, 1.25 * best_ms + 2.0)
+      EXPECT_LE(chosen_ms, kPickRatio * best_ms + kPickSlackMs)
           << "auto pick " << chosen << " = " << chosen_ms
           << " ms vs best hand-picked " << best_ms << " ms (seed " << seed
           << " q" << q << ")\n" << sql;

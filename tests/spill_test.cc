@@ -234,8 +234,11 @@ TEST_F(SpillStorageTest, ManagerCleansScratchDirectoryOnDestruction) {
     ASSERT_TRUE(writer.WriteRow({I(1)}).ok());
     ASSERT_TRUE(writer.Finish().ok());
     // The SpillFile is deliberately still alive when the manager dies: the
-    // scratch dir must go regardless.
-    file.value().release();  // leak the handle; dir removal must win
+    // scratch dir must go regardless. Its destructor would touch the dead
+    // manager, so the handle is parked in a static rather than destroyed,
+    // where the leak checker still reaches it.
+    [[maybe_unused]] static SpillFile* parked = nullptr;
+    parked = file.value().release();
   }
   EXPECT_FALSE(fs::exists(scratch)) << "scratch directory leaked";
   EXPECT_EQ(CountScratchEntries(dir_), 0);
@@ -374,10 +377,14 @@ TEST_F(SpillExecTest, JoinWithVisibleOutputMatches) {
 TEST_F(SpillExecTest, ParallelWorkersSpillThroughSharedManager) {
   // The parallel exchange materializes its inputs and outputs with no spill
   // hook, so only budgets between that floor and the in-memory peak can
-  // complete by spilling; with four workers racing one budget, where the
-  // crossing charge lands varies run to run. Walk the viable rungs and
-  // require spill evidence on each: success stats when the run completes,
-  // the worker-side partition fault site when it trips.
+  // complete by spilling. With four workers racing one budget, where the
+  // crossing charge lands varies run to run: in a worker's build, which
+  // spills, or in an exchange buffer, which fails the query cleanly. How
+  // many workers overlap also moves the measured peak. So walk a ladder
+  // wide enough for both a serial and a fully concurrent schedule: every
+  // rung must complete with the unlimited rows or fail with
+  // kResourceExhausted, leak no temp file, and some rung must complete by
+  // spilling in a worker.
   const std::string sql =
       "SELECT COUNT(*) FROM fact f, dim d WHERE f.grp = d.g AND d.g < 8";
   QueryOptions base;
@@ -387,8 +394,9 @@ TEST_F(SpillExecTest, ParallelWorkersSpillThroughSharedManager) {
   ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
   ASSERT_GT(unlimited->stats.peak_memory_bytes, 0);
 
+  bool workers_spilled = false;
   bool spilled_and_completed = false;
-  for (int pct : {90, 88}) {
+  for (int pct = 95; pct >= 50; pct -= 5) {
     const int64_t budget = unlimited->stats.peak_memory_bytes * pct / 100;
     FaultInjector::Global().Reset();
     FaultInjector::Global().EnableRecording();
@@ -396,8 +404,7 @@ TEST_F(SpillExecTest, ParallelWorkersSpillThroughSharedManager) {
     const int64_t worker_spills =
         FaultInjector::Global().HitCount("exec.spill.join.partition");
     FaultInjector::Global().Reset();
-    EXPECT_GT(worker_spills, 0)
-        << "workers never spilled under budget " << budget;
+    if (worker_spills > 0) workers_spilled = true;
     EXPECT_EQ(CountScratchEntries(scratch_), 0)
         << "temp files leaked (budget " << budget << ")";
     if (!run.ok()) {
@@ -408,8 +415,11 @@ TEST_F(SpillExecTest, ParallelWorkersSpillThroughSharedManager) {
     }
     EXPECT_EQ(Multiset(run->rows), Multiset(unlimited->rows))
         << sql << " under budget " << budget;
-    if (run->stats.spill_partitions > 0) spilled_and_completed = true;
+    if (worker_spills > 0 && run->stats.spill_partitions > 0) {
+      spilled_and_completed = true;
+    }
   }
+  EXPECT_TRUE(workers_spilled) << sql << ": no budget rung made a worker spill";
   EXPECT_TRUE(spilled_and_completed)
       << sql << ": no budget rung both spilled and completed at dop 4";
 

@@ -1,8 +1,9 @@
 // Vectorized execution tests (DESIGN.md §14): Batch/selection-vector
-// semantics, the vectorized expression evaluator differentially against the
-// scalar one, the row→batch shim (tail batches, batch_size=1), and — the
-// honesty layer — per-operator batch-vs-tuple row identity on hand-built
-// plans, including the `<=>` null-safe key round-trip.
+// semantics, the vectorized expression evaluator and the in-place storage
+// filter differentially against the scalar one, the row→batch shim (tail
+// batches, batch_size=1), and — the honesty layer — per-operator
+// batch-vs-tuple row identity on hand-built plans, including the `<=>`
+// null-safe key round-trip.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -298,6 +299,129 @@ TEST(VectorEvalTest, AllExprKindsMatchScalarEval) {
   for (const ExprPtr& expr : exprs) {
     ASSERT_TRUE(InferTypes(expr.get()).ok()) << expr->ToString();
     ExpectVectorMatchesScalar(*expr, b, &params);
+  }
+}
+
+// ---- In-place filter over column storage ----
+
+// NULL-heavy table: i INT64, d DOUBLE, s STRING, b BOOL — each column NULL
+// on a different residue so every NULL combination occurs.
+TablePtr NullHeavyTable() {
+  TableSchema schema("nh", {{"i", TypeId::kInt64, true},
+                            {"d", TypeId::kDouble, true},
+                            {"s", TypeId::kString, true},
+                            {"b", TypeId::kBool, true}});
+  auto table = std::make_shared<Table>(schema);
+  const char* words[] = {"apple", "banana", "ab", "", "xab", "Apple"};
+  for (int64_t r = 0; r < 300; ++r) {
+    (void)table->AppendRow(
+        {r % 3 == 0 ? N() : I(r % 7), r % 4 == 0 ? N() : D((r % 5) * 0.5),
+         r % 5 == 0 ? N() : S(words[r % 6]),
+         r % 6 == 0 ? N() : Value::Bool(r % 2 == 0)});
+  }
+  return table;
+}
+
+ExprPtr Items(ExprPtr lhs, std::vector<Value> items, bool negated) {
+  std::vector<ExprPtr> list;
+  for (Value& v : items) list.push_back(MakeConstant(std::move(v)));
+  return MakeInList(std::move(lhs), std::move(list), negated);
+}
+
+// StorageFilter must agree with EvalPredicate over the materialized row on
+// every row of `rows`.
+void ExpectFilterMatchesScalar(const Table& table, const Expr& expr,
+                               const RowSet& rows, const Row* params) {
+  StorageFilter filter(table, &expr);
+  std::vector<char> match;
+  filter.Eval(params, rows, &match);
+  ASSERT_EQ(match.size(), rows.size) << expr.ToString();
+  for (size_t i = 0; i < rows.size; ++i) {
+    const Row row = table.GetRow(rows[i]);
+    EvalContext ectx;
+    ectx.row = &row;
+    ectx.params = params;
+    EXPECT_EQ(match[i] != 0, EvalPredicate(expr, ectx))
+        << expr.ToString() << " table row " << rows[i];
+  }
+}
+
+TEST(StorageFilterTest, MatchesScalarEvalOverChunksAndMatchLists) {
+  TablePtr table = NullHeavyTable();
+  const ExprPtr i = MakeSlotRef(0, TypeId::kInt64, "i");
+  const ExprPtr d = MakeSlotRef(1, TypeId::kDouble, "d");
+  const ExprPtr s = MakeSlotRef(2, TypeId::kString, "s");
+  const ExprPtr b = MakeSlotRef(3, TypeId::kBool, "b");
+  Row params = {I(3), N(), S("%ab")};
+
+  std::vector<ExprPtr> exprs;
+  for (bool negated : {false, true}) {
+    // Literal patterns and '%'/'_' wildcards at the ends, inside and alone.
+    for (const char* pattern :
+         {"ab", "", "a%", "%ab", "%pp%", "%", "%%", "%b_", "a%e", "%a%b%"}) {
+      exprs.push_back(MakeLike(s->Clone(), MakeConstant(S(pattern)), negated));
+    }
+    exprs.push_back(MakeLike(s->Clone(), MakeParamRef(2, TypeId::kString),
+                             negated));
+    exprs.push_back(MakeLike(s->Clone(), MakeParamRef(1, TypeId::kString),
+                             negated));  // NULL pattern
+    exprs.push_back(Items(i->Clone(), {I(1), I(4)}, negated));
+    exprs.push_back(Items(i->Clone(), {I(1), N()}, negated));  // NULL item
+    exprs.push_back(Items(i->Clone(), {I(2), D(3.0), D(4.5)}, negated));
+    exprs.push_back(Items(d->Clone(), {I(1), D(1.5)}, negated));
+    exprs.push_back(Items(s->Clone(), {S("ab"), S("")}, negated));
+    exprs.push_back(Items(s->Clone(), {S("ab"), N()}, negated));
+    exprs.push_back(Items(b->Clone(), {Value::Bool(true)}, negated));
+    exprs.push_back(MakeIsNull(s->Clone(), negated));
+  }
+  {
+    std::vector<ExprPtr> list;
+    list.push_back(MakeParamRef(0, TypeId::kInt64));
+    list.push_back(MakeParamRef(1, TypeId::kInt64));  // NULL parameter
+    exprs.push_back(MakeInList(i->Clone(), std::move(list), false));
+  }
+  for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                      BinaryOp::kGe, BinaryOp::kNullEq}) {
+    exprs.push_back(
+        MakeComparison(op, i->Clone(), MakeParamRef(0, TypeId::kInt64)));
+    exprs.push_back(
+        MakeComparison(op, MakeConstant(D(1.0)), d->Clone()));  // mirrored
+    exprs.push_back(
+        MakeComparison(op, i->Clone(), MakeParamRef(1, TypeId::kInt64)));
+  }
+  // Conjunctions narrow the candidates; disjunctions must still see the
+  // rows the left side rejected.
+  exprs.push_back(MakeAnd(Items(i->Clone(), {I(1), I(2), N()}, false),
+                          MakeLike(s->Clone(), MakeConstant(S("%a%")), true)));
+  exprs.push_back(MakeOr(Items(i->Clone(), {I(5), N()}, true),
+                         MakeIsNull(d->Clone(), false)));
+  exprs.push_back(MakeOr(
+      MakeAnd(MakeComparison(BinaryOp::kGt, d->Clone(), MakeConstant(I(1))),
+              MakeComparison(BinaryOp::kEq, b->Clone(),
+                             MakeConstant(Value::Bool(false)))),
+      MakeLike(s->Clone(), MakeConstant(S("x%")), false)));
+  // Shapes left to the row evaluator.
+  exprs.push_back(MakeNot(Items(i->Clone(), {I(1)}, false)));
+  exprs.push_back(MakeComparison(BinaryOp::kLt, i->Clone(), d->Clone()));
+  std::vector<ExprPtr> upper_args;
+  upper_args.push_back(s->Clone());
+  exprs.push_back(MakeAnd(
+      MakeComparison(BinaryOp::kGt, i->Clone(), MakeConstant(I(0))),
+      MakeComparison(BinaryOp::kEq,
+                     MakeFunction(FuncKind::kUpper, std::move(upper_args)),
+                     MakeConstant(S("APPLE")))));
+
+  // Index match lists are not sorted by row id: visit the odd rows backwards.
+  std::vector<uint32_t> ids;
+  for (int r = 299; r >= 0; r -= 2) ids.push_back(static_cast<uint32_t>(r));
+  const RowSet sets[] = {RowSet::Range(0, table->num_rows()),
+                         RowSet::Range(17, 100), RowSet::List(ids),
+                         RowSet::List(ids).Slice(5, 40)};
+  for (const ExprPtr& expr : exprs) {
+    ASSERT_TRUE(InferTypes(expr.get()).ok()) << expr->ToString();
+    for (const RowSet& rows : sets) {
+      ExpectFilterMatchesScalar(*table, *expr, rows, &params);
+    }
   }
 }
 
