@@ -30,16 +30,6 @@ int main(int argc, char** argv) {
   w.Key("spill_sweep");
   WriteSpillSweep(w, TpcdDb(), "all indexes",
                   {{"fig8_mag", "fig8", decorr::TpcdQuery2()}});
-  w.Key("batch_exec");
-  WriteBatchSweep(w, TpcdDb(), "all indexes",
-                  {{"fig5_ni", "fig5", decorr::TpcdQuery1(),
-                    decorr::Strategy::kNestedIteration},
-                   {"fig6_mag", "fig6", decorr::TpcdQuery1Variant(),
-                    decorr::Strategy::kMagic},
-                   {"fig8_optmag", "fig8", decorr::TpcdQuery2(),
-                    decorr::Strategy::kOptMagic},
-                   {"fig9_mag", "fig9", decorr::TpcdQuery3(),
-                    decorr::Strategy::kMagic}});
   w.Key("ablations");
   WriteAblations(w, TpcdDb());
   w.Key("parallel");
@@ -63,15 +53,6 @@ int main(int argc, char** argv) {
   w.Key("spill_sweep_noindex");
   WriteSpillSweep(w, Fig7Database(), "partsupp indexes dropped",
                   {{"fig7_mag", "fig7", decorr::TpcdQuery1Variant()}});
-  // And for the batch sweep: with the partsupp indexes gone the hot
-  // strategies fall back to repeated sequential scans — exactly the
-  // fused-scan shape where vectorization pays off the most.
-  w.Key("batch_exec_noindex");
-  WriteBatchSweep(w, Fig7Database(), "partsupp indexes dropped",
-                  {{"fig7_ni", "fig7", decorr::TpcdQuery1Variant(),
-                    decorr::Strategy::kNestedIteration},
-                   {"fig7_mag", "fig7", decorr::TpcdQuery1Variant(),
-                    decorr::Strategy::kMagic}});
   w.EndObject();
   return EmitDocument(argc, argv, std::move(w).str());
 }

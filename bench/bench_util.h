@@ -8,6 +8,7 @@
 #ifndef DECORR_BENCH_BENCH_UTIL_H_
 #define DECORR_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -52,8 +53,9 @@ struct StrategyRun {
   double ms = 0.0;  // best-of-N unprofiled wall time
   size_t rows = 0;
   ExecStats stats;
+  QueryProfile profile;        // phase timings of this (unprofiled) run
   std::string operators_json;  // metrics tree from one profiled run
-  std::string phases_json;     // phase breakdown from the same run
+  std::string phases_json;     // per-phase medians of the unprofiled runs
 };
 
 inline StrategyRun TimeOneRun(Database& db, const std::string& sql,
@@ -75,35 +77,53 @@ inline StrategyRun TimeOneRun(Database& db, const std::string& sql,
   run.ok = true;
   run.rows = result->rows.size();
   run.stats = result->stats;
+  run.profile = result->profile;
   return run;
 }
 
+// Median of one phase over `runs`, in milliseconds.
+inline double MedianPhaseMs(const std::vector<QueryProfile>& runs,
+                            int64_t QueryProfile::*phase) {
+  std::vector<int64_t> nanos;
+  for (const QueryProfile& run : runs) nanos.push_back(run.*phase);
+  std::sort(nanos.begin(), nanos.end());
+  const size_t n = nanos.size();
+  const double mid = n % 2 == 1 ? static_cast<double>(nanos[n / 2])
+                                : (nanos[n / 2 - 1] + nanos[n / 2]) / 2.0;
+  return mid / 1e6;
+}
+
 // Best-of-three unprofiled timings (slow runs: a single shot is enough),
-// then one profiled run for the operator breakdown.
+// with each phase's median over those runs, then one profiled run for the
+// operator breakdown. Profiling clocks every operator call; keeping the
+// phases to unprofiled runs keeps that cost out of them.
 inline StrategyRun RunStrategy(Database& db, const std::string& sql,
                                Strategy s) {
   StrategyRun best;
+  std::vector<QueryProfile> timed;
   for (int i = 0; i < 3; ++i) {
     StrategyRun run = TimeOneRun(db, sql, s);
     if (!run.ok) return run;
+    timed.push_back(run.profile);
     if (!best.ok || run.ms < best.ms) best = run;
     if (run.ms > 1000.0) break;
   }
+  JsonWriter phases;
+  phases.BeginObject()
+      .Key("parse_ms").Double(MedianPhaseMs(timed, &QueryProfile::parse_nanos))
+      .Key("bind_ms").Double(MedianPhaseMs(timed, &QueryProfile::bind_nanos))
+      .Key("rewrite_ms")
+      .Double(MedianPhaseMs(timed, &QueryProfile::rewrite_nanos))
+      .Key("plan_ms").Double(MedianPhaseMs(timed, &QueryProfile::plan_nanos))
+      .Key("exec_ms").Double(MedianPhaseMs(timed, &QueryProfile::exec_nanos))
+      .EndObject();
+  best.phases_json = std::move(phases).str();
   QueryOptions options;
   options.strategy = s;
   options.fallback = false;
   auto profiled = db.ExplainAnalyze(sql, options);
   if (profiled.ok()) {
     best.operators_json = MetricsNodeToJson(profiled->profile.plan);
-    JsonWriter phases;
-    phases.BeginObject()
-        .Key("parse_ms").Double(profiled->profile.parse_nanos / 1e6)
-        .Key("bind_ms").Double(profiled->profile.bind_nanos / 1e6)
-        .Key("rewrite_ms").Double(profiled->profile.rewrite_nanos / 1e6)
-        .Key("plan_ms").Double(profiled->profile.plan_nanos / 1e6)
-        .Key("exec_ms").Double(profiled->profile.exec_nanos / 1e6)
-        .EndObject();
-    best.phases_json = std::move(phases).str();
   }
   return best;
 }
@@ -182,7 +202,6 @@ inline void WriteMeta(JsonWriter& w) {
   w.Key("meta").BeginObject();
   w.Key("schema_version").Int(1);
   w.Key("scale_factor").Double(ScaleFactor());
-  w.Key("sample_stride").Int(OperatorMetrics::kSampleStride);
   // Real cores available to the worker pool when this JSON was produced:
   // dop > hardware_threads cannot yield wall-clock speedup, so the measured
   // parallel numbers are only meaningful relative to this.

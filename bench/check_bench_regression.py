@@ -8,6 +8,13 @@ match the baseline exactly, as must the result cardinality and the
 ok/error status. A change in plan or in the amount of work then fails on
 any machine; a change that only makes the same work faster passes.
 
+The same holds per operator: each strategy's `operators` tree is walked in
+step with the baseline's, and every node must name the same operator and
+report the same rows_out, rows_in, loops, next_calls, build_rows and
+index_probes (an absent field counts as 0). This catches work that moved
+between operators while the per-strategy totals stayed put. A baseline
+strategy without an operator tree is skipped with a note.
+
 Absolute wall times are machine-dependent, so the check also compares the
 vs_ni ratios (each strategy's wall time relative to nested iteration on
 the same machine, same run): a strategy regresses when its fresh ratio
@@ -32,11 +39,6 @@ the baseline — older baselines without the section stay comparable),
 but every fresh case must report rows_match_unpruned — a pruned plan
 returning different rows than the unpruned plan means a derived key was
 wrong, which is a correctness bug, never noise.
-
-The batch_exec sections follow the same split: tuple/batch wall times
-and speedups are telemetry, but every fresh case must report
-rows_match_tuple — a vectorized run returning different rows than the
-tuple-at-a-time run is an execution correctness bug, never noise.
 
 The spill_sweep sections get the same treatment: wall times, slowdowns
 and spilled-bytes counters are telemetry, but every budget rung that
@@ -81,6 +83,10 @@ import sys
 # Deterministic per-strategy work counters, compared exactly.
 WORK_COUNTERS = ("rows_scanned", "index_lookups", "subquery_invocations",
                  "rows_materialized")
+# Deterministic per-operator counters, compared exactly node by node. The
+# JSON omits build_rows and index_probes when they are zero.
+OPERATOR_COUNTERS = ("rows_out", "rows_in", "loops", "next_calls",
+                     "build_rows", "index_probes")
 
 
 def load(path):
@@ -98,6 +104,28 @@ def figures_by_id(doc):
 
 def strategies_by_name(fig):
     return {s["strategy"]: s for s in fig.get("strategies", [])}
+
+
+def compare_operators(tag, base, fresh, path, errors):
+    """Walks two operator trees in step, reporting every counter change."""
+    here = f"{path}/{base.get('op')}"
+    if base.get("op") != fresh.get("op"):
+        errors.append(f"{tag}: operator at {path or '/'} changed "
+                      f"{base.get('op')} -> {fresh.get('op')}")
+        return
+    for counter in OPERATOR_COUNTERS:
+        b, f = base.get(counter, 0), fresh.get(counter, 0)
+        if b != f:
+            errors.append(f"{tag}: {here} {counter} changed {b} -> {f} "
+                          "(work moved between operators)")
+    base_kids = base.get("children", [])
+    fresh_kids = fresh.get("children", [])
+    if len(base_kids) != len(fresh_kids):
+        errors.append(f"{tag}: {here} has {len(fresh_kids)} children, "
+                      f"baseline {len(base_kids)}")
+        return
+    for b, f in zip(base_kids, fresh_kids):
+        compare_operators(tag, b, f, here, errors)
 
 
 def ni_wall_ms(fig):
@@ -172,6 +200,14 @@ def main():
                     errors.append(
                         f"{tag}: {counter} changed {b.get(counter)} -> "
                         f"{f.get(counter)} (plan or work changed)")
+            if "operators" not in b:
+                notes.append(f"{tag}: no baseline operator tree; per-operator "
+                             "counters skipped")
+            elif "operators" not in f:
+                errors.append(f"{tag}: operator tree missing from fresh run")
+            else:
+                compare_operators(tag, b["operators"], f["operators"], "",
+                                  errors)
             if name == "NI":
                 continue  # NI's vs_ni is 1.0 by construction
             if base_ni < args.ni_floor_ms or fresh_ni < args.ni_floor_ms:
@@ -247,16 +283,6 @@ def main():
             errors.append(
                 f"dedup_prune_sweep/{case.get('id')}: pruned rows diverge "
                 f"from unpruned (derived-key correctness bug)")
-
-    # Batch-execution correctness gate: a vectorized (batch_size=1024) run
-    # must return exactly the tuple-at-a-time run's row multiset. Wall times
-    # and speedups in the same sections are telemetry and are not compared.
-    for section in ("batch_exec", "batch_exec_noindex"):
-        for case in fresh.get(section, {}).get("cases", []):
-            if case.get("ok") and not case.get("rows_match_tuple", True):
-                errors.append(
-                    f"{section}/{case.get('id')}: vectorized rows diverge "
-                    f"from tuple mode (batch execution correctness bug)")
 
     # Spill correctness gate: every completed budget rung must return
     # exactly the unbounded run's rows, and each case's ladder must contain

@@ -427,100 +427,6 @@ inline void WriteSpillSweep(JsonWriter& w, Database& db, const char* regime,
   w.EndObject();
 }
 
-// ---- Batch-execution sweep (vectorized vs tuple-at-a-time ablation) ----
-
-// Each case runs one figure query under its hot strategy twice — tuple mode
-// (batch_size = 0) and vectorized mode (batch_size = 1024, fused
-// scan/filter/project) — recording best-of-three wall times and the speedup.
-// The plan is identical in both modes by construction (the execution mode is
-// chosen after planning; explain_golden_test pins this), so the speedup
-// isolates the per-row iterator overhead that batching amortizes. Timings
-// are telemetry (machine-dependent; the regression checker does not compare
-// them); what IS enforced is the rows_match_tuple gate — a vectorized run
-// must return exactly the tuple run's row multiset.
-struct BatchCase {
-  const char* id;
-  const char* figure;
-  std::string sql;
-  Strategy strategy;
-};
-
-inline void WriteBatchSweep(JsonWriter& w, Database& db, const char* regime,
-                            const std::vector<BatchCase>& cases) {
-  std::fprintf(stderr, "[bench] batch-execution sweep (%s)\n", regime);
-  auto timed = [&db](const std::string& sql, const QueryOptions& options,
-                     QueryResult* result_out, std::string* error) {
-    double best_ms = -1.0;
-    for (int i = 0; i < 3; ++i) {
-      const auto start = std::chrono::steady_clock::now();
-      auto result = db.Execute(sql, options);
-      const auto stop = std::chrono::steady_clock::now();
-      const double ms =
-          std::chrono::duration<double, std::milli>(stop - start).count();
-      if (!result.ok()) {
-        *error = result.status().ToString();
-        return -1.0;
-      }
-      if (best_ms < 0 || ms < best_ms) {
-        best_ms = ms;
-        *result_out = result.MoveValue();
-      }
-      if (ms > 1000.0) break;
-    }
-    return best_ms;
-  };
-  w.BeginObject();
-  w.Key("title").String(
-      "Vectorized execution: tuple-at-a-time vs batch_size=1024 with fused "
-      "scan/filter/project");
-  w.Key("batch_size").Int(1024);
-  w.Key("index_regime").String(regime);
-  w.Key("cases").BeginArray();
-  for (const BatchCase& c : cases) {
-    QueryOptions tuple;
-    tuple.strategy = c.strategy;
-    tuple.fallback = false;
-    QueryOptions batched = tuple;
-    batched.batch_size = 1024;
-
-    QueryResult tuple_result;
-    QueryResult batch_result;
-    std::string error;
-    const double tuple_ms = timed(c.sql, tuple, &tuple_result, &error);
-    const double batch_ms =
-        error.empty() ? timed(c.sql, batched, &batch_result, &error) : -1.0;
-    w.BeginObject();
-    w.Key("id").String(c.id);
-    w.Key("figure").String(c.figure);
-    w.Key("strategy").String(StrategyName(c.strategy));
-    if (!error.empty()) {
-      w.Key("ok").Bool(false);
-      w.Key("error").String(error);
-      w.EndObject();
-      continue;
-    }
-    w.Key("ok").Bool(true);
-    w.Key("rows").Int(static_cast<int64_t>(batch_result.rows.size()));
-    // Correctness gate the regression checker enforces: vectorized
-    // execution must not change the result multiset.
-    w.Key("rows_match_tuple")
-        .Bool(SpillRowMultiset(batch_result.rows) ==
-              SpillRowMultiset(tuple_result.rows));
-    w.Key("tuple_wall_ms").Double(tuple_ms);
-    w.Key("batch_wall_ms").Double(batch_ms);
-    w.Key("speedup_vs_tuple")
-        .Double(batch_ms > 0 ? tuple_ms / batch_ms : 0.0);
-    w.EndObject();
-    std::fprintf(stderr,
-                 "[bench]   %-10s tuple %8.2f ms  batch %8.2f ms  "
-                 "speedup %.2fx\n",
-                 c.id, tuple_ms, batch_ms,
-                 batch_ms > 0 ? tuple_ms / batch_ms : 0.0);
-  }
-  w.EndArray();
-  w.EndObject();
-}
-
 // ---- Table 1: database cardinalities ----
 
 inline void WriteTable1(JsonWriter& w, Database& db) {

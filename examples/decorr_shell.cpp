@@ -101,7 +101,6 @@ int main() {
   long long memory_bytes = 0;
   bool spill = false;
   long long spill_bytes = 0;
-  int batch_size = 0;
   bool timing = true;
 
   std::printf("decorr shell — magic decorrelation engine\n");
@@ -142,15 +141,6 @@ int main() {
               "strategies: ni ni_cached kim dayal ganski mag optmag auto\n");
         } else {
           std::printf("strategy = %s\n", StrategyName(strategy));
-        }
-      } else if (cmd == "batch") {
-        int n = -1;
-        if (iss >> n && n >= 0) {
-          batch_size = n;
-          std::printf("batch size = %d%s\n", batch_size,
-                      batch_size == 0 ? " (tuple-at-a-time)" : "");
-        } else {
-          std::printf("usage: \\batch N (0 = tuple-at-a-time)\n");
         }
       } else if (cmd == "dop") {
         int n = 0;
@@ -214,7 +204,6 @@ int main() {
         options.limits.memory_budget_bytes = memory_bytes;
         options.spill = spill;
         options.spill_bytes = spill_bytes;
-        options.batch_size = batch_size;
         auto result = session->ExplainAnalyze(sql, options);
         if (!result.ok()) {
           std::printf("%s\n", result.status().ToString().c_str());
@@ -261,7 +250,6 @@ int main() {
     options.limits.memory_budget_bytes = memory_bytes;
     options.spill = spill;
     options.spill_bytes = spill_bytes;
-    options.batch_size = batch_size;
     const auto start = std::chrono::steady_clock::now();
     auto result = session->Execute(buffer, options);
     const auto stop = std::chrono::steady_clock::now();

@@ -89,15 +89,10 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
   ResetSpillState();
 
   DECORR_RETURN_IF_ERROR(child_->Open(ctx));
-  // Input pulled batch-at-a-time when the context batches; the per-row
-  // group update (key eval, try_emplace, hybrid-flush charging) is
-  // unchanged so spill semantics stay exact.
-  BatchRowReader input_reader;
-  input_reader.Reset(child_.get(), ctx->batch_size);
   while (true) {
     Row in;
     bool eof = false;
-    Status st = input_reader.Next(&in, &eof);
+    Status st = child_->Next(&in, &eof);
     if (st.ok() && ctx->guard) st = ctx->guard->Check();
     if (!st.ok()) {
       child_->Close();
@@ -476,7 +471,6 @@ Status DistinctOp::OpenImpl(ExecContext* ctx) {
   seen_.clear();
   charged_bytes_ = 0;
   ResetSpillState();
-  child_reader_.Reset(child_.get(), ctx->batch_size);
   return child_->Open(ctx);
 }
 
@@ -487,7 +481,7 @@ Status DistinctOp::NextImpl(Row* out, bool* eof) {
   while (!child_done_) {
     Row row;
     bool ceof = false;
-    DECORR_RETURN_IF_ERROR(child_reader_.Next(&row, &ceof));
+    DECORR_RETURN_IF_ERROR(child_->Next(&row, &ceof));
     if (ceof) {
       child_done_ = true;
       if (!spilling_) {

@@ -122,9 +122,6 @@ class DistinctOp : public Operator {
 
  private:
   OperatorPtr child_;
-  // Streams the child batch-at-a-time when batch execution is on (plain
-  // child->Next otherwise); the dedup logic is unchanged.
-  BatchRowReader child_reader_;
   ExecContext* ctx_ = nullptr;
   std::unordered_set<Row, RowHash, RowEq> seen_;
   int64_t charged_bytes_ = 0;

@@ -107,7 +107,6 @@ Status ApplyOp::OpenImpl(ExecContext* ctx) {
       }
     }
   }
-  input_reader_.Reset(input_.get(), ctx->batch_size);
   return input_->Open(ctx);
 }
 
@@ -134,7 +133,6 @@ Status ApplyOp::RunInner(const SubqueryPlan& sub, const Row& params,
   inner_ctx.profile = ctx_->profile;
   inner_ctx.subquery_cache_bytes = ctx_->subquery_cache_bytes;
   inner_ctx.temp = ctx_->temp;
-  inner_ctx.batch_size = ctx_->batch_size;
   ++ctx_->stats->subquery_invocations;
   DECORR_ASSIGN_OR_RETURN(*rows,
                           CollectRows(sub.plan.get(), &inner_ctx,
@@ -160,7 +158,7 @@ Status ApplyOp::Verdict(const SubqueryPlan& sub, const Row& in,
 Status ApplyOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.apply.next");
   Row in;
-  DECORR_RETURN_IF_ERROR(input_reader_.Next(&in, eof));
+  DECORR_RETURN_IF_ERROR(input_->Next(&in, eof));
   if (*eof) return Status::OK();
   DECORR_RETURN_IF_ERROR(ctx_->Check());
   for (size_t i = 0; i < subqueries_.size(); ++i) {
@@ -286,7 +284,6 @@ Status GroupProbeApplyOp::OpenImpl(ExecContext* ctx) {
     if (null_key) continue;  // equality bindings never match NULL
     groups_[std::move(key)].push_back(std::move(row));
   }
-  input_reader_.Reset(input_.get(), ctx->batch_size);
   return input_->Open(ctx);
 }
 
@@ -294,7 +291,7 @@ Status GroupProbeApplyOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.groupprobe.next");
   static const std::vector<Row> kEmpty;
   Row in;
-  DECORR_RETURN_IF_ERROR(input_reader_.Next(&in, eof));
+  DECORR_RETURN_IF_ERROR(input_->Next(&in, eof));
   if (*eof) return Status::OK();
   DECORR_RETURN_IF_ERROR(ctx_->Check());
   EvalContext ectx;
@@ -368,7 +365,6 @@ Status LateralJoinOp::OpenImpl(ExecContext* ctx) {
                ? std::make_unique<BindingKeyCache>(ctx->subquery_cache_bytes,
                                                    ctx->guard, &metrics_)
                : nullptr;
-  input_reader_.Reset(input_.get(), ctx->batch_size);
   return input_->Open(ctx);
 }
 
@@ -388,7 +384,7 @@ Status LateralJoinOp::NextImpl(Row* out, bool* eof) {
       return Status::OK();
     }
     bool child_eof = false;
-    DECORR_RETURN_IF_ERROR(input_reader_.Next(&current_input_, &child_eof));
+    DECORR_RETURN_IF_ERROR(input_->Next(&current_input_, &child_eof));
     if (child_eof) {
       input_eof_ = true;
       continue;
@@ -420,7 +416,6 @@ Status LateralJoinOp::NextImpl(Row* out, bool* eof) {
     inner_ctx.profile = ctx_->profile;
     inner_ctx.subquery_cache_bytes = ctx_->subquery_cache_bytes;
     inner_ctx.temp = ctx_->temp;
-    inner_ctx.batch_size = ctx_->batch_size;
     ++ctx_->stats->subquery_invocations;
     int64_t charged = 0;
     DECORR_ASSIGN_OR_RETURN(

@@ -86,9 +86,6 @@ class ApplyOp : public Operator {
                  const std::vector<Row>& rows, Value* out) const;
 
   OperatorPtr input_;
-  // Streams the outer input batch-at-a-time when batch execution is on
-  // (plain input->Next otherwise); per-row subquery logic is unchanged.
-  BatchRowReader input_reader_;
   std::vector<SubqueryPlan> subqueries_;
   ExecContext* ctx_ = nullptr;
   // Invariant (parameter-free) subqueries: the verdict when it is itself
@@ -129,9 +126,6 @@ class GroupProbeApplyOp : public Operator {
 
  private:
   OperatorPtr input_;
-  // Streams the outer input batch-at-a-time when batch execution is on
-  // (plain input->Next otherwise); per-row subquery logic is unchanged.
-  BatchRowReader input_reader_;
   OperatorPtr inner_;
   std::vector<int> inner_key_cols_;
   std::vector<ExprPtr> probe_keys_;
@@ -163,9 +157,6 @@ class LateralJoinOp : public Operator {
 
  private:
   OperatorPtr input_;
-  // Streams the outer input batch-at-a-time when batch execution is on
-  // (plain input->Next otherwise); per-row subquery logic is unchanged.
-  BatchRowReader input_reader_;
   OperatorPtr inner_;
   std::vector<ParamSource> params_;
   int inner_width_;

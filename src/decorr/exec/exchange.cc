@@ -118,7 +118,6 @@ Status GatherOp::OpenImpl(ExecContext* ctx) {
       wctx.profile = ctx->profile;
       wctx.subquery_cache_bytes = ctx->subquery_cache_bytes;
       wctx.temp = ctx->temp;
-      wctx.batch_size = ctx->batch_size;
       DECORR_ASSIGN_OR_RETURN(
           buffers_[i],
           CollectRows(children_[i].get(), &wctx, &buffer_bytes_[i]));
@@ -266,32 +265,6 @@ Status ParallelScanOp::NextImpl(Row* out, bool* eof) {
                          &charged_bytes_, &buffer_, &cursor_, out, eof);
 }
 
-Status ParallelScanOp::NextBatchImpl(Batch* out, bool* eof) {
-  DECORR_RETURN_IF_ERROR(ctx_->Check());
-  out->Reset(output_width());
-  const int target = batch_size();
-  while (buffer_ < morsel_buffers_.size() && out->num_rows() < target) {
-    std::vector<Row>& rows = morsel_buffers_[buffer_];
-    while (cursor_ < rows.size() && out->num_rows() < target) {
-      out->AppendRow(std::move(rows[cursor_++]));
-    }
-    if (cursor_ < rows.size()) break;  // batch full mid-morsel
-    // Morsel drained: free it and return its charge immediately, exactly as
-    // the tuple path does, so a re-materializing consumer isn't double-billed.
-    rows = {};
-    if (buffer_ < morsel_bytes_.size()) {
-      const int64_t bytes = morsel_bytes_[buffer_];
-      morsel_bytes_[buffer_] = 0;
-      charged_bytes_ -= bytes;
-      if (ctx_->guard) ctx_->guard->ReleaseMemory(bytes);
-    }
-    ++buffer_;
-    cursor_ = 0;
-  }
-  *eof = out->num_rows() == 0;
-  return Status::OK();
-}
-
 void ParallelScanOp::CloseImpl() {
   morsel_buffers_.clear();
   morsel_bytes_.clear();
@@ -389,7 +362,6 @@ Status ParallelHashJoinOp::OpenImpl(ExecContext* ctx) {
       wctx.profile = ctx->profile;
       wctx.subquery_cache_bytes = ctx->subquery_cache_bytes;
       wctx.temp = ctx->temp;
-      wctx.batch_size = ctx->batch_size;
       DECORR_ASSIGN_OR_RETURN(
           partitions_out_[p],
           CollectRows(clones[p].get(), &wctx, &buffer_bytes_[p]));
@@ -541,7 +513,6 @@ Status ParallelHashAggregateOp::OpenImpl(ExecContext* ctx) {
       wctx.profile = ctx->profile;
       wctx.subquery_cache_bytes = ctx->subquery_cache_bytes;
       wctx.temp = ctx->temp;
-      wctx.batch_size = ctx->batch_size;
       DECORR_ASSIGN_OR_RETURN(
           partitions_out_[p],
           CollectRows(clones[p].get(), &wctx, &buffer_bytes_[p]));

@@ -103,9 +103,6 @@ class ParallelScanOp : public Operator {
  protected:
   Status OpenImpl(ExecContext* ctx) override;
   Status NextImpl(Row* out, bool* eof) override;
-  // Batch mode: drained morsel buffers become batch sources directly —
-  // rows move out morsel-by-morsel, charges released per drained morsel.
-  Status NextBatchImpl(Batch* out, bool* eof) override;
   void CloseImpl() override;
 
  private:

@@ -3,7 +3,6 @@
 #include "decorr/common/fault.h"
 #include "decorr/common/string_util.h"
 #include "decorr/expr/eval.h"
-#include "decorr/expr/eval_vector.h"
 
 namespace decorr {
 
@@ -24,24 +23,6 @@ Status FilterOp::NextImpl(Row* out, bool* eof) {
     ectx.row = out;
     ectx.params = ctx_->params;
     if (EvalPredicate(*predicate_, ectx)) return Status::OK();
-  }
-}
-
-Status FilterOp::NextBatchImpl(Batch* out, bool* eof) {
-  DECORR_FAULT_POINT("exec.filter.next");
-  while (true) {
-    DECORR_RETURN_IF_ERROR(child_->NextBatch(out, eof));
-    if (*eof) return Status::OK();
-    DECORR_RETURN_IF_ERROR(
-        EvalPredicateVector(*predicate_, *out, ctx_->params, &match_));
-    sel_.clear();
-    const int n = out->live_rows();
-    for (int i = 0; i < n; ++i) {
-      if (match_[i]) sel_.push_back(out->row_index(i));
-    }
-    if (sel_.empty()) continue;  // whole batch rejected: pull the next one
-    out->SetSelection(std::move(sel_));
-    return Status::OK();
   }
 }
 
@@ -71,19 +52,6 @@ Status ProjectOp::NextImpl(Row* out, bool* eof) {
   out->clear();
   out->reserve(exprs_.size());
   for (const ExprPtr& expr : exprs_) out->push_back(Eval(*expr, ectx));
-  return Status::OK();
-}
-
-Status ProjectOp::NextBatchImpl(Batch* out, bool* eof) {
-  DECORR_FAULT_POINT("exec.project.next");
-  DECORR_RETURN_IF_ERROR(child_->NextBatch(&in_batch_, eof));
-  if (*eof) return Status::OK();
-  out->Reset(output_width());
-  for (size_t c = 0; c < exprs_.size(); ++c) {
-    DECORR_RETURN_IF_ERROR(EvalVector(*exprs_[c], in_batch_, ctx_->params,
-                                      &out->column(static_cast<int>(c))));
-  }
-  out->set_num_rows(in_batch_.live_rows());
   return Status::OK();
 }
 

@@ -22,16 +22,11 @@ class FilterOp : public Operator {
  protected:
   Status OpenImpl(ExecContext* ctx) override;
   Status NextImpl(Row* out, bool* eof) override;
-  // Batch mode: narrows the child batch's selection vector in place — no
-  // row copies, survivors are just indices.
-  Status NextBatchImpl(Batch* out, bool* eof) override;
   void CloseImpl() override;
 
  private:
   OperatorPtr child_;
   ExprPtr predicate_;
-  std::vector<char> match_;     // vectorized predicate results
-  std::vector<int32_t> sel_;    // surviving physical row indices
   ExecContext* ctx_ = nullptr;
 };
 
@@ -47,15 +42,11 @@ class ProjectOp : public Operator {
  protected:
   Status OpenImpl(ExecContext* ctx) override;
   Status NextImpl(Row* out, bool* eof) override;
-  // Batch mode: every projection expression evaluates column-wise straight
-  // into the output batch's columns.
-  Status NextBatchImpl(Batch* out, bool* eof) override;
   void CloseImpl() override;
 
  private:
   OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
-  Batch in_batch_;  // child batch scratch, reused across calls
   ExecContext* ctx_ = nullptr;
 };
 

@@ -57,16 +57,12 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   left_eof_ = false;
   ResetSpillState();
 
-  // Build phase over the right child; pulled batch-at-a-time when the
-  // context batches (the per-row key-eval/charging/spill logic is
-  // unchanged — only the fetch is vectorized).
+  // Build phase over the right child.
   DECORR_RETURN_IF_ERROR(right_->Open(ctx));
-  BatchRowReader build_reader;
-  build_reader.Reset(right_.get(), ctx->batch_size);
   while (true) {
     Row row;
     bool eof = false;
-    Status st = build_reader.Next(&row, &eof);
+    Status st = right_->Next(&row, &eof);
     if (st.ok() && ctx->guard) st = ctx->guard->Check();
     if (!st.ok()) {
       right_->Close();
@@ -124,9 +120,7 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   right_->Close();
   metrics_.bytes_charged += charged_bytes_;
   if (spilling_) return SpillProbeSide(ctx);
-  DECORR_RETURN_IF_ERROR(left_->Open(ctx));
-  batch_probe_.Reset(left_.get(), ctx->batch_size);
-  return Status::OK();
+  return left_->Open(ctx);
 }
 
 void HashJoinOp::AddSpillWritten(int64_t bytes) {
@@ -504,9 +498,9 @@ Status HashJoinOp::NextImpl(Row* out, bool* eof) {
       *eof = true;
       return Status::OK();
     }
-    // Fetch the next probe row (batch-wise underneath when batching).
+    // Fetch the next probe row.
     bool child_eof = false;
-    DECORR_RETURN_IF_ERROR(batch_probe_.Next(&current_left_, &child_eof));
+    DECORR_RETURN_IF_ERROR(left_->Next(&current_left_, &child_eof));
     if (child_eof) {
       left_eof_ = true;
       continue;
@@ -590,7 +584,6 @@ Status NestedLoopJoinOp::OpenImpl(ExecContext* ctx) {
   left_eof_ = false;
   right_cursor_ = right_rows_.size();  // force first left fetch
   emitted_match_ = true;
-  left_reader_.Reset(left_.get(), ctx->batch_size);
   return left_->Open(ctx);
 }
 
@@ -625,7 +618,7 @@ Status NestedLoopJoinOp::NextImpl(Row* out, bool* eof) {
       return Status::OK();
     }
     bool child_eof = false;
-    DECORR_RETURN_IF_ERROR(left_reader_.Next(&current_left_, &child_eof));
+    DECORR_RETURN_IF_ERROR(left_->Next(&current_left_, &child_eof));
     if (child_eof) {
       left_eof_ = true;
       continue;
@@ -673,9 +666,8 @@ IndexJoinOp::IndexJoinOp(OperatorPtr left, TablePtr table,
 Status IndexJoinOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.indexjoin.open");
   ctx_ = ctx;
-  matches_.Reset(RowSet{}, 0);
+  matches_.Reset(RowSet{});
   left_eof_ = false;
-  left_reader_.Reset(left_.get(), ctx->batch_size);
   return left_->Open(ctx);
 }
 
@@ -685,12 +677,16 @@ Status IndexJoinOp::NextImpl(Row* out, bool* eof) {
   ectx.params = ctx_->params;
   while (true) {
     DECORR_RETURN_IF_ERROR(ctx_->Check());
-    size_t r = 0;
-    bool pass = false;
-    while (matches_.Next(storage_filter_, ctx_->params, &r, &pass)) {
-      ++ctx_->stats->rows_scanned;
-      ++metrics_.rows_in_self;
-      if (!pass) continue;
+    while (true) {
+      size_t r = 0;
+      bool matches_eof = false;
+      int64_t walked = 0;
+      Status st =
+          matches_.Next(storage_filter_, *ctx_, &r, &matches_eof, &walked);
+      ctx_->stats->rows_scanned += walked;
+      metrics_.rows_in_self += walked;
+      DECORR_RETURN_IF_ERROR(st);
+      if (matches_eof) break;
       Row combined;
       combined.reserve(current_left_.size() + projection_.size());
       combined.insert(combined.end(), current_left_.begin(),
@@ -709,7 +705,7 @@ Status IndexJoinOp::NextImpl(Row* out, bool* eof) {
       return Status::OK();
     }
     bool child_eof = false;
-    DECORR_RETURN_IF_ERROR(left_reader_.Next(&current_left_, &child_eof));
+    DECORR_RETURN_IF_ERROR(left_->Next(&current_left_, &child_eof));
     if (child_eof) {
       left_eof_ = true;
       continue;
@@ -726,14 +722,13 @@ Status IndexJoinOp::NextImpl(Row* out, bool* eof) {
     if (null_key) continue;
     ++ctx_->stats->index_lookups;
     ++metrics_.index_probes;
-    matches_.Reset(RowSet::List(index_->Lookup(key)),
-                   static_cast<size_t>(batch_size()));
+    matches_.Reset(RowSet::List(index_->Lookup(key)));
   }
 }
 
 void IndexJoinOp::CloseImpl() {
   left_->Close();
-  matches_.Reset(RowSet{}, 0);
+  matches_.Reset(RowSet{});
 }
 
 std::string IndexJoinOp::ToString(int indent) const {

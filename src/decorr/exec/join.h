@@ -61,9 +61,6 @@ class HashJoinOp : public Operator {
   ExecContext* ctx_ = nullptr;
   std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> table_;
   int64_t charged_bytes_ = 0;  // build-table memory charged to the guard
-  // Probe-side fetch: batches underneath when the context batches; plain
-  // left_->Next otherwise. The spill paths keep draining left_ directly.
-  BatchRowReader batch_probe_;
   Row current_left_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_cursor_ = 0;
@@ -128,9 +125,6 @@ class NestedLoopJoinOp : public Operator {
   std::vector<Row> right_rows_;
   int64_t charged_bytes_ = 0;
   Row current_left_;
-  // Streams the left side batch-at-a-time when batch execution is on (plain
-  // child->Next otherwise); the per-row join logic is unchanged.
-  BatchRowReader left_reader_;
   size_t right_cursor_ = 0;
   bool emitted_match_ = false;
   bool left_eof_ = true;
@@ -175,10 +169,6 @@ class IndexJoinOp : public Operator {
 
   ExecContext* ctx_ = nullptr;
   Row current_left_;
-  // Streams the left side batch-at-a-time when batch execution is on — this
-  // is what lets a fused scan under an index join (the repeated inner plan
-  // of a nested-iteration subquery) run its vectorized path.
-  BatchRowReader left_reader_;
   FilteredRowCursor matches_;  // the current left row's index matches
   bool left_eof_ = true;
 };

@@ -1,5 +1,7 @@
 #include "decorr/exec/metrics.h"
 
+#include <algorithm>
+
 #include "decorr/common/json.h"
 #include "decorr/common/string_util.h"
 #include "decorr/exec/operator.h"
@@ -26,7 +28,7 @@ MetricsNode Collect(const Operator& op, std::string role) {
   node.open_calls = m.open_calls;
   node.next_calls = m.next_calls;
   node.open_nanos = m.open_nanos;
-  node.next_nanos = m.EstimatedNextNanos();
+  node.next_nanos = m.next_nanos;
   node.close_nanos = m.close_nanos;
   node.total_nanos = m.TotalNanos();
   node.build_rows = m.build_rows;
@@ -39,16 +41,18 @@ MetricsNode Collect(const Operator& op, std::string role) {
   node.spill_passes = m.spill_passes;
   node.spill_bytes_written = m.spill_bytes_written;
   node.spill_bytes_read = m.spill_bytes_read;
-  node.batches_out = m.batches_out;
 
   PlanIntrospection pi;
   op.Introspect(&pi);
   node.rows_in = m.rows_in_self;
+  int64_t children_nanos = 0;
   for (const PlanIntrospection::Subplan& child : pi.children) {
     if (child.op == nullptr) continue;
     node.children.push_back(Collect(*child.op, child.role));
     node.rows_in += node.children.back().rows_out;
+    children_nanos += node.children.back().total_nanos;
   }
+  node.self_nanos = std::max<int64_t>(0, node.total_nanos - children_nanos);
   return node;
 }
 
@@ -87,19 +91,9 @@ void Render(const MetricsNode& node, int indent, bool include_timing,
         (long long)node.spill_bytes_written,
         (long long)node.spill_bytes_read);
   }
-  // Batch counters only appear once the operator actually produced batches
-  // (tuple-mode runs — and every committed golden — render byte-identically
-  // to before). Selectivity is rows_out over rows_in, the fraction that
-  // survived this operator.
-  if (node.batches_out > 0) {
-    *out += StrFormat(" batches=%lld", (long long)node.batches_out);
-    if (node.rows_in > 0) {
-      *out += StrFormat(" sel=%.3f", static_cast<double>(node.rows_out) /
-                                         static_cast<double>(node.rows_in));
-    }
-  }
   if (include_timing) {
-    *out += StrFormat(" time=%.3fms", Ms(node.total_nanos));
+    *out += StrFormat(" time=%.3fms self=%.3fms", Ms(node.total_nanos),
+                      Ms(node.self_nanos));
     if (node.bytes_charged > 0) {
       *out += StrFormat(" bytes=%lld", (long long)node.bytes_charged);
     }
@@ -123,6 +117,7 @@ void NodeJson(JsonWriter* w, const MetricsNode& node) {
   w->Key("next_ms").Double(Ms(node.next_nanos));
   w->Key("close_ms").Double(Ms(node.close_nanos));
   w->Key("total_ms").Double(Ms(node.total_nanos));
+  w->Key("self_ms").Double(Ms(node.self_nanos));
   if (node.build_rows > 0) w->Key("build_rows").Int(node.build_rows);
   if (node.index_probes > 0) w->Key("index_probes").Int(node.index_probes);
   if (node.bytes_charged > 0) w->Key("bytes_charged").Int(node.bytes_charged);
@@ -136,14 +131,6 @@ void NodeJson(JsonWriter* w, const MetricsNode& node) {
     w->Key("spill_passes").Int(node.spill_passes);
     w->Key("spill_bytes_written").Int(node.spill_bytes_written);
     w->Key("spill_bytes_read").Int(node.spill_bytes_read);
-  }
-  if (node.batches_out > 0) {
-    w->Key("batches_out").Int(node.batches_out);
-    if (node.rows_in > 0) {
-      w->Key("selectivity")
-          .Double(static_cast<double>(node.rows_out) /
-                  static_cast<double>(node.rows_in));
-    }
   }
   w->Key("children").BeginArray();
   for (const MetricsNode& child : node.children) NodeJson(w, child);

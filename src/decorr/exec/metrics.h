@@ -5,11 +5,10 @@
 //
 // Cost model: call/row counters are plain int64 increments and are always
 // collected (the same cost class as the existing ExecStats counters). Clocks
-// are read only when profiling is enabled on the ExecContext, and Next()
-// calls are timed with the same stride-sampling trick ResourceGuard uses for
-// its deadline clock: one call in every kSampleStride is measured and the
-// total is extrapolated, so per-row overhead stays at a branch and an
-// increment.
+// are read only when profiling is enabled on the ExecContext; then every
+// Open/Next/Close call is timed, so a parent's time always contains its
+// children's and self time (total minus the children's totals) is exact.
+// Unprofiled runs never read the clock.
 #ifndef DECORR_EXEC_METRICS_H_
 #define DECORR_EXEC_METRICS_H_
 
@@ -25,9 +24,6 @@ class Operator;
 // (an Apply inner plan is opened once per outer row), which is exactly how
 // inner-context work rolls up into the outer tree.
 struct OperatorMetrics {
-  // One Next() call in every kSampleStride is wall-clocked when profiling.
-  static constexpr int64_t kSampleStride = 64;
-
   int64_t open_calls = 0;
   int64_t next_calls = 0;  // includes the final eof-returning call
   int64_t close_calls = 0;
@@ -38,11 +34,10 @@ struct OperatorMetrics {
   int64_t rows_in_self = 0;
 
   // Wall time, nanoseconds, inclusive of children (a Filter's Next includes
-  // its child's Next). Open/Close are timed fully; Next is sampled.
+  // its child's Next). Zero unless profiling.
   int64_t open_nanos = 0;
+  int64_t next_nanos = 0;
   int64_t close_nanos = 0;
-  int64_t sampled_next_nanos = 0;
-  int64_t sampled_next_calls = 0;
 
   // Operator-specific totals, bumped by the concrete operators:
   int64_t build_rows = 0;      // rows materialized into hash tables /
@@ -64,11 +59,6 @@ struct OperatorMetrics {
   int64_t spill_passes = 0;
   int64_t spill_bytes_written = 0;
   int64_t spill_bytes_read = 0;
-  // Vectorized execution: batches produced through NextBatch. Zero in
-  // tuple mode, so rendered output of unbatched runs (and every golden) is
-  // unchanged; the renderer derives per-operator selectivity from
-  // rows_out/rows_in when this is non-zero.
-  int64_t batches_out = 0;
 
   // Folds a worker clone's counters into this (coordinator-side) instance.
   // Exchange operators run one operator clone per worker, each with its own
@@ -82,9 +72,8 @@ struct OperatorMetrics {
     rows_out += other.rows_out;
     rows_in_self += other.rows_in_self;
     open_nanos += other.open_nanos;
+    next_nanos += other.next_nanos;
     close_nanos += other.close_nanos;
-    sampled_next_nanos += other.sampled_next_nanos;
-    sampled_next_calls += other.sampled_next_calls;
     build_rows += other.build_rows;
     index_probes += other.index_probes;
     bytes_charged += other.bytes_charged;
@@ -95,18 +84,9 @@ struct OperatorMetrics {
     spill_passes += other.spill_passes;
     spill_bytes_written += other.spill_bytes_written;
     spill_bytes_read += other.spill_bytes_read;
-    batches_out += other.batches_out;
   }
 
-  // Extrapolated total Next() time from the sampled calls.
-  int64_t EstimatedNextNanos() const {
-    if (sampled_next_calls == 0) return 0;
-    return sampled_next_nanos * next_calls / sampled_next_calls;
-  }
-  // open + estimated next + close.
-  int64_t TotalNanos() const {
-    return open_nanos + EstimatedNextNanos() + close_nanos;
-  }
+  int64_t TotalNanos() const { return open_nanos + next_nanos + close_nanos; }
 };
 
 // One node of the snapshot tree: a copy of an operator's metrics plus its
@@ -123,9 +103,12 @@ struct MetricsNode {
   int64_t open_calls = 0;   // "loops": how often this operator was (re)opened
   int64_t next_calls = 0;
   int64_t open_nanos = 0;
-  int64_t next_nanos = 0;   // extrapolated
+  int64_t next_nanos = 0;
   int64_t close_nanos = 0;
   int64_t total_nanos = 0;
+  // total_nanos minus the children's, floored at zero: a subplan shared by
+  // several CachedMaterialize consumers runs once but appears under each.
+  int64_t self_nanos = 0;
   int64_t build_rows = 0;
   int64_t index_probes = 0;
   int64_t bytes_charged = 0;
@@ -136,7 +119,6 @@ struct MetricsNode {
   int64_t spill_passes = 0;
   int64_t spill_bytes_written = 0;
   int64_t spill_bytes_read = 0;
-  int64_t batches_out = 0;
 
   std::vector<MetricsNode> children;
 };
@@ -147,9 +129,9 @@ struct MetricsNode {
 MetricsNode CollectMetricsTree(const Operator& root);
 
 // Indented plan rendering annotated with metrics, one operator per line:
-//   role: detail (rows=N in=M loops=K time=T ms)
-// With include_timing=false the time/bytes fields are omitted, which makes
-// the output deterministic for golden tests.
+//   role: detail (rows=N in=M loops=K time=Tms self=Sms)
+// With include_timing=false the time/self/bytes fields are omitted, which
+// makes the output deterministic for golden tests.
 std::string RenderMetricsTree(const MetricsNode& node, bool include_timing);
 
 // Wall-clock phase breakdown plus the operator tree for one query.

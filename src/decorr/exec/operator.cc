@@ -20,11 +20,6 @@ inline int64_t NowNanos() {
 
 Status Operator::Open(ExecContext* ctx) {
   profile_ = ctx != nullptr && ctx->profile;
-  batch_size_ = ctx != nullptr ? ctx->batch_size : 0;
-  shim_eof_ = false;
-  pending_.Reset(0);
-  pending_pos_ = 0;
-  pending_eof_ = false;
   ++metrics_.open_calls;
   if (!profile_) return OpenImpl(ctx);
   const int64_t start = NowNanos();
@@ -35,91 +30,16 @@ Status Operator::Open(ExecContext* ctx) {
 
 Status Operator::Next(Row* out, bool* eof) {
   ++metrics_.next_calls;
-  // Stride sampling: when profiling, one call in every kSampleStride is
-  // wall-clocked and the total extrapolated (metrics.h). The first call is
-  // always sampled so short streams still get a measurement.
-  if (profile_ &&
-      metrics_.next_calls % OperatorMetrics::kSampleStride == 1) {
-    const int64_t start = NowNanos();
-    Status st = NextImpl(out, eof);
-    metrics_.sampled_next_nanos += NowNanos() - start;
-    ++metrics_.sampled_next_calls;
-    if (st.ok() && !*eof) ++metrics_.rows_out;
-    return st;
-  }
-  Status st = NextImpl(out, eof);
-  if (st.ok() && !*eof) ++metrics_.rows_out;
-  return st;
-}
-
-Status Operator::NextBatch(Batch* out, bool* eof) {
-  DECORR_FAULT_POINT("exec.batch.next");
-  ++metrics_.next_calls;
   Status st;
   if (profile_) {
-    // Batches are coarse enough to clock every call: the per-call overhead
-    // the tuple path stride-samples away is already amortized over the
-    // whole batch, and counting the call into next_calls/sampled_next_calls
-    // keeps EstimatedNextNanos exact.
     const int64_t start = NowNanos();
-    st = NextBatchImpl(out, eof);
-    metrics_.sampled_next_nanos += NowNanos() - start;
-    ++metrics_.sampled_next_calls;
+    st = NextImpl(out, eof);
+    metrics_.next_nanos += NowNanos() - start;
   } else {
-    st = NextBatchImpl(out, eof);
+    st = NextImpl(out, eof);
   }
-  if (st.ok() && !*eof) {
-    ++metrics_.batches_out;
-    metrics_.rows_out += out->live_rows();
-  }
+  if (st.ok() && !*eof) ++metrics_.rows_out;
   return st;
-}
-
-Status Operator::NextBatchImpl(Batch* out, bool* eof) {
-  // Row→batch shim for unconverted operators: loop the tuple NextImpl.
-  // Calls NextImpl directly (not Next) so rows are counted once, by the
-  // NextBatch wrapper. Any error discards the partial batch wholesale — a
-  // fault injected mid-batch emits no rows.
-  out->Reset(output_width());
-  *eof = false;
-  if (shim_eof_) {
-    *eof = true;
-    return Status::OK();
-  }
-  const int target = batch_size();
-  while (out->num_rows() < target) {
-    Row row;
-    bool row_eof = false;
-    DECORR_RETURN_IF_ERROR(NextImpl(&row, &row_eof));
-    if (row_eof) {
-      shim_eof_ = true;
-      break;
-    }
-    out->AppendRow(std::move(row));
-  }
-  *eof = out->num_rows() == 0;
-  return Status::OK();
-}
-
-Status Operator::NextRowFromBatches(Row* out, bool* eof) {
-  while (true) {
-    if (pending_pos_ < pending_.live_rows()) {
-      pending_.MoveRow(pending_pos_++, out);
-      *eof = false;
-      return Status::OK();
-    }
-    if (pending_eof_) {
-      *eof = true;
-      return Status::OK();
-    }
-    pending_pos_ = 0;
-    bool batch_eof = false;
-    DECORR_RETURN_IF_ERROR(NextBatchImpl(&pending_, &batch_eof));
-    if (batch_eof) {
-      pending_eof_ = true;
-      pending_.Reset(0);
-    }
-  }
 }
 
 void Operator::Close() {
@@ -156,28 +76,6 @@ void Operator::MergeMetricsFrom(const Operator& other) {
   }
 }
 
-Status BatchRowReader::Next(Row* out, bool* eof) {
-  if (batch_size_ <= 0) return child_->Next(out, eof);
-  while (true) {
-    if (pos_ < batch_.live_rows()) {
-      batch_.MoveRow(pos_++, out);
-      *eof = false;
-      return Status::OK();
-    }
-    if (child_eof_) {
-      *eof = true;
-      return Status::OK();
-    }
-    pos_ = 0;
-    bool batch_eof = false;
-    DECORR_RETURN_IF_ERROR(child_->NextBatch(&batch_, &batch_eof));
-    if (batch_eof) {
-      child_eof_ = true;
-      batch_.Reset(0);
-    }
-  }
-}
-
 Result<std::vector<Row>> CollectRows(Operator* op, ExecContext* ctx,
                                      int64_t* charged_bytes) {
   DECORR_FAULT_POINT("exec.collect_rows");
@@ -189,47 +87,23 @@ Result<std::vector<Row>> CollectRows(Operator* op, ExecContext* ctx,
     if (ctx->guard) ctx->guard->ReleaseMemory(charged);
     return st;
   };
-  // Per-row budget accounting, identical in both drive modes: the guard
-  // check, the row charge and the memory charge happen once per collected
-  // row whether the row arrived alone or inside a batch.
-  auto charge = [&](const Row& row) {
-    if (ctx->guard == nullptr) return Status::OK();
-    Status st = ctx->guard->Check();
-    if (st.ok()) st = ctx->guard->ChargeRows(1);
-    if (st.ok()) {
-      const int64_t bytes = ApproxRowBytes(row);
-      charged += bytes;
-      st = ctx->guard->ChargeMemory(bytes);
-    }
-    return st;
-  };
-  if (ctx->batch_size > 0) {
-    Batch batch;
-    while (true) {
-      bool eof = false;
-      Status st = op->NextBatch(&batch, &eof);
-      if (!st.ok()) return fail(std::move(st));
-      if (eof) break;
-      const int n = batch.live_rows();
-      for (int i = 0; i < n; ++i) {
-        Row row;
-        batch.MoveRow(i, &row);
-        st = charge(row);
-        if (!st.ok()) return fail(std::move(st));
-        rows.push_back(std::move(row));
+  while (true) {
+    Row row;
+    bool eof = false;
+    Status st = op->Next(&row, &eof);
+    if (!st.ok()) return fail(std::move(st));
+    if (eof) break;
+    if (ctx->guard != nullptr) {
+      st = ctx->guard->Check();
+      if (st.ok()) st = ctx->guard->ChargeRows(1);
+      if (st.ok()) {
+        const int64_t bytes = ApproxRowBytes(row);
+        charged += bytes;
+        st = ctx->guard->ChargeMemory(bytes);
       }
-    }
-  } else {
-    while (true) {
-      Row row;
-      bool eof = false;
-      Status st = op->Next(&row, &eof);
       if (!st.ok()) return fail(std::move(st));
-      if (eof) break;
-      st = charge(row);
-      if (!st.ok()) return fail(std::move(st));
-      rows.push_back(std::move(row));
     }
+    rows.push_back(std::move(row));
   }
   op->Close();
   if (charged_bytes != nullptr) {

@@ -13,7 +13,6 @@
 #include "decorr/common/resource.h"
 #include "decorr/common/status.h"
 #include "decorr/common/value.h"
-#include "decorr/exec/batch.h"
 #include "decorr/exec/metrics.h"
 
 namespace decorr {
@@ -94,9 +93,9 @@ struct ExecStats {
 // Per-execution context threaded through Open(). `params` carries the
 // correlation bindings of the innermost enclosing Apply; `guard` (optional)
 // enforces cancellation, deadlines and row/memory budgets and is shared by
-// every nested context of the same query; `profile` turns operator clock
-// sampling on and, like the guard, must be propagated into every nested
-// context (Apply/lateral inner executions).
+// every nested context of the same query; `profile` turns operator clocks
+// on and, like the guard, must be propagated into every nested context
+// (Apply/lateral inner executions).
 struct ExecContext {
   const Row* params = nullptr;
   ExecStats* stats = nullptr;
@@ -110,11 +109,6 @@ struct ExecContext {
   // runtime; shared by every nested and worker context of the same query so
   // all spill files land in one per-query scratch dir under one disk budget.
   TempFileManager* temp = nullptr;
-  // Vectorized execution: rows per Batch pulled through NextBatch (0 =
-  // tuple-at-a-time, byte-identical to the pre-batch engine). Propagated
-  // into every nested and worker context like guard/profile so Apply inner
-  // plans and exchange worker clones batch too.
-  int batch_size = 0;
 
   // Cancellation/deadline poll; OK when no guard is attached.
   Status Check() const { return guard ? guard->Check() : Status::OK(); }
@@ -122,8 +116,8 @@ struct ExecContext {
 
 // Operators implement the protected OpenImpl/NextImpl/CloseImpl; the public
 // Open/Next/Close are non-virtual wrappers that maintain OperatorMetrics
-// (call/row counters always; wall clocks only when ctx->profile is set, with
-// Next() stride-sampled — see metrics.h for the cost model).
+// (call/row counters always; wall clocks around every call only when
+// ctx->profile is set — see metrics.h for the cost model).
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -135,15 +129,6 @@ class Operator {
   // Produces the next row. Sets *eof=true (and leaves *out untouched) at
   // end of stream.
   Status Next(Row* out, bool* eof);
-
-  // Produces the next batch of rows (at most the context's batch_size live
-  // rows; possibly fewer — tail batches and low-selectivity filters are
-  // smaller). Sets *eof=true (and leaves *out untouched) when the stream is
-  // exhausted; a returned batch always has at least one live row. Every
-  // operator supports this: batch-native operators override NextBatchImpl,
-  // everything else is served by the base-class row→batch shim, so batch
-  // conversion lands operator-by-operator.
-  Status NextBatch(Batch* out, bool* eof);
 
   void Close();
 
@@ -176,26 +161,6 @@ class Operator {
   virtual Status NextImpl(Row* out, bool* eof) = 0;
   virtual void CloseImpl() = 0;
 
-  // Row→batch shim: the base implementation loops NextImpl until the batch
-  // is full or the stream ends, so unconverted operators can be pulled
-  // batch-wise. Batch-native operators override this (and may implement
-  // NextImpl as `return NextRowFromBatches(out, eof);` to degrade to
-  // tuple-at-a-time for row-oriented consumers).
-  virtual Status NextBatchImpl(Batch* out, bool* eof);
-
-  // Batch→row adapter: serves single rows out of an internal pending batch
-  // refilled via NextBatchImpl. State resets on Open().
-  Status NextRowFromBatches(Row* out, bool* eof);
-
-  // True while the current Open()'s context had profiling enabled.
-  bool profiling() const { return profile_; }
-
-  // Batch size of the current Open()'s context; kDefaultRows when the
-  // context was tuple-mode (so NextBatch works regardless).
-  int batch_size() const {
-    return batch_size_ > 0 ? batch_size_ : Batch::kDefaultRows;
-  }
-
   // Children pretty-printing helper.
   static std::string Indent(int n);
 
@@ -204,43 +169,10 @@ class Operator {
   OperatorMetrics metrics_;
 
  private:
-  bool profile_ = false;
-  int batch_size_ = 0;
-  // Shim state (base NextBatchImpl): sticky eof so NextImpl is never called
-  // again after it reported end of stream.
-  bool shim_eof_ = false;
-  // Adapter state (NextRowFromBatches).
-  Batch pending_;
-  int pending_pos_ = 0;
-  bool pending_eof_ = false;
+  bool profile_ = false;  // the current Open()'s context had profiling on
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
-
-// Pulls a child operator row-by-row for consumers that keep per-row logic
-// (hash-join probe, aggregate update): in batch mode (batch_size > 0) whole
-// batches are fetched underneath so the child's vectorized path — and the
-// virtual-call amortization — is still exercised; in tuple mode it degrades
-// to a plain child->Next() with zero overhead beyond one branch.
-class BatchRowReader {
- public:
-  void Reset(Operator* child, int batch_size) {
-    child_ = child;
-    batch_size_ = batch_size;
-    pos_ = 0;
-    batch_.Reset(0);
-    child_eof_ = false;
-  }
-
-  Status Next(Row* out, bool* eof);
-
- private:
-  Operator* child_ = nullptr;
-  int batch_size_ = 0;
-  Batch batch_;
-  int pos_ = 0;
-  bool child_eof_ = false;
-};
 
 // Drains `op` into a vector of rows (Open/Next/Close). Every collected row
 // is charged against the guard's row and memory budgets. With

@@ -1,6 +1,7 @@
 #include "decorr/exec/scan.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "decorr/common/fault.h"
 #include "decorr/common/string_util.h"
@@ -305,18 +306,35 @@ void StorageFilter::Eval(const Row* params, const RowSet& rows,
   }
 }
 
-bool FilteredRowCursor::Next(const StorageFilter& filter, const Row* params,
-                             size_t* row, bool* pass) {
-  if (pos_ == rows_.size) return false;
-  if (pos_ == end_) {
-    start_ = pos_;
-    end_ = std::min(rows_.size, pos_ + chunk_);
-    filter.Eval(params, rows_.Slice(start_, end_ - start_), &match_);
+Status FilteredRowCursor::Next(const StorageFilter& filter,
+                               const ExecContext& ctx, size_t* row, bool* eof,
+                               int64_t* walked) {
+  while (pos_ < rows_.size) {
+    if (pos_ == end_) {
+      DECORR_RETURN_IF_ERROR(ctx.Check());
+      start_ = pos_;
+      end_ = std::min(rows_.size, pos_ + kChunkRows);
+      filter.Eval(ctx.params, rows_.Slice(start_, end_ - start_), &match_);
+    }
+    // Eval writes exactly 0 or 1 per row, so the next passing row of the
+    // chunk is the next 1 byte.
+    const char* chunk = match_.data();
+    const void* hit = std::memchr(chunk + (pos_ - start_), 1, end_ - pos_);
+    const size_t next =
+        hit == nullptr ? end_
+                       : start_ + static_cast<size_t>(
+                                      static_cast<const char*>(hit) - chunk);
+    *walked += static_cast<int64_t>(next - pos_);
+    pos_ = next;
+    if (pos_ == end_) continue;
+    DECORR_RETURN_IF_ERROR(ctx.Check());
+    *row = rows_[pos_++];
+    ++*walked;
+    *eof = false;
+    return Status::OK();
   }
-  *row = rows_[pos_];
-  *pass = match_[pos_ - start_] != 0;
-  ++pos_;
-  return true;
+  *eof = true;
+  return Status::OK();
 }
 
 void AppendColumns(const Table& table, size_t row, const std::vector<int>& cols,
@@ -345,59 +363,21 @@ SeqScanOp::SeqScanOp(TablePtr table, std::vector<int> projection,
 Status SeqScanOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.seqscan.open");
   ctx_ = ctx;
-  cursor_ = 0;
-  rows_.Reset(RowSet::Range(0, table_->num_rows()),
-              static_cast<size_t>(batch_size()));
+  rows_.Reset(RowSet::Range(0, table_->num_rows()));
   return Status::OK();
 }
 
 Status SeqScanOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.seqscan.next");
   size_t r = 0;
-  bool pass = false;
-  while (rows_.Next(storage_filter_, ctx_->params, &r, &pass)) {
-    DECORR_RETURN_IF_ERROR(ctx_->Check());
-    ++ctx_->stats->rows_scanned;
-    ++metrics_.rows_in_self;
-    if (!pass) continue;
-    out->clear();
-    out->reserve(projection_.size());
-    AppendColumns(*table_, r, projection_, out);
-    *eof = false;
-    return Status::OK();
-  }
-  *eof = true;
-  return Status::OK();
-}
-
-Status SeqScanOp::NextBatchImpl(Batch* out, bool* eof) {
-  DECORR_FAULT_POINT("exec.seqscan.next");
-  const size_t n = table_->num_rows();
-  const size_t target = static_cast<size_t>(batch_size());
-  out->Reset(output_width());
-  // Low-selectivity chunks may leave the output empty; keep scanning so a
-  // returned batch always carries at least one row.
-  while (cursor_ < n && out->num_rows() == 0) {
-    DECORR_RETURN_IF_ERROR(ctx_->Check());
-    const size_t chunk = std::min(target, n - cursor_);
-    ctx_->stats->rows_scanned += static_cast<int64_t>(chunk);
-    metrics_.rows_in_self += static_cast<int64_t>(chunk);
-    storage_filter_.Eval(ctx_->params, RowSet::Range(cursor_, chunk),
-                         &match_);
-    int survivors = 0;
-    for (size_t i = 0; i < chunk; ++i) survivors += match_[i];
-    for (size_t c = 0; c < projection_.size(); ++c) {
-      std::vector<Value>& col = out->column(static_cast<int>(c));
-      col.reserve(static_cast<size_t>(survivors));
-      for (size_t i = 0; i < chunk; ++i) {
-        if (!match_[i]) continue;
-        col.push_back(table_->GetValue(cursor_ + i, projection_[c]));
-      }
-    }
-    out->set_num_rows(survivors);
-    cursor_ += chunk;
-  }
-  *eof = out->num_rows() == 0;
+  int64_t walked = 0;
+  Status st = rows_.Next(storage_filter_, *ctx_, &r, eof, &walked);
+  ctx_->stats->rows_scanned += walked;
+  metrics_.rows_in_self += walked;
+  if (!st.ok() || *eof) return st;
+  out->clear();
+  out->reserve(projection_.size());
+  AppendColumns(*table_, r, projection_, out);
   return Status::OK();
 }
 
@@ -449,30 +429,25 @@ Status IndexLookupOp::OpenImpl(ExecContext* ctx) {
     ++metrics_.index_probes;
     matches = RowSet::List(index_->Lookup(key));
   }
-  rows_.Reset(matches, static_cast<size_t>(batch_size()));
+  rows_.Reset(matches);
   return Status::OK();
 }
 
 Status IndexLookupOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.indexlookup.next");
   size_t r = 0;
-  bool pass = false;
-  while (rows_.Next(storage_filter_, ctx_->params, &r, &pass)) {
-    DECORR_RETURN_IF_ERROR(ctx_->Check());
-    ++ctx_->stats->rows_scanned;
-    ++metrics_.rows_in_self;
-    if (!pass) continue;
-    out->clear();
-    out->reserve(projection_.size());
-    AppendColumns(*table_, r, projection_, out);
-    *eof = false;
-    return Status::OK();
-  }
-  *eof = true;
+  int64_t walked = 0;
+  Status st = rows_.Next(storage_filter_, *ctx_, &r, eof, &walked);
+  ctx_->stats->rows_scanned += walked;
+  metrics_.rows_in_self += walked;
+  if (!st.ok() || *eof) return st;
+  out->clear();
+  out->reserve(projection_.size());
+  AppendColumns(*table_, r, projection_, out);
   return Status::OK();
 }
 
-void IndexLookupOp::CloseImpl() { rows_.Reset(RowSet{}, 0); }
+void IndexLookupOp::CloseImpl() { rows_.Reset(RowSet{}); }
 
 std::string IndexLookupOp::name() const {
   return "IndexLookup(" + table_->schema().name() + ")";
@@ -509,22 +484,6 @@ Status RowsScanOp::NextImpl(Row* out, bool* eof) {
   }
   ++metrics_.rows_in_self;
   *out = (*rows_)[cursor_++];
-  *eof = false;
-  return Status::OK();
-}
-
-Status RowsScanOp::NextBatchImpl(Batch* out, bool* eof) {
-  DECORR_RETURN_IF_ERROR(ctx_->Check());
-  out->Reset(width_);
-  const size_t n = rows_->size();
-  if (cursor_ >= n) {
-    *eof = true;
-    return Status::OK();
-  }
-  const size_t chunk = std::min(static_cast<size_t>(batch_size()), n - cursor_);
-  metrics_.rows_in_self += static_cast<int64_t>(chunk);
-  for (size_t i = 0; i < chunk; ++i) out->AppendRow((*rows_)[cursor_ + i]);
-  cursor_ += chunk;
   *eof = false;
   return Status::OK();
 }

@@ -48,8 +48,8 @@ class StorageFilter {
  public:
   StorageFilter(const Table& table, const Expr* filter);
 
-  // match[i] = 1 iff row rows[i] satisfies the filter (TRUE; FALSE and
-  // UNKNOWN both reject).
+  // (*match)[i] is 1 if row rows[i] satisfies the filter (TRUE) and 0
+  // otherwise (FALSE and UNKNOWN both reject).
   void Eval(const Row* params, const RowSet& rows,
             std::vector<char>* match) const;
 
@@ -60,23 +60,27 @@ class StorageFilter {
   std::vector<int> columns_;  // table columns the filter reads (fallback)
 };
 
-// Walks a RowSet in order, filtering it at most `chunk` rows ahead of the
-// caller. The caller counts every row Next returns, passing or not, so work
-// counters do not depend on the chunking.
+// Walks a RowSet in order, filtering it one chunk of kChunkRows ahead of
+// the caller and skipping failing rows a chunk at a time.
 class FilteredRowCursor {
  public:
-  void Reset(const RowSet& rows, size_t chunk) {
+  static constexpr size_t kChunkRows = 1024;
+
+  void Reset(const RowSet& rows) {
     rows_ = rows;
-    chunk_ = chunk;
     pos_ = start_ = end_ = 0;
   }
-  // False at the end; otherwise the next table row and its verdict.
-  bool Next(const StorageFilter& filter, const Row* params, size_t* row,
-            bool* pass);
+  // Advances to the next row that passes `filter` and sets *row to it, or
+  // sets *eof at the end of the set. Adds to *walked every row it moved
+  // past: the failing rows and the returned one, so a caller that counts
+  // *walked counts each row of the set once, however it is chunked. Polls
+  // ctx.Check() once per chunk it filters and once per row it returns; on
+  // an error, *walked already holds the rows walked before it.
+  Status Next(const StorageFilter& filter, const ExecContext& ctx,
+              size_t* row, bool* eof, int64_t* walked);
 
  private:
   RowSet rows_;
-  size_t chunk_ = 0;
   size_t pos_ = 0;    // next position in rows_
   size_t start_ = 0;  // positions [start_, end_) have verdicts in match_
   size_t end_ = 0;
@@ -106,10 +110,6 @@ class SeqScanOp : public Operator {
  protected:
   Status OpenImpl(ExecContext* ctx) override;
   Status NextImpl(Row* out, bool* eof) override;
-  // Fused scan+filter+project over one chunk of the table per call: the
-  // filter runs over the chunk in place, then only surviving rows
-  // materialize their projection, column by column.
-  Status NextBatchImpl(Batch* out, bool* eof) override;
   void CloseImpl() override;
 
  private:
@@ -117,10 +117,8 @@ class SeqScanOp : public Operator {
   std::vector<int> projection_;
   ExprPtr filter_;
   StorageFilter storage_filter_;
-  FilteredRowCursor rows_;   // tuple path
-  std::vector<char> match_;  // batch path verdicts
+  FilteredRowCursor rows_;
   ExecContext* ctx_ = nullptr;
-  size_t cursor_ = 0;  // batch path: next table row
 };
 
 // Hash-index lookup: evaluates `key_exprs` (constants and/or parameter
@@ -166,7 +164,6 @@ class RowsScanOp : public Operator {
  protected:
   Status OpenImpl(ExecContext* ctx) override;
   Status NextImpl(Row* out, bool* eof) override;
-  Status NextBatchImpl(Batch* out, bool* eof) override;
   void CloseImpl() override;
 
  private:

@@ -35,6 +35,9 @@ Value CompareValues(BinaryOp op, const Value& lhs, const Value& rhs) {
   }
 }
 
+namespace {
+
+// SQL arithmetic with 3VL (NULL-strict; x/0 -> NULL).
 Value ArithmeticValues(BinaryOp op, TypeId result_type, const Value& lhs,
                        const Value& rhs) {
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
@@ -75,6 +78,8 @@ Value ArithmeticValues(BinaryOp op, TypeId result_type, const Value& lhs,
   DECORR_CHECK_MSG(false, "not an arithmetic operator");
   return Value::Null();
 }
+
+}  // namespace
 
 // SQL LIKE: '%' matches any run (including empty), '_' any single
 // character; everything else is literal. Iterative matcher with the classic

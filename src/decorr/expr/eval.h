@@ -30,12 +30,9 @@ bool EvalPredicate(const Expr& expr, const EvalContext& ctx);
 // either side is NULL, else a BOOL Value.
 Value CompareValues(BinaryOp op, const Value& lhs, const Value& rhs);
 
-// SQL arithmetic with 3VL (NULL-strict; x/0 -> NULL).
-Value ArithmeticValues(BinaryOp op, TypeId result_type, const Value& lhs,
-                       const Value& rhs);
-
 // SQL LIKE matching ('%' any run, '_' any single character). Shared by the
-// scalar and the vectorized evaluator so both agree character-for-character.
+// row evaluator and the in-place storage filter so both agree
+// character-for-character.
 bool LikeMatch(const std::string& text, const std::string& pattern);
 
 }  // namespace decorr

@@ -42,7 +42,9 @@ struct PlannerOptions {
   // operators (ParallelScan / ParallelHashJoin / ParallelHashAggregate /
   // Gather) for their serial counterparts — but only at correlated depth 0:
   // Apply/lateral inner plans re-open once per outer row and stay serial.
-  // dop == 1 (the default) keeps every existing plan byte-identical.
+  // dop == 1 (the default) keeps every existing plan byte-identical. Set by
+  // the runtime from QueryOptions::dop on every run, like
+  // hoist_invariant_subplans.
   int dop = 1;
   // Plant a runtime UniquenessCheckOp wherever rewrite/prune.cc dropped a
   // DISTINCT on the strength of a derived candidate key (Box::dedup_check),

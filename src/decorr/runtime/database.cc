@@ -289,7 +289,7 @@ Result<QueryResult> Database::RunPrepared(PreparedQuery prepared,
           ? 0
           : options.subquery_cache_bytes;
   planner_options.hoist_invariant_subplans = cache_bytes > 0;
-  if (options.dop > 1) planner_options.dop = options.dop;
+  planner_options.dop = options.dop;
   // Declared before the plan: operators hold SpillFiles, so the plan must be
   // destroyed before the manager that owns their scratch directory.
   std::unique_ptr<TempFileManager> temp_mgr;
@@ -314,7 +314,6 @@ Result<QueryResult> Database::RunPrepared(PreparedQuery prepared,
   ctx.guard = guard;
   ctx.profile = options.profile;
   ctx.subquery_cache_bytes = cache_bytes;
-  ctx.batch_size = options.batch_size;
   if (options.spill) {
     temp_mgr = std::make_unique<TempFileManager>(options.temp_dir,
                                                  options.spill_bytes);

@@ -51,8 +51,8 @@ struct QueryOptions {
   DecorrelationOptions decorr;   // knobs for magic decorrelation
   PlannerOptions planner;
   // Degree of intra-query parallelism. > 1 makes the planner substitute
-  // exchange operators at correlated depth 0 (see PlannerOptions::dop,
-  // which this overrides when set); 1 keeps plans byte-identical to the
+  // exchange operators at correlated depth 0 (copied into
+  // PlannerOptions::dop for every run); 1 keeps plans byte-identical to the
   // serial ones.
   int dop = 1;
   // Per-operator byte budget for memoizing correlated subquery results on
@@ -80,7 +80,7 @@ struct QueryOptions {
   bool fallback = true;
   // Collects per-operator metrics with wall clocks (QueryResult::profile and
   // analyze_text). Phase timings are recorded regardless; this only turns on
-  // the operator-level clock sampling.
+  // the operator-level clocks.
   bool profile = false;
   // Graceful degradation under memory pressure (DESIGN.md §12). When on,
   // hash joins, hash aggregates, and DISTINCT react to a memory-budget trip
@@ -91,11 +91,6 @@ struct QueryOptions {
   bool spill = false;
   int64_t spill_bytes = 0;
   std::string temp_dir;
-  // Vectorized execution (DESIGN.md §14): rows per Batch pulled through
-  // Operator::NextBatch. 0 keeps the tuple-at-a-time engine byte-identical
-  // to before; 1024 is the intended production size. Changes execution
-  // only — plan shape (EXPLAIN) is identical either way.
-  int batch_size = 0;
 };
 
 // A query carried through the front-end phases — parse, bind, kAuto cost

@@ -56,10 +56,9 @@ std::string PlanFingerprint(const std::string& sql,
   // with an option spelling.
   return NormalizeSql(sql) +
          StrFormat("\x1f"
-                   "s=%s|dop=%d|pdop=%d|batch=%d|prune=%d|cache=%lld|"
+                   "s=%s|dop=%d|prune=%d|cache=%lld|"
                    "verify=%d|oj=%d|ex=%d|idx=%d|mat=%d|keys=%d",
                    StrategyName(options.strategy), options.dop,
-                   options.planner.dop, options.batch_size,
                    options.prune_dedup ? 1 : 0,
                    (long long)options.subquery_cache_bytes,
                    options.verify ? 1 : 0,

@@ -2,8 +2,8 @@
 //
 // Keyed by a normalized fingerprint: the SQL text (whitespace-collapsed,
 // lowercased outside string literals, trailing semicolons stripped) plus
-// every QueryOption that changes the prepared graph — strategy, dop, batch
-// size, prune/cache knobs, verification, planner and decorrelation flags.
+// every QueryOption that changes the prepared graph — strategy, dop,
+// prune/cache knobs, verification, planner and decorrelation flags.
 // Options that only shape execution-time limits (deadline, budgets, spill)
 // are deliberately excluded: they do not change what Prepare produces.
 //

@@ -208,31 +208,6 @@ Status RunChaosWorkload(int dop = 1) {
   DECORR_RETURN_IF_ERROR(run(
       "SELECT building FROM dept UNION ALL SELECT building FROM emp",
       Strategy::kNestedIteration));
-  // Vectorized batch execution (DESIGN.md §14): the paper query, a fused
-  // scan→filter→project pipeline, and a join+aggregate — at batch_size 1024
-  // and at a tiny 3 that forces tail batches everywhere — putting the
-  // exec.batch.* fault sites in reach (exec.batch.next in the NextBatch
-  // wrapper, exec.batch.eval in the vectorized expression evaluator).
-  auto run_batched = [&db, dop](const std::string& sql, int batch) -> Status {
-    QueryOptions options;
-    options.strategy = Strategy::kNestedIteration;
-    options.dop = dop;
-    options.fallback = false;  // an injected fault must surface, not degrade
-    options.batch_size = batch;
-    options.planner.check_derived_keys = true;
-    DECORR_ASSIGN_OR_RETURN(QueryResult result, db.Execute(sql, options));
-    if (result.column_names.empty()) return Status::Internal("no columns");
-    return Status::OK();
-  };
-  for (int batch : {1024, 3}) {
-    DECORR_RETURN_IF_ERROR(run_batched(kPaperExampleQuery, batch));
-    DECORR_RETURN_IF_ERROR(run_batched(
-        "SELECT name, budget * 2 FROM dept WHERE budget < 10000", batch));
-    DECORR_RETURN_IF_ERROR(run_batched(
-        "SELECT d.name, COUNT(*) FROM dept d, emp e "
-        "WHERE d.building = e.building GROUP BY d.name",
-        batch));
-  }
   // Bounded-memory spill runs (deliberately serial even at dop > 1 — see the
   // section's comment) so the sweep reaches the temp-file and Grace-
   // partitioning fault sites.
@@ -529,58 +504,6 @@ TEST_F(ChaosTest, CacheFaultsNeverYieldStaleOrPartialRows) {
           << site << " (skip " << skip << ")";
     }
     EXPECT_TRUE(fired) << site << " never fired; cache path not exercised";
-  }
-}
-
-TEST_F(ChaosTest, BatchFaultsPropagateVerbatimWithNoPartialRows) {
-  // Fail the two batch-engine sites — the NextBatch wrapper and the
-  // vectorized evaluator — at every offset the paper query reaches in batch
-  // mode. A faulted run must return the injected status verbatim with no
-  // result rows at all: an error mid-batch discards the half-built batch
-  // wholesale, so nothing assembled from it may reach the API. A clean
-  // re-run right after must produce exactly the paper's answer (a faulted
-  // batch must not poison later queries).
-  FaultInjector& fi = FaultInjector::Global();
-  Database db(MakeEmpDeptCatalog());
-  auto sorted_names = [](const std::vector<Row>& rows) {
-    std::vector<std::string> names;
-    for (const Row& row : rows) names.push_back(row[0].string_value());
-    std::sort(names.begin(), names.end());
-    return names;
-  };
-
-  QueryOptions batched;
-  batched.strategy = Strategy::kNestedIteration;
-  batched.fallback = false;  // an injected fault must surface, not degrade
-  batched.batch_size = 4;    // small batches: many mid-stream offsets
-
-  for (const char* site : {"exec.batch.next", "exec.batch.eval"}) {
-    bool fired = false;
-    for (int64_t skip = 0; skip < 64; ++skip) {
-      const Status injected =
-          Status::Internal(std::string("chaos: injected at ") + site);
-      fi.Arm(site, injected, skip);
-      auto r = db.Execute(kPaperExampleQuery, batched);
-      fi.Reset();
-      if (r.ok()) {
-        // Armed past the site's last hit: the run was clean and must match.
-        EXPECT_EQ(sorted_names(r->rows), PaperExampleAnswers())
-            << site << " (skip " << skip << ")";
-        break;
-      }
-      fired = true;
-      EXPECT_EQ(r.status().code(), StatusCode::kInternal)
-          << site << ": " << r.status().ToString();
-      EXPECT_EQ(r.status().message(), injected.message())
-          << site << " (skip " << skip << ")";
-      auto clean = db.Execute(kPaperExampleQuery, batched);
-      ASSERT_TRUE(clean.ok())
-          << site << " (skip " << skip << "): fault leaked into a clean run: "
-          << clean.status().ToString();
-      EXPECT_EQ(sorted_names(clean->rows), PaperExampleAnswers())
-          << site << " (skip " << skip << ")";
-    }
-    EXPECT_TRUE(fired) << site << " never fired; batch path not exercised";
   }
 }
 

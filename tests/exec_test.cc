@@ -1,6 +1,9 @@
 // Operator-level tests: each physical operator exercised in isolation with
-// hand-built plans.
+// hand-built plans, and the in-place storage filter checked against the row
+// evaluator.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "decorr/exec/aggregate.h"
 #include "decorr/exec/apply.h"
@@ -8,6 +11,7 @@
 #include "decorr/exec/join.h"
 #include "decorr/exec/misc_ops.h"
 #include "decorr/exec/scan.h"
+#include "decorr/expr/eval.h"
 #include "tests/test_util.h"
 
 namespace decorr {
@@ -19,10 +23,11 @@ OperatorPtr Rows(std::vector<Row> rows, int width) {
   return std::make_unique<RowsScanOp>(data, width);
 }
 
-std::vector<Row> Drain(Operator* op, const Row* params = nullptr) {
+std::vector<Row> Drain(Operator* op, const Row* params = nullptr,
+                       ExecStats* stats_out = nullptr) {
   ExecStats stats;
   ExecContext ctx;
-  ctx.stats = &stats;
+  ctx.stats = stats_out != nullptr ? stats_out : &stats;
   ctx.params = params;
   auto result = CollectRows(op, &ctx);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -198,6 +203,25 @@ TEST(HashJoinTest, NullKeyLeftOuterStillPads) {
   EXPECT_TRUE(rows[0][1].is_null());
 }
 
+TEST(HashJoinTest, NullSafeKeysMatchNull) {
+  // `<=>` keys (IS NOT DISTINCT FROM): both NULL probe rows find the NULL
+  // build row.
+  HashJoinOp join(Rows({{N(), S("ln")}, {I(1), S("l1")}, {N(), S("ln2")}}, 2),
+                  Rows({{N(), S("rn")}, {I(1), S("r1")}, {I(2), S("r2")}}, 2),
+                  KeyAt(0), KeyAt(0), nullptr, JoinType::kInner,
+                  std::vector<bool>{true});
+  auto rows = Drain(&join);
+  ASSERT_EQ(rows.size(), 3u);
+  int null_matches = 0;
+  for (const Row& row : rows) {
+    if (row[0].is_null()) {
+      ++null_matches;
+      EXPECT_EQ(row[3].string_value(), "rn");
+    }
+  }
+  EXPECT_EQ(null_matches, 2);
+}
+
 TEST(HashJoinTest, ResidualFiltersMatches) {
   // Join on key but keep only right value "r2b"; LOJ must pad when the
   // residual kills all matches.
@@ -242,6 +266,203 @@ TEST(IndexJoinTest, ProbesPerLeftRow) {
   for (const Row& row : rows) {
     EXPECT_TRUE(row[0].Equals(row[1]));
   }
+}
+
+// ---- In-place filter over column storage ----
+
+// NULL-heavy table: i INT64, d DOUBLE, s STRING, b BOOL — each column NULL
+// on a different residue so every NULL combination occurs.
+TablePtr NullHeavyTable() {
+  TableSchema schema("nh", {{"i", TypeId::kInt64, true},
+                            {"d", TypeId::kDouble, true},
+                            {"s", TypeId::kString, true},
+                            {"b", TypeId::kBool, true}});
+  auto table = std::make_shared<Table>(schema);
+  const char* words[] = {"apple", "banana", "ab", "", "xab", "Apple"};
+  for (int64_t r = 0; r < 300; ++r) {
+    (void)table->AppendRow(
+        {r % 3 == 0 ? N() : I(r % 7), r % 4 == 0 ? N() : D((r % 5) * 0.5),
+         r % 5 == 0 ? N() : S(words[r % 6]),
+         r % 6 == 0 ? N() : Value::Bool(r % 2 == 0)});
+  }
+  return table;
+}
+
+ExprPtr Items(ExprPtr lhs, std::vector<Value> items, bool negated) {
+  std::vector<ExprPtr> list;
+  for (Value& v : items) list.push_back(MakeConstant(std::move(v)));
+  return MakeInList(std::move(lhs), std::move(list), negated);
+}
+
+// StorageFilter must agree with EvalPredicate over the materialized row on
+// every row of `rows`.
+void ExpectFilterMatchesScalar(const Table& table, const Expr& expr,
+                               const RowSet& rows, const Row* params) {
+  StorageFilter filter(table, &expr);
+  std::vector<char> match;
+  filter.Eval(params, rows, &match);
+  ASSERT_EQ(match.size(), rows.size) << expr.ToString();
+  for (size_t i = 0; i < rows.size; ++i) {
+    const Row row = table.GetRow(rows[i]);
+    EvalContext ectx;
+    ectx.row = &row;
+    ectx.params = params;
+    EXPECT_EQ(match[i] != 0, EvalPredicate(expr, ectx))
+        << expr.ToString() << " table row " << rows[i];
+  }
+}
+
+TEST(StorageFilterTest, MatchesScalarEvalOverChunksAndMatchLists) {
+  TablePtr table = NullHeavyTable();
+  const ExprPtr i = MakeSlotRef(0, TypeId::kInt64, "i");
+  const ExprPtr d = MakeSlotRef(1, TypeId::kDouble, "d");
+  const ExprPtr s = MakeSlotRef(2, TypeId::kString, "s");
+  const ExprPtr b = MakeSlotRef(3, TypeId::kBool, "b");
+  Row params = {I(3), N(), S("%ab")};
+
+  std::vector<ExprPtr> exprs;
+  for (bool negated : {false, true}) {
+    // Literal patterns and '%'/'_' wildcards at the ends, inside and alone.
+    for (const char* pattern :
+         {"ab", "", "a%", "%ab", "%pp%", "%", "%%", "%b_", "a%e", "%a%b%"}) {
+      exprs.push_back(MakeLike(s->Clone(), MakeConstant(S(pattern)), negated));
+    }
+    exprs.push_back(MakeLike(s->Clone(), MakeParamRef(2, TypeId::kString),
+                             negated));
+    exprs.push_back(MakeLike(s->Clone(), MakeParamRef(1, TypeId::kString),
+                             negated));  // NULL pattern
+    exprs.push_back(Items(i->Clone(), {I(1), I(4)}, negated));
+    exprs.push_back(Items(i->Clone(), {I(1), N()}, negated));  // NULL item
+    exprs.push_back(Items(i->Clone(), {I(2), D(3.0), D(4.5)}, negated));
+    exprs.push_back(Items(d->Clone(), {I(1), D(1.5)}, negated));
+    exprs.push_back(Items(s->Clone(), {S("ab"), S("")}, negated));
+    exprs.push_back(Items(s->Clone(), {S("ab"), N()}, negated));
+    exprs.push_back(Items(b->Clone(), {Value::Bool(true)}, negated));
+    exprs.push_back(MakeIsNull(s->Clone(), negated));
+  }
+  {
+    std::vector<ExprPtr> list;
+    list.push_back(MakeParamRef(0, TypeId::kInt64));
+    list.push_back(MakeParamRef(1, TypeId::kInt64));  // NULL parameter
+    exprs.push_back(MakeInList(i->Clone(), std::move(list), false));
+  }
+  for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                      BinaryOp::kGe, BinaryOp::kNullEq}) {
+    exprs.push_back(
+        MakeComparison(op, i->Clone(), MakeParamRef(0, TypeId::kInt64)));
+    exprs.push_back(
+        MakeComparison(op, MakeConstant(D(1.0)), d->Clone()));  // mirrored
+    exprs.push_back(
+        MakeComparison(op, i->Clone(), MakeParamRef(1, TypeId::kInt64)));
+  }
+  // Conjunctions narrow the candidates; disjunctions must still see the
+  // rows the left side rejected.
+  exprs.push_back(MakeAnd(Items(i->Clone(), {I(1), I(2), N()}, false),
+                          MakeLike(s->Clone(), MakeConstant(S("%a%")), true)));
+  exprs.push_back(MakeOr(Items(i->Clone(), {I(5), N()}, true),
+                         MakeIsNull(d->Clone(), false)));
+  exprs.push_back(MakeOr(
+      MakeAnd(MakeComparison(BinaryOp::kGt, d->Clone(), MakeConstant(I(1))),
+              MakeComparison(BinaryOp::kEq, b->Clone(),
+                             MakeConstant(Value::Bool(false)))),
+      MakeLike(s->Clone(), MakeConstant(S("x%")), false)));
+  // Shapes left to the row evaluator.
+  exprs.push_back(MakeNot(Items(i->Clone(), {I(1)}, false)));
+  exprs.push_back(MakeComparison(BinaryOp::kLt, i->Clone(), d->Clone()));
+  std::vector<ExprPtr> upper_args;
+  upper_args.push_back(s->Clone());
+  exprs.push_back(MakeAnd(
+      MakeComparison(BinaryOp::kGt, i->Clone(), MakeConstant(I(0))),
+      MakeComparison(BinaryOp::kEq,
+                     MakeFunction(FuncKind::kUpper, std::move(upper_args)),
+                     MakeConstant(S("APPLE")))));
+
+  // Index match lists are not sorted by row id: visit the odd rows backwards.
+  std::vector<uint32_t> ids;
+  for (int r = 299; r >= 0; r -= 2) ids.push_back(static_cast<uint32_t>(r));
+  const RowSet sets[] = {RowSet::Range(0, table->num_rows()),
+                         RowSet::Range(17, 100), RowSet::List(ids),
+                         RowSet::List(ids).Slice(5, 40)};
+  for (const ExprPtr& expr : exprs) {
+    ASSERT_TRUE(InferTypes(expr.get()).ok()) << expr->ToString();
+    for (const RowSet& rows : sets) {
+      ExpectFilterMatchesScalar(*table, *expr, rows, &params);
+    }
+  }
+}
+
+// ---- chunked cursor: failing rows are skipped a chunk at a time ----
+
+// 3,100 rows k = 0..3099, all in index group g = 7, of which only k = 0 and
+// 1023 (both ends of the first 1,024-row chunk), 1024 (the start of the
+// second) and 3099 (the end of the partial tail chunk) pass; the third
+// chunk, 2048..3071, passes nothing.
+constexpr int64_t kChunkedRows = 3100;
+const std::vector<int64_t> kChunkedPassing = {0, 1023, 1024, 3099};
+
+TablePtr ChunkedTable() {
+  TableSchema schema("c", {{"k", TypeId::kInt64, false},
+                           {"g", TypeId::kInt64, false},
+                           {"pass", TypeId::kInt64, false}});
+  auto table = std::make_shared<Table>(schema);
+  for (int64_t k = 0; k < kChunkedRows; ++k) {
+    const bool pass = std::find(kChunkedPassing.begin(), kChunkedPassing.end(),
+                                k) != kChunkedPassing.end();
+    (void)table->AppendRow({I(k), I(7), I(pass ? 1 : 0)});
+  }
+  return table;
+}
+
+ExprPtr PassFilter() {
+  return MakeComparison(BinaryOp::kEq, MakeSlotRef(2, TypeId::kInt64),
+                        MakeConstant(I(1)));
+}
+
+std::vector<int64_t> ColumnValues(const std::vector<Row>& rows, int col) {
+  std::vector<int64_t> out;
+  for (const Row& row : rows) out.push_back(row[col].int64_value());
+  return out;
+}
+
+TEST(ChunkedCursorTest, SeqScanReturnsPassingRowsAndCountsEveryRow) {
+  static_assert(FilteredRowCursor::kChunkRows == 1024,
+                "ChunkedTable places its passing rows at 1,024-row chunk "
+                "edges");
+  SeqScanOp scan(ChunkedTable(), {0}, PassFilter());
+  ExecStats stats;
+  EXPECT_EQ(ColumnValues(Drain(&scan, nullptr, &stats), 0), kChunkedPassing);
+  EXPECT_EQ(stats.rows_scanned, kChunkedRows);
+  EXPECT_EQ(scan.metrics().rows_in_self, kChunkedRows);
+  EXPECT_EQ(scan.metrics().next_calls, 5);  // 4 rows + the eof call
+}
+
+TEST(ChunkedCursorTest, IndexLookupCountsEveryMatch) {
+  TablePtr table = ChunkedTable();
+  auto index = std::make_shared<HashIndex>(*table, std::vector<int>{1});
+  std::vector<ExprPtr> keys;
+  keys.push_back(MakeConstant(I(7)));
+  IndexLookupOp lookup(table, index, std::move(keys), {0}, PassFilter());
+  ExecStats stats;
+  EXPECT_EQ(ColumnValues(Drain(&lookup, nullptr, &stats), 0),
+            kChunkedPassing);
+  EXPECT_EQ(stats.index_lookups, 1);
+  EXPECT_EQ(stats.rows_scanned, kChunkedRows);
+  EXPECT_EQ(lookup.metrics().rows_in_self, kChunkedRows);
+}
+
+TEST(ChunkedCursorTest, IndexJoinCountsEveryMatchOfEveryProbe) {
+  TablePtr table = ChunkedTable();
+  auto index = std::make_shared<HashIndex>(*table, std::vector<int>{1});
+  IndexJoinOp join(Rows({{I(7)}, {I(8)}, {I(7)}}, 1), table, index, KeyAt(0),
+                   {0}, PassFilter(), nullptr);
+  ExecStats stats;
+  std::vector<int64_t> expected = kChunkedPassing;
+  expected.insert(expected.end(), kChunkedPassing.begin(),
+                  kChunkedPassing.end());
+  EXPECT_EQ(ColumnValues(Drain(&join, nullptr, &stats), 1), expected);
+  EXPECT_EQ(stats.index_lookups, 3);
+  EXPECT_EQ(stats.rows_scanned, 2 * kChunkedRows);
+  EXPECT_EQ(join.metrics().rows_in_self, 2 * kChunkedRows);
 }
 
 // ---- aggregation ----

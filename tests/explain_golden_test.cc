@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
-#include <regex>
 #include <sstream>
 #include <string>
 
@@ -147,88 +146,6 @@ TEST(ExplainGoldenTest, Fig9Query3Union) {
   CheckFigure("fig9_query3", true, TpcdQuery3(), Strategy::kNestedIteration);
   CheckFigure("fig9_query3", true, TpcdQuery3(), Strategy::kMagic);
   CheckFigure("fig9_query3", true, TpcdQuery3(), Strategy::kAuto);
-}
-
-// Strips the two ANALYZE-only batch-mode tokens (` batches=N` and
-// ` sel=X.XXX`) from a rendered metrics tree. Everything else — operator
-// lines, row counts, loop counts, spill fields — must be untouched by batch
-// execution.
-std::string StripBatchTokens(const std::string& text) {
-  static const std::regex kBatchTokens(" batches=[0-9]+( sel=[0-9.]+)?");
-  return std::regex_replace(text, kBatchTokens, "");
-}
-
-// Vectorized execution must be plan-invisible: for every committed golden
-// variant, EXPLAIN under batch_size=1024 is byte-identical to the committed
-// golden's EXPLAIN half (plan shape is chosen before the execution mode),
-// and the timing-free EXPLAIN ANALYZE differs only by the batches=/sel=
-// tokens — which must actually appear, proving batching fired rather than
-// silently falling back to tuples.
-TEST(ExplainGoldenTest, BatchModeLeavesGoldenPlansInvariant) {
-  struct FigureCase {
-    const char* tag;
-    bool indexes;
-    std::string sql;
-    // Whether the batch-mode ANALYZE must contain batches= tokens. Every
-    // figure batches now that the row-at-a-time operators (index/nested-loop
-    // joins, the Apply family, Distinct) stream their outer input through
-    // BatchRowReader: even fig5's zero-row indexed plans show batches on the
-    // scans feeding the join.
-    bool expect_batches;
-  };
-  const FigureCase kFigures[] = {
-      {"fig5_query1", true, TpcdQuery1(), true},
-      {"fig6_query1_variant", true, TpcdQuery1Variant(), true},
-      {"fig8_query2", true, TpcdQuery2(), true},
-      {"fig9_query3", true, TpcdQuery3(), true},
-      {"fig7_query1_noindex", false, TpcdQuery1(), true},
-  };
-  static const Strategy kStrategies[] = {Strategy::kNestedIteration,
-                                         Strategy::kMagic, Strategy::kAuto};
-  int batched_analyzes = 0;
-  for (const FigureCase& fig : kFigures) {
-    Database& db = GoldenDb(fig.indexes);
-    for (Strategy strategy : kStrategies) {
-      QueryOptions tuple;
-      tuple.strategy = strategy;
-      tuple.fallback = false;
-      tuple.planner.check_derived_keys = false;
-      QueryOptions batched = tuple;
-      batched.batch_size = 1024;
-
-      auto tuple_plan = db.Explain(fig.sql, tuple);
-      auto batch_plan = db.Explain(fig.sql, batched);
-      ASSERT_TRUE(tuple_plan.ok()) << tuple_plan.status().ToString();
-      ASSERT_TRUE(batch_plan.ok()) << batch_plan.status().ToString();
-      EXPECT_EQ(batch_plan->plan_text, tuple_plan->plan_text)
-          << fig.tag << "/" << StrategyName(strategy)
-          << ": batch mode changed the plan shape";
-
-      auto tuple_analyze = db.ExplainAnalyze(fig.sql, tuple);
-      auto batch_analyze = db.ExplainAnalyze(fig.sql, batched);
-      ASSERT_TRUE(tuple_analyze.ok()) << tuple_analyze.status().ToString();
-      ASSERT_TRUE(batch_analyze.ok()) << batch_analyze.status().ToString();
-      const std::string tuple_text = RenderMetricsTree(
-          tuple_analyze->profile.plan, /*include_timing=*/false);
-      const std::string batch_text = RenderMetricsTree(
-          batch_analyze->profile.plan, /*include_timing=*/false);
-      // Tuple mode must never render batch tokens (golden safety)...
-      EXPECT_EQ(tuple_text.find(" batches="), std::string::npos)
-          << fig.tag << "/" << StrategyName(strategy);
-      // ...batch mode must render them where batching can fire...
-      const bool saw_batches =
-          batch_text.find(" batches=") != std::string::npos;
-      EXPECT_EQ(saw_batches, fig.expect_batches)
-          << fig.tag << "/" << StrategyName(strategy);
-      if (saw_batches) ++batched_analyzes;
-      // ...and they are the *only* difference.
-      EXPECT_EQ(StripBatchTokens(batch_text), tuple_text)
-          << fig.tag << "/" << StrategyName(strategy)
-          << ": batch mode changed more than the batches=/sel= tokens";
-    }
-  }
-  // All 5 figures batch under all 3 strategies; vacuous otherwise.
-  EXPECT_EQ(batched_analyzes, 15);
 }
 
 // The plan cache must be EXPLAIN-invisible: for every committed golden

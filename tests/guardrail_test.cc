@@ -8,6 +8,8 @@
 #include <algorithm>
 
 #include "decorr/common/fault.h"
+#include "decorr/exec/scan.h"
+#include "decorr/planner/planner.h"
 #include "decorr/runtime/database.h"
 #include "tests/test_util.h"
 
@@ -114,6 +116,61 @@ TEST_F(GuardrailTest, CancellationMidScan) {
   auto r = db_.Execute("SELECT k FROM big", options);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  ExpectIntact();
+}
+
+// Plans `sql` under nested iteration and drives the plan directly, so the
+// work counters in *stats survive a guard trip.
+Status RunCounted(Database* db, const std::string& sql, ResourceGuard* guard,
+                  ExecStats* stats) {
+  ResourceGuard prepare_guard;
+  DECORR_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                          db->Prepare(sql, QueryOptions{}, &prepare_guard));
+  Planner planner(db->catalog());
+  DECORR_ASSIGN_OR_RETURN(PhysicalPlan plan,
+                          planner.PlanQuery(*prepared.bound));
+  ExecContext ctx;
+  ctx.stats = stats;
+  ctx.guard = guard;
+  return CollectRows(plan.root.get(), &ctx).status();
+}
+
+TEST_F(GuardrailTest, CancellationLandsWhileInnerScansPassNothing) {
+  // An unindexed correlated subquery whose inner scan passes one row in
+  // 8,192: nearly every chunk the scan filters comes back empty, so the
+  // scan must poll the guard per chunk, not only per row it returns.
+  TableSchema sparse("sparse", {{"k", TypeId::kInt64, false},
+                                {"v", TypeId::kInt64, false}});
+  ASSERT_TRUE(db_.CreateTable(sparse).ok());
+  std::vector<Row> rows;
+  for (int64_t k = 0; k < 8192; ++k) {
+    rows.push_back({I(k), I(k == 5000 ? 25 : k % 7)});
+  }
+  ASSERT_TRUE(db_.Insert("sparse", rows).ok());
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+  const std::string sql =
+      "SELECT name FROM dept WHERE EXISTS "
+      "(SELECT * FROM sparse s WHERE s.v > dept.building)";
+
+  ResourceGuard unlimited;
+  ExecStats full;
+  ASSERT_TRUE(RunCounted(&db_, sql, &unlimited, &full).ok());
+  ASSERT_EQ(full.subquery_invocations, 6);
+  ASSERT_EQ(full.rows_scanned, 6 + 6 * 8192);
+
+  constexpr int64_t kPolls = 8;
+  ResourceGuard guard;
+  auto token = std::make_shared<CancellationToken>();
+  token->CancelAfterChecks(kPolls);
+  guard.set_cancel(token);
+  ExecStats cancelled;
+  Status st = RunCounted(&db_, sql, &guard, &cancelled);
+  EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
+  EXPECT_LT(cancelled.rows_scanned, full.rows_scanned);
+  // Each poll covers at most one chunk of walked rows, so the trip lands
+  // inside the first inner scan rather than after it.
+  EXPECT_LE(cancelled.rows_scanned,
+            kPolls * static_cast<int64_t>(FilteredRowCursor::kChunkRows));
   ExpectIntact();
 }
 

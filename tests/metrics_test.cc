@@ -1,6 +1,7 @@
 // OperatorMetrics accounting on hand-built plans: row counters match known
 // cardinalities, Apply inner-context work rolls up into the outer tree,
-// clocks stay zero-cost-correct when profiling is disabled, and the
+// clocks stay zero-cost-correct when profiling is disabled, operator times
+// nest inside their parents' on the paper's figure queries, and the
 // Database-level ExplainAnalyze surfaces the annotated plan.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,8 @@
 #include "decorr/exec/metrics.h"
 #include "decorr/exec/scan.h"
 #include "decorr/runtime/database.h"
+#include "decorr/tpcd/queries.h"
+#include "decorr/tpcd/tpcd.h"
 #include "tests/test_util.h"
 
 namespace decorr {
@@ -79,31 +82,40 @@ TEST(MetricsTest, FilterDerivesRowsInFromChild) {
   EXPECT_EQ(node.children[0].rows_out, 8);
 }
 
-// ---- clocks are zero when profiling is off, sampled when on ----
+// ---- clocks are zero when profiling is off, read on every call when on ----
 
 TEST(MetricsTest, NoClocksWithoutProfiling) {
   SeqScanOp scan(EmpTable(), {0}, nullptr);
   (void)Drain(&scan, /*profile=*/false);
   const OperatorMetrics& m = scan.metrics();
   EXPECT_EQ(m.open_nanos, 0);
+  EXPECT_EQ(m.next_nanos, 0);
   EXPECT_EQ(m.close_nanos, 0);
-  EXPECT_EQ(m.sampled_next_nanos, 0);
-  EXPECT_EQ(m.sampled_next_calls, 0);
-  EXPECT_EQ(m.EstimatedNextNanos(), 0);
   EXPECT_EQ(m.TotalNanos(), 0);
   // The counters are still collected.
   EXPECT_EQ(m.rows_out, 8);
 }
 
-TEST(MetricsTest, StrideSamplingWhenProfiling) {
-  SeqScanOp scan(EmpTable(), {0}, nullptr);
-  (void)Drain(&scan, /*profile=*/true);
-  const OperatorMetrics& m = scan.metrics();
-  // 9 Next calls, stride 64: exactly the first call is sampled.
-  EXPECT_EQ(m.sampled_next_calls, 1);
-  EXPECT_GE(m.sampled_next_nanos, 0);
-  // Extrapolation scales the sample to all next_calls.
-  EXPECT_EQ(m.EstimatedNextNanos(), m.sampled_next_nanos * m.next_calls);
+TEST(MetricsTest, EveryCallClockedWhenProfiling) {
+  auto scan = std::make_unique<SeqScanOp>(EmpTable(),
+                                          std::vector<int>{0, 3}, nullptr);
+  SeqScanOp* scan_ptr = scan.get();
+  FilterOp filter(std::move(scan),
+                  MakeComparison(BinaryOp::kGt, MakeSlotRef(1, TypeId::kInt64),
+                                 MakeConstant(I(60))));
+  (void)Drain(&filter, /*profile=*/true);
+  const OperatorMetrics& m = scan_ptr->metrics();
+  EXPECT_EQ(m.next_calls, 9);
+  EXPECT_GT(m.next_nanos, 0);
+  EXPECT_EQ(m.TotalNanos(), m.open_nanos + m.next_nanos + m.close_nanos);
+
+  // The filter's calls contain the scan's, so its time does too, and its
+  // self time is what remains.
+  MetricsNode node = CollectMetricsTree(filter);
+  ASSERT_EQ(node.children.size(), 1u);
+  EXPECT_LE(node.children[0].total_nanos, node.total_nanos);
+  EXPECT_EQ(node.self_nanos, node.total_nanos - node.children[0].total_nanos);
+  EXPECT_EQ(node.children[0].self_nanos, node.children[0].total_nanos);
 }
 
 // ---- Apply: inner-context work rolls up ----
@@ -133,10 +145,9 @@ TEST(MetricsTest, ApplyInnerWorkRollsUp) {
   EXPECT_EQ(inner_ptr->metrics().open_calls, 3);
   EXPECT_EQ(inner_ptr->metrics().rows_in_self, 24);  // 3 full scans of 8
   EXPECT_EQ(inner_ptr->metrics().rows_out, 7);       // 3 + 4 + 0 matches
-  // The profile flag propagated into the inner execution context (sampling
-  // only happens under profiling). next_calls accumulates across re-opens,
-  // so with stride 64 exactly the first call is sampled here.
-  EXPECT_EQ(inner_ptr->metrics().sampled_next_calls, 1);
+  // The profile flag propagated into the inner execution context (clocks
+  // only run under profiling).
+  EXPECT_GT(inner_ptr->metrics().next_nanos, 0);
 
   MetricsNode node = CollectMetricsTree(apply);
   ASSERT_EQ(node.children.size(), 2u);  // input + subquery subplan
@@ -203,6 +214,61 @@ TEST(MetricsTest, NoBytesChargedWithoutGuard) {
   EXPECT_EQ(join.metrics().bytes_charged, 0);  // nothing was charged
 }
 
+// ---- operator times nest inside their parents' on the figure queries ----
+
+// Every call is clocked, and a child runs only inside its parent's calls,
+// so no node may report more time than its parent. The exception is the
+// child of CachedMaterialize: a shared subplan is computed once, inside
+// whichever consumer opened it first, but appears under every consumer.
+void ExpectChildTimesWithinParent(const MetricsNode& node,
+                                  const std::string& where) {
+  for (const MetricsNode& child : node.children) {
+    if (node.name != "CachedMaterialize") {
+      EXPECT_LE(child.total_nanos, node.total_nanos)
+          << where << ": " << child.detail << " under " << node.detail;
+    }
+    ExpectChildTimesWithinParent(child, where);
+  }
+}
+
+TEST(MetricsTest, FigureOperatorTimesNestInsideTheirParents) {
+  Database db(std::make_shared<Catalog>());
+  TpcdConfig config;
+  config.scale_factor = 0.01;
+  ASSERT_TRUE(LoadTpcd(&db, config).ok());
+  struct Figure {
+    const char* id;
+    std::string sql;
+  };
+  const Figure indexed[] = {{"fig5", TpcdQuery1()},
+                            {"fig6", TpcdQuery1Variant()},
+                            {"fig8", TpcdQuery2()},
+                            {"fig9", TpcdQuery3()}};
+  const Strategy strategies[] = {
+      Strategy::kNestedIteration, Strategy::kNestedIterationCached,
+      Strategy::kKim,             Strategy::kDayal,
+      Strategy::kMagic,           Strategy::kOptMagic,
+      Strategy::kAuto};
+  auto check = [&db, &strategies](const Figure& fig) {
+    for (Strategy s : strategies) {
+      QueryOptions options;
+      options.strategy = s;
+      options.dop = 1;
+      auto result = db.ExplainAnalyze(fig.sql, options);
+      ASSERT_TRUE(result.ok()) << fig.id << " " << StrategyName(s) << ": "
+                               << result.status().ToString();
+      ExpectChildTimesWithinParent(
+          result->profile.plan,
+          std::string(fig.id) + " " + StrategyName(s));
+    }
+  };
+  for (const Figure& fig : indexed) check(fig);
+  // Figure 7: the Figure 6 query with the partsupp indexes dropped.
+  ASSERT_TRUE(db.DropIndex("partsupp", "partsupp_partkey").ok());
+  ASSERT_TRUE(db.DropIndex("partsupp", "partsupp_suppkey").ok());
+  check({"fig7", TpcdQuery1Variant()});
+}
+
 // ---- Database surface: ExplainAnalyze and QueryResult::profile ----
 
 TEST(MetricsTest, ExplainAnalyzeAnnotatesEveryOperator) {
@@ -223,7 +289,8 @@ TEST(MetricsTest, ExplainAnalyzeAnnotatesEveryOperator) {
       ++lines;
       if (line.find("rows=") != std::string::npos &&
           line.find("loops=") != std::string::npos &&
-          line.find("time=") != std::string::npos) {
+          line.find("time=") != std::string::npos &&
+          line.find("self=") != std::string::npos) {
         ++annotated;
       }
     }
@@ -241,6 +308,7 @@ TEST(MetricsTest, ExplainAnalyzeAnnotatesEveryOperator) {
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
   EXPECT_NE(json.find("\"plan\""), std::string::npos);
   EXPECT_NE(json.find("\"children\""), std::string::npos);
+  EXPECT_NE(json.find("\"self_ms\""), std::string::npos);
 }
 
 TEST(MetricsTest, PlainExecuteSkipsOperatorClocks) {

@@ -431,6 +431,19 @@ TEST(ParallelEndToEndTest, DopOneKeepsPlansByteIdentical) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->plan_text, b->plan_text);
   EXPECT_EQ(a->plan_text.find("Parallel"), std::string::npos);
+
+  // QueryOptions::dop is the one dop knob: every run copies it into
+  // PlannerOptions::dop, so a planner-level dop cannot parallelize a dop-1
+  // query.
+  QueryOptions magic;
+  magic.strategy = Strategy::kMagic;
+  QueryOptions stray = magic;
+  stray.planner.dop = 4;
+  auto c = db.Explain(kPaperExampleQuery, magic);
+  auto d = db.Explain(kPaperExampleQuery, stray);
+  ASSERT_TRUE(c.ok() && d.ok());
+  EXPECT_EQ(d->plan_text, c->plan_text);
+  EXPECT_EQ(d->plan_text.find("Parallel"), std::string::npos);
 }
 
 TEST(ParallelEndToEndTest, DopFourSelectsExchangeOperators) {

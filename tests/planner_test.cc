@@ -256,14 +256,10 @@ TEST_F(PlannerTest, CountStarScanProjectsNoColumn) {
   EXPECT_NE(PlanOf(sql).find("SeqScan(emp) cols=[] filter=($3:salary > 55)"),
             std::string::npos)
       << PlanOf(sql);
-  for (int batch_size : {0, 3}) {
-    QueryOptions options;
-    options.batch_size = batch_size;
-    QueryResult r = Run(sql, options);
-    ASSERT_EQ(r.rows.size(), 1u);
-    EXPECT_TRUE(r.rows[0][0].Equals(I(5))) << r.rows[0][0].ToString();
-    EXPECT_EQ(r.stats.rows_scanned, 8);
-  }
+  QueryResult r = Run(sql);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_TRUE(r.rows[0][0].Equals(I(5))) << r.rows[0][0].ToString();
+  EXPECT_EQ(r.stats.rows_scanned, 8);
 }
 
 TEST_F(PlannerTest, LeftOuterPaddedSidePredicatesKeepTheirColumns) {

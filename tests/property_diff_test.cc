@@ -146,73 +146,6 @@ TEST(PropertyDiffTest, ParallelSweepRowIdenticalToSerialForEveryStrategy) {
   }
 }
 
-// Batch differential sweep (the ISSUE 9 acceptance gate): the same 240
-// seeded queries, every strategy (NI+C included), in vectorized batch mode
-// (batch_size 1024, plus a deliberately awkward 7 that forces tail batches
-// everywhere) at dop {1, 4} — multiset-identical, fallback off. The
-// baseline is the strategy's own tuple-mode (batch_size 0) serial run, so
-// the comparison isolates exactly what the batch engine changes (nothing
-// observable, if it is correct): fused scan/filter/project, the vectorized
-// expression evaluator, the row→batch shim, and the batch adapters on the
-// hash-join probe and aggregate update all sit between these two runs.
-TEST(PropertyDiffTest, BatchSweepRowIdenticalToTupleForEveryStrategy) {
-  constexpr uint64_t kDatabases = 8;
-  constexpr int kQueriesPerDatabase = 30;  // 240 total, same seeds as above
-  static const Strategy kStrategies[] = {
-      Strategy::kNestedIteration, Strategy::kNestedIterationCached,
-      Strategy::kKim,             Strategy::kDayal,
-      Strategy::kGanskiWong,      Strategy::kMagic,
-      Strategy::kOptMagic};
-  struct Variant {
-    int batch_size;
-    int dop;
-  };
-  static const Variant kVariants[] = {{1024, 1}, {1024, 4}, {7, 1}};
-  int queries_run = 0;
-  std::map<Strategy, int> compared;
-
-  for (uint64_t seed = 1; seed <= kDatabases; ++seed) {
-    Database db(MakeNullHeavyCatalog(seed));
-    Rng rng(seed * 7919);  // identical stream -> identical query text
-    DiffQueryGen gen(&rng);
-    for (int q = 0; q < kQueriesPerDatabase; ++q) {
-      const std::string sql = gen.RandomQuery();
-      ++queries_run;
-      for (Strategy s : kStrategies) {
-        QueryOptions tuple;
-        tuple.strategy = s;
-        tuple.fallback = false;  // a declined rewrite must say so loudly
-        tuple.batch_size = 0;
-        auto base = db.Execute(sql, tuple);
-        if (base.status().code() == StatusCode::kNotImplemented) continue;
-        ASSERT_TRUE(base.ok())
-            << StrategyName(s) << " tuple-mode failed (seed " << seed << " q"
-            << q << "): " << base.status().ToString() << "\n" << sql;
-        const std::vector<std::string> tuple_rows = Canon(*base);
-        for (const Variant& v : kVariants) {
-          QueryOptions batched = tuple;
-          batched.batch_size = v.batch_size;
-          batched.dop = v.dop;
-          auto result = db.Execute(sql, batched);
-          ASSERT_TRUE(result.ok())
-              << StrategyName(s) << " batch=" << v.batch_size
-              << " dop=" << v.dop << " failed (seed " << seed << " q" << q
-              << "): " << result.status().ToString() << "\n" << sql;
-          ++compared[s];
-          EXPECT_EQ(Canon(*result), tuple_rows)
-              << StrategyName(s) << " batch=" << v.batch_size
-              << " dop=" << v.dop << " diverged (seed " << seed << " q" << q
-              << ")\n" << sql;
-        }
-      }
-    }
-  }
-  EXPECT_GE(queries_run, 200);
-  for (Strategy s : kStrategies) {
-    EXPECT_GT(compared[s], 0) << StrategyName(s) << " never ran batched";
-  }
-}
-
 // Cache differential sweep: the same 240 seeded queries, every strategy
 // (NI+C included), with subquery memoization on vs off at dop {1, 4} —
 // multiset-identical, fallback off. The baseline is the strategy's own
