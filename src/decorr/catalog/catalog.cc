@@ -62,6 +62,26 @@ const CatalogEntry* Catalog::FindEntry(const std::string& name) const {
   return it == tables_.end() ? nullptr : &it->second;
 }
 
+Status Catalog::AppendRows(const std::string& table,
+                           const std::vector<Row>& rows) {
+  auto it = tables_.find(ToLower(table));
+  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
+  CatalogEntry& entry = it->second;
+  const uint64_t version = entry.table->version();
+  Status st;
+  for (const Row& row : rows) {
+    st = entry.table->AppendRow(row);
+    if (!st.ok()) break;
+  }
+  if (entry.table->version() != version) {
+    for (auto& [name, index] : entry.indexes) {
+      (void)name;
+      index = std::make_shared<HashIndex>(*entry.table, index->key_columns());
+    }
+  }
+  return st;
+}
+
 Status Catalog::CreateIndex(const std::string& table,
                             const std::string& index_name,
                             const std::vector<std::string>& column_names) {

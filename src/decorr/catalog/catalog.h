@@ -51,6 +51,13 @@ class Catalog {
   Result<TablePtr> GetTable(const std::string& name) const;
   const CatalogEntry* FindEntry(const std::string& name) const;
 
+  // Appends `rows` to `table` — the one append path, which Database::Insert
+  // and ImportCsv share — then rebuilds every index of the table, also when
+  // an append fails partway, so each index covers exactly the rows the
+  // table holds. Each rebuilt index replaces the entry's old one; a plan
+  // already holding the old index keeps it. Returns the first append error.
+  Status AppendRows(const std::string& table, const std::vector<Row>& rows);
+
   // Builds a hash index named `index_name` on `table`(`column_names`).
   Status CreateIndex(const std::string& table, const std::string& index_name,
                      const std::vector<std::string>& column_names);

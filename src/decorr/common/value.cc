@@ -62,10 +62,10 @@ int Value::Compare(const Value& other) const {
       const int b = other.i64_ != 0;
       return a - b;
     }
-    case TypeId::kString:
-      return str_.compare(other.str_) < 0   ? -1
-             : str_.compare(other.str_) > 0 ? 1
-                                            : 0;
+    case TypeId::kString: {
+      const int c = str_.compare(other.str_);
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
     default:
       return 0;
   }

@@ -46,8 +46,14 @@ class Value {
   // to comparing type ids; the binder prevents such comparisons in queries.
   int Compare(const Value& other) const;
 
-  // Value equality under the total order (NULL == NULL is true).
-  bool Equals(const Value& other) const { return Compare(other) == 0; }
+  // Value equality under the total order (NULL == NULL is true). Two
+  // INT64s, the common hash-key case, skip the general comparison.
+  bool Equals(const Value& other) const {
+    if (type_ == TypeId::kInt64 && other.type_ == TypeId::kInt64) {
+      return i64_ == other.i64_;
+    }
+    return Compare(other) == 0;
+  }
 
   // Hash consistent with Equals (INT64 4 and DOUBLE 4.0 hash identically).
   size_t Hash() const;

@@ -11,7 +11,8 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child,
                                  std::vector<AggSpec> aggs)
     : child_(std::move(child)),
       group_keys_(std::move(group_keys)),
-      aggs_(std::move(aggs)) {}
+      aggs_(std::move(aggs)),
+      groups_(group_keys_.size()) {}
 
 void HashAggregateOp::AccumulateValue(const AggSpec& spec, const Value& v,
                                       AggState* state) {
@@ -83,9 +84,11 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
   result_rows_.clear();
   charged_bytes_ = 0;
   cursor_ = 0;
-  group_index_.clear();
-  build_keys_.clear();
+  groups_.Clear();
   build_states_.clear();
+  // A new group charges ApproxRowBytes(key_): keep its capacity at the key
+  // width, as a freshly built key row had.
+  key_.reserve(group_keys_.size());
   ResetSpillState();
 
   DECORR_RETURN_IF_ERROR(child_->Open(ctx));
@@ -102,14 +105,14 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
     EvalContext ectx;
     ectx.row = &in;
     ectx.params = ctx->params;
-    Row key;
-    key.reserve(group_keys_.size());
-    for (const ExprPtr& expr : group_keys_) key.push_back(Eval(*expr, ectx));
-    auto [it, inserted] = group_index_.try_emplace(key, build_keys_.size());
-    if (inserted) {
+    key_.clear();
+    for (const ExprPtr& expr : group_keys_) key_.push_back(Eval(*expr, ectx));
+    const size_t hash = KeyTable::Hash(key_.data(), key_.size());
+    uint32_t id = groups_.Find(key_.data(), hash);
+    if (id == KeyTable::kNotFound) {
       if (ctx->guard) {
         const int64_t bytes =
-            ApproxRowBytes(key) +
+            ApproxRowBytes(key_) +
             static_cast<int64_t>(aggs_.size() * sizeof(AggState));
         if (ctx->temp != nullptr) {
           // Hybrid aggregation: when a new group would exceed the budget,
@@ -125,9 +128,6 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
             charged_bytes_ += bytes;
             if (spilled) st = ctx->guard->ChargeMemory(bytes);
           }
-          // The flush cleared the index `it` pointed into: slot the key
-          // into the fresh table.
-          if (spilled) it = group_index_.try_emplace(key, 0).first;
         } else {
           charged_bytes_ += bytes;
           st = ctx->guard->ChargeRows(1);
@@ -139,11 +139,11 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
         }
       }
       ++metrics_.build_rows;
-      it->second = build_keys_.size();
-      build_keys_.push_back(std::move(key));
+      // After a flush the key opens the fresh table's first group.
+      id = groups_.Append(key_.data(), hash);
       build_states_.emplace_back(aggs_.size());
     }
-    Accumulate(in, &build_states_[it->second]);
+    Accumulate(in, &build_states_[id]);
   }
   child_->Close();
 
@@ -161,23 +161,30 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
   }
 
   // Scalar aggregation produces exactly one (possibly empty-input) group.
-  if (group_keys_.empty() && build_keys_.empty()) {
-    build_keys_.emplace_back();
+  if (group_keys_.empty() && build_states_.empty()) {
     build_states_.emplace_back(aggs_.size());
   }
+  EmitGroups();
+  metrics_.bytes_charged += charged_bytes_;
+  return Status::OK();
+}
 
-  for (size_t g = 0; g < build_keys_.size(); ++g) {
-    Row out = build_keys_[g];
+void HashAggregateOp::EmitGroups() {
+  const size_t nk = group_keys_.size();
+  for (size_t g = 0; g < build_states_.size(); ++g) {
+    Row out;
+    out.reserve(nk + aggs_.size());
+    if (nk > 0) {
+      const Value* key = groups_.key(static_cast<uint32_t>(g));
+      out.insert(out.end(), key, key + nk);
+    }
     for (size_t i = 0; i < aggs_.size(); ++i) {
       out.push_back(Finalize(aggs_[i], build_states_[g][i]));
     }
     result_rows_.push_back(std::move(out));
   }
-  group_index_.clear();
-  build_keys_.clear();
+  groups_.Clear();
   build_states_.clear();
-  metrics_.bytes_charged += charged_bytes_;
-  return Status::OK();
 }
 
 Status HashAggregateOp::NextImpl(Row* out, bool* eof) {
@@ -200,8 +207,7 @@ Status HashAggregateOp::NextImpl(Row* out, bool* eof) {
 
 void HashAggregateOp::CloseImpl() {
   result_rows_.clear();
-  group_index_.clear();
-  build_keys_.clear();
+  groups_.Clear();
   build_states_.clear();
   if (ctx_ != nullptr && ctx_->guard != nullptr) {
     ctx_->guard->ReleaseMemory(charged_bytes_ + part_charged_);
@@ -311,14 +317,13 @@ Status HashAggregateOp::FlushGroups() {
   }
   ++metrics_.spill_passes;
   if (ctx_->stats != nullptr) ++ctx_->stats->spill_passes;
-  for (size_t g = 0; g < build_keys_.size(); ++g) {
-    const Row rec = EncodePartial(build_keys_[g], build_states_[g]);
-    const size_t idx =
-        SpillPartitionHash(build_keys_[g], /*depth=*/0) % kSpillFanout;
+  for (uint32_t g = 0; g < build_states_.size(); ++g) {
+    const Row key = groups_.KeyRow(g);
+    const Row rec = EncodePartial(key, build_states_[g]);
+    const size_t idx = SpillPartitionHash(key, /*depth=*/0) % kSpillFanout;
     DECORR_RETURN_IF_ERROR(spill_out_[idx].out.writer->WriteRow(rec));
   }
-  group_index_.clear();
-  build_keys_.clear();
+  groups_.Clear();
   build_states_.clear();
   if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(charged_bytes_);
   metrics_.bytes_charged += charged_bytes_;
@@ -329,8 +334,7 @@ Status HashAggregateOp::FlushGroups() {
 Status HashAggregateOp::LoadNextAggPartition() {
   if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(part_charged_);
   part_charged_ = 0;
-  group_index_.clear();
-  build_keys_.clear();
+  groups_.Clear();
   build_states_.clear();
 
   SpillPart part = std::move(spill_work_.back());
@@ -346,12 +350,16 @@ Status HashAggregateOp::LoadNextAggPartition() {
     if (rec.size() < nk) {
       return Status::IoError("spill partial-aggregate record malformed");
     }
-    Row key(rec.begin(), rec.begin() + static_cast<ptrdiff_t>(nk));
-    auto [it, inserted] = group_index_.try_emplace(key, build_keys_.size());
-    if (inserted) {
+    // Records are key ++ partial states: look the key up in place.
+    const size_t hash = KeyTable::Hash(rec.data(), nk);
+    uint32_t id = groups_.Find(rec.data(), hash);
+    if (id == KeyTable::kNotFound) {
       if (ctx_->guard != nullptr) {
+        key_.clear();
+        key_.insert(key_.end(), rec.begin(),
+                    rec.begin() + static_cast<ptrdiff_t>(nk));
         const int64_t bytes =
-            ApproxRowBytes(key) +
+            ApproxRowBytes(key_) +
             static_cast<int64_t>(aggs_.size() * sizeof(AggState));
         bool spilled = false;
         Status st = ctx_->guard->ChargeMemoryOrSpill(
@@ -364,30 +372,20 @@ Status HashAggregateOp::LoadNextAggPartition() {
         }
         part_charged_ += bytes;
       }
-      build_keys_.push_back(std::move(key));
+      id = groups_.Append(rec.data(), hash);
       build_states_.emplace_back(aggs_.size());
     }
-    DECORR_RETURN_IF_ERROR(MergePartialInto(rec, &build_states_[it->second]));
+    DECORR_RETURN_IF_ERROR(MergePartialInto(rec, &build_states_[id]));
   }
   AddSpillRead(reader.bytes_read());
   if (repartitioned) {
-    group_index_.clear();
-    build_keys_.clear();
+    groups_.Clear();
     build_states_.clear();
     if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(part_charged_);
     part_charged_ = 0;
     return Status::OK();  // result_rows_ stays empty; NextImpl loops
   }
-  for (size_t g = 0; g < build_keys_.size(); ++g) {
-    Row out = build_keys_[g];
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      out.push_back(Finalize(aggs_[i], build_states_[g][i]));
-    }
-    result_rows_.push_back(std::move(out));
-  }
-  group_index_.clear();
-  build_keys_.clear();
-  build_states_.clear();
+  EmitGroups();
   return Status::OK();
 }
 
@@ -417,9 +415,9 @@ Status HashAggregateOp::RepartitionAgg(SpillPart* part, SpillReader* reader,
   };
   // Groups merged so far, the record whose charge tripped, then the unread
   // remainder of the partition file.
-  for (size_t g = 0; g < build_keys_.size(); ++g) {
+  for (uint32_t g = 0; g < build_states_.size(); ++g) {
     DECORR_RETURN_IF_ERROR(
-        write_rec(EncodePartial(build_keys_[g], build_states_[g])));
+        write_rec(EncodePartial(groups_.KeyRow(g), build_states_[g])));
   }
   DECORR_RETURN_IF_ERROR(write_rec(cur_rec));
   while (true) {
@@ -463,15 +461,26 @@ std::string HashAggregateOp::ToString(int indent) const {
   return out + "]\n" + child_->ToString(indent + 1);
 }
 
-DistinctOp::DistinctOp(OperatorPtr child) : child_(std::move(child)) {}
+DistinctOp::DistinctOp(OperatorPtr child)
+    : child_(std::move(child)), seen_(child_->output_width()) {}
 
 Status DistinctOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.distinct.open");
   ctx_ = ctx;
-  seen_.clear();
+  seen_.Clear();
   charged_bytes_ = 0;
   ResetSpillState();
   return child_->Open(ctx);
+}
+
+Status DistinctOp::See(const Row& row, bool* first) {
+  if (row.size() != seen_.width()) {
+    return Status::Internal(StrFormat("Distinct: %zu-column row from a "
+                                      "%zu-column input",
+                                      row.size(), seen_.width()));
+  }
+  seen_.Insert(row, first);
+  return Status::OK();
 }
 
 Status DistinctOp::NextImpl(Row* out, bool* eof) {
@@ -507,7 +516,9 @@ Status DistinctOp::NextImpl(Row* out, bool* eof) {
       DECORR_RETURN_IF_ERROR(spill_out_[idx].pending.writer->WriteRow(row));
       continue;
     }
-    if (!seen_.insert(row).second) continue;
+    bool first = false;
+    DECORR_RETURN_IF_ERROR(See(row, &first));
+    if (!first) continue;
     ++metrics_.build_rows;
     if (ctx_->guard) {
       const int64_t bytes = ApproxRowBytes(row);
@@ -542,12 +553,14 @@ Status DistinctOp::NextImpl(Row* out, bool* eof) {
         AddSpillRead(pending_reader_->bytes_read());
         pending_reader_.reset();
         current_part_ = SpillPart{};  // unlinks the partition's files
-        seen_.clear();
+        seen_.Clear();
         if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(part_charged_);
         part_charged_ = 0;
         continue;
       }
-      if (!seen_.insert(row).second) continue;
+      bool first = false;
+      DECORR_RETURN_IF_ERROR(See(row, &first));
+      if (!first) continue;
       ++metrics_.build_rows;
       if (ctx_->guard) {
         const int64_t bytes = ApproxRowBytes(row);
@@ -567,7 +580,7 @@ Status DistinctOp::NextImpl(Row* out, bool* eof) {
           AddSpillRead(pending_reader_->bytes_read());
           pending_reader_.reset();
           current_part_ = SpillPart{};
-          seen_.clear();
+          seen_.Clear();
           ctx_->guard->ReleaseMemory(part_charged_);
           part_charged_ = 0;
           *out = std::move(row);
@@ -591,7 +604,7 @@ Status DistinctOp::NextImpl(Row* out, bool* eof) {
 
 void DistinctOp::CloseImpl() {
   child_->Close();
-  seen_.clear();
+  seen_.Clear();
   if (ctx_ != nullptr && ctx_->guard != nullptr) {
     ctx_->guard->ReleaseMemory(charged_bytes_ + part_charged_);
   }
@@ -616,11 +629,12 @@ Status DistinctOp::BeginSpillDistinct() {
   spilling_ = true;
   // Everything in seen_ has been emitted already (including the row whose
   // charge tripped) — record that fact in the partition seen files.
-  for (const Row& row : seen_) {
+  for (uint32_t id = 0; id < seen_.size(); ++id) {
+    const Row row = seen_.KeyRow(id);
     const size_t idx = SpillPartitionHash(row, /*depth=*/0) % kSpillFanout;
     DECORR_RETURN_IF_ERROR(spill_out_[idx].seen.writer->WriteRow(row));
   }
-  seen_.clear();
+  seen_.Clear();
   if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(charged_bytes_);
   charged_bytes_ = 0;
   metrics_.spill_partitions += kSpillFanout;
@@ -633,7 +647,7 @@ Status DistinctOp::BeginSpillDistinct() {
 }
 
 Status DistinctOp::LoadNextDistinctPartition() {
-  seen_.clear();
+  seen_.Clear();
   SpillPart part = std::move(spill_work_.back());
   spill_work_.pop_back();
   SpillReader seen_reader(part.seen.file.get());
@@ -643,7 +657,9 @@ Status DistinctOp::LoadNextDistinctPartition() {
     bool reof = false;
     DECORR_RETURN_IF_ERROR(seen_reader.ReadRow(&row, &reof));
     if (reof) break;
-    if (!seen_.insert(row).second) continue;
+    bool first = false;
+    DECORR_RETURN_IF_ERROR(See(row, &first));
+    if (!first) continue;
     if (ctx_->guard != nullptr) {
       // No row charge: seen rows were charged when first emitted.
       const int64_t bytes = ApproxRowBytes(row);
@@ -661,7 +677,7 @@ Status DistinctOp::LoadNextDistinctPartition() {
   }
   AddSpillRead(seen_reader.bytes_read());
   if (repartitioned) {
-    seen_.clear();
+    seen_.Clear();
     if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(part_charged_);
     part_charged_ = 0;
     return Status::OK();  // parent partition unlinked as `part` goes out
@@ -705,7 +721,9 @@ Status DistinctOp::RepartitionDistinct(SpillPart* part,
   };
   // The in-memory seen set (which already contains the row whose charge
   // tripped), then whatever part of the parent's files is still unread.
-  for (const Row& row : seen_) DECORR_RETURN_IF_ERROR(write_seen(row));
+  for (uint32_t id = 0; id < seen_.size(); ++id) {
+    DECORR_RETURN_IF_ERROR(write_seen(seen_.KeyRow(id)));
+  }
   if (seen_rest != nullptr) {
     while (true) {
       Row row;

@@ -4,10 +4,9 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "decorr/common/key_table.h"
 #include "decorr/exec/operator.h"
 #include "decorr/expr/expr.h"
 #include "decorr/storage/temp_file.h"
@@ -63,6 +62,9 @@ class HashAggregateOp : public Operator {
   static void AccumulateValue(const AggSpec& spec, const Value& v,
                               AggState* state);
   Value Finalize(const AggSpec& spec, const AggState& state) const;
+  // Appends one output row per group (in first-occurrence order) to
+  // result_rows_, then empties the group table.
+  void EmitGroups();
 
   OperatorPtr child_;
   std::vector<ExprPtr> group_keys_;
@@ -73,11 +75,12 @@ class HashAggregateOp : public Operator {
   int64_t charged_bytes_ = 0;  // group-state memory charged to the guard
   size_t cursor_ = 0;
 
-  // In-memory group table. Promoted from OpenImpl locals so the spill path
-  // can flush it wholesale; also reused as the per-partition merge table.
-  std::unordered_map<Row, size_t, RowHash, RowEq> group_index_;
-  std::vector<Row> build_keys_;
+  // In-memory group table: group id -> key in groups_, states in
+  // build_states_. Promoted from OpenImpl locals so the spill path can
+  // flush it wholesale; also reused as the per-partition merge table.
+  KeyTable groups_;
   std::vector<std::vector<AggState>> build_states_;
+  Row key_;  // scratch: the current input row's group key
 
   // --- Grace spill state (see DESIGN.md §12). Records are partial-state
   // rows: group key values, then per aggregate either the mergeable partials
@@ -123,8 +126,11 @@ class DistinctOp : public Operator {
  private:
   OperatorPtr child_;
   ExecContext* ctx_ = nullptr;
-  std::unordered_set<Row, RowHash, RowEq> seen_;
+  KeyTable seen_;  // keys are whole rows
   int64_t charged_bytes_ = 0;
+
+  // Inserts `row` into seen_; *first is true when it was not there yet.
+  Status See(const Row& row, bool* first);
 
   // --- Grace spill state. Each partition keeps two files: "seen" (rows
   // already emitted — loaded first to suppress re-emission) and "pending"

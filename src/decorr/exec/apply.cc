@@ -261,12 +261,14 @@ GroupProbeApplyOp::GroupProbeApplyOp(OperatorPtr input, OperatorPtr inner,
       inner_(std::move(inner)),
       inner_key_cols_(std::move(inner_key_cols)),
       probe_keys_(std::move(probe_keys)),
-      semantics_(std::move(semantics)) {}
+      semantics_(std::move(semantics)),
+      groups_(inner_key_cols_.size()) {}
 
 Status GroupProbeApplyOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.groupprobe.build");
   ctx_ = ctx;
-  groups_.clear();
+  groups_.Clear();
+  group_rows_.clear();
   charged_bytes_ = 0;
   DECORR_ASSIGN_OR_RETURN(
       std::vector<Row> rows,
@@ -274,15 +276,17 @@ Status GroupProbeApplyOp::OpenImpl(ExecContext* ctx) {
   metrics_.build_rows += static_cast<int64_t>(rows.size());
   metrics_.bytes_charged += charged_bytes_;
   for (Row& row : rows) {
-    Row key;
-    key.reserve(inner_key_cols_.size());
+    key_.clear();
     bool null_key = false;
     for (int c : inner_key_cols_) {
       if (row[c].is_null()) null_key = true;
-      key.push_back(row[c]);
+      key_.push_back(row[c]);
     }
     if (null_key) continue;  // equality bindings never match NULL
-    groups_[std::move(key)].push_back(std::move(row));
+    bool inserted = false;
+    const uint32_t id = groups_.Insert(key_, &inserted);
+    if (inserted) group_rows_.emplace_back();
+    group_rows_[id].push_back(std::move(row));
   }
   return input_->Open(ctx);
 }
@@ -297,24 +301,24 @@ Status GroupProbeApplyOp::NextImpl(Row* out, bool* eof) {
   EvalContext ectx;
   ectx.row = &in;
   ectx.params = ctx_->params;
-  Row key;
-  key.reserve(probe_keys_.size());
+  key_.clear();
   bool null_key = false;
   for (const ExprPtr& expr : probe_keys_) {
-    Value v = Eval(*expr, ectx);
-    if (v.is_null()) null_key = true;
-    key.push_back(std::move(v));
+    key_.push_back(Eval(*expr, ectx));
+    if (key_.back().is_null()) null_key = true;
   }
   // Probing the hashed inner relation is an "index on a temporary
   // relation" (Section 4.4), so it counts as an index lookup — not as a
   // subquery invocation (the whole point of decorrelation is that the inner
   // plan ran exactly once).
+  uint32_t id = KeyTable::kNotFound;
   if (!null_key) {
     ++ctx_->stats->index_lookups;
     ++metrics_.index_probes;
+    id = groups_.Find(key_);
   }
-  auto it = null_key ? groups_.end() : groups_.find(key);
-  const std::vector<Row>& rows = it == groups_.end() ? kEmpty : it->second;
+  const std::vector<Row>& rows =
+      id == KeyTable::kNotFound ? kEmpty : group_rows_[id];
 
   Value lhs;
   if (semantics_.lhs) lhs = Eval(*semantics_.lhs, ectx);
@@ -329,7 +333,8 @@ Status GroupProbeApplyOp::NextImpl(Row* out, bool* eof) {
 
 void GroupProbeApplyOp::CloseImpl() {
   input_->Close();
-  groups_.clear();
+  groups_.Clear();
+  group_rows_.clear();
   if (ctx_ != nullptr && ctx_->guard != nullptr) {
     ctx_->guard->ReleaseMemory(charged_bytes_);
   }
@@ -373,8 +378,10 @@ Status LateralJoinOp::NextImpl(Row* out, bool* eof) {
   while (true) {
     DECORR_RETURN_IF_ERROR(ctx_->Check());
     if (inner_rows_ != nullptr && inner_cursor_ < inner_rows_->size()) {
-      *out = current_input_;
       const Row& inner_row = (*inner_rows_)[inner_cursor_++];
+      out->clear();
+      out->reserve(current_input_.size() + inner_row.size());
+      out->insert(out->end(), current_input_.begin(), current_input_.end());
       out->insert(out->end(), inner_row.begin(), inner_row.end());
       *eof = false;
       return Status::OK();

@@ -13,9 +13,9 @@
 #define DECORR_EXEC_APPLY_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "decorr/common/key_table.h"
 #include "decorr/exec/operator.h"
 #include "decorr/exec/subquery_cache.h"
 #include "decorr/expr/expr.h"
@@ -131,7 +131,11 @@ class GroupProbeApplyOp : public Operator {
   std::vector<ExprPtr> probe_keys_;
   SubqueryPlan semantics_;  // plan member unused; mode/lhs/op/negated apply
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> groups_;
+  // The hashed inner relation: group_rows_[id] holds, in inner order, the
+  // rows whose binding columns equal key id `id` of `groups_`.
+  KeyTable groups_;
+  std::vector<std::vector<Row>> group_rows_;
+  Row key_;  // scratch: a binding key (build) or probe key
   int64_t charged_bytes_ = 0;  // materialized inner-table memory
 };
 

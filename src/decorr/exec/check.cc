@@ -9,12 +9,14 @@ namespace decorr {
 
 UniquenessCheckOp::UniquenessCheckOp(OperatorPtr child,
                                      std::vector<int> key_cols)
-    : child_(std::move(child)), key_cols_(std::move(key_cols)) {}
+    : child_(std::move(child)),
+      key_cols_(std::move(key_cols)),
+      seen_(key_cols_.size()) {}
 
 Status UniquenessCheckOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.uniqcheck");
   ctx_ = ctx;
-  seen_.clear();
+  seen_.Clear();
   charged_bytes_ = 0;
   return child_->Open(ctx);
 }
@@ -23,8 +25,7 @@ Status UniquenessCheckOp::NextImpl(Row* out, bool* eof) {
   DECORR_RETURN_IF_ERROR(child_->Next(out, eof));
   if (*eof) return Status::OK();
   DECORR_RETURN_IF_ERROR(ctx_->Check());
-  Row key;
-  key.reserve(key_cols_.size());
+  key_.clear();
   for (int col : key_cols_) {
     if (col < 0 || col >= static_cast<int>(out->size())) {
       return Status::Internal(
@@ -32,9 +33,11 @@ Status UniquenessCheckOp::NextImpl(Row* out, bool* eof) {
                     "%zu-column row",
                     col, out->size()));
     }
-    key.push_back((*out)[col]);
+    key_.push_back((*out)[col]);
   }
-  if (!seen_.insert(std::move(key)).second) {
+  bool inserted = false;
+  seen_.Insert(key_, &inserted);
+  if (!inserted) {
     std::string cols;
     for (size_t i = 0; i < key_cols_.size(); ++i) {
       if (i > 0) cols += ",";
@@ -57,7 +60,7 @@ Status UniquenessCheckOp::NextImpl(Row* out, bool* eof) {
 
 void UniquenessCheckOp::CloseImpl() {
   child_->Close();
-  seen_.clear();
+  seen_.Clear();
   if (ctx_ != nullptr && ctx_->guard != nullptr) {
     ctx_->guard->ReleaseMemory(charged_bytes_);
   }

@@ -2,9 +2,9 @@
 #ifndef DECORR_EXEC_CHECK_H_
 #define DECORR_EXEC_CHECK_H_
 
-#include <unordered_set>
 #include <vector>
 
+#include "decorr/common/key_table.h"
 #include "decorr/exec/operator.h"
 
 namespace decorr {
@@ -35,7 +35,8 @@ class UniquenessCheckOp : public Operator {
   OperatorPtr child_;
   std::vector<int> key_cols_;
   ExecContext* ctx_ = nullptr;
-  std::unordered_set<Row, RowHash, RowEq> seen_;
+  KeyTable seen_;
+  Row key_;  // scratch: the current row's key
   int64_t charged_bytes_ = 0;
 };
 

@@ -8,10 +8,11 @@ namespace decorr {
 
 namespace {
 
-// Evaluates key expressions over `row`; returns false if any key is NULL
-// (SQL equality join keys never match NULL). Positions flagged in
-// `null_safe` (empty = none) keep their NULL as a key value instead —
-// RowHash/RowEq group NULLs together, giving IS NOT DISTINCT FROM matches.
+// Evaluates key expressions over `row` into *out (a scratch row reused
+// across calls); returns false if any key is NULL (SQL equality join keys
+// never match NULL). Positions flagged in `null_safe` (empty = none) keep
+// their NULL as a key value instead — the KeyTable groups NULLs together,
+// giving IS NOT DISTINCT FROM matches.
 bool EvalKeys(const std::vector<ExprPtr>& exprs, const Row& row,
               const Row* params, const std::vector<bool>& null_safe,
               Row* out) {
@@ -21,15 +22,29 @@ bool EvalKeys(const std::vector<ExprPtr>& exprs, const Row& row,
   out->clear();
   out->reserve(exprs.size());
   for (size_t i = 0; i < exprs.size(); ++i) {
-    Value v = Eval(*exprs[i], ectx);
-    if (v.is_null() && (null_safe.empty() || !null_safe[i])) return false;
-    out->push_back(std::move(v));
+    out->push_back(Eval(*exprs[i], ectx));
+    if (out->back().is_null() && (null_safe.empty() || !null_safe[i])) {
+      return false;
+    }
   }
   return true;
 }
 
-void AppendNullPadding(Row* row, int width) {
-  for (int i = 0; i < width; ++i) row->push_back(Value::Null());
+// Join output rows are written straight into the caller's row at their
+// final width: one allocation at most, none when the caller reuses a row.
+void Concat(const Row& left, const Row& right, Row* out) {
+  out->clear();
+  out->reserve(left.size() + right.size());
+  out->insert(out->end(), left.begin(), left.end());
+  out->insert(out->end(), right.begin(), right.end());
+}
+
+// left ++ `width` NULLs (LOJ padding).
+void PadRight(const Row& left, int width, Row* out) {
+  out->clear();
+  out->reserve(left.size() + width);
+  out->insert(out->end(), left.begin(), left.end());
+  out->resize(left.size() + width);
 }
 
 }  // namespace
@@ -46,14 +61,15 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
       right_keys_(std::move(right_keys)),
       residual_(std::move(residual)),
       join_type_(join_type),
-      null_safe_keys_(std::move(null_safe_keys)) {}
+      null_safe_keys_(std::move(null_safe_keys)),
+      table_(right_keys_.size()) {}
 
 Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.hashjoin.build");
   ctx_ = ctx;
-  table_.clear();
+  ClearBuild();
   charged_bytes_ = 0;
-  matches_ = nullptr;
+  probing_ = false;
   left_eof_ = false;
   ResetSpillState();
 
@@ -69,17 +85,16 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
       return st;
     }
     if (eof) break;
-    Row key;
-    if (!EvalKeys(right_keys_, row, ctx->params, null_safe_keys_, &key)) {
+    if (!EvalKeys(right_keys_, row, ctx->params, null_safe_keys_, &key_)) {
       continue;
     }
     if (ctx->guard) {
-      const int64_t bytes = ApproxRowBytes(row) + ApproxRowBytes(key);
+      const int64_t bytes = ApproxRowBytes(row) + ApproxRowBytes(key_);
       if (spilling_) {
         // Already partitioned to disk: route the row there, no memory
         // charge (rows are still charged — disk materialization is work).
         st = ctx->guard->ChargeRows(1);
-        if (st.ok()) st = WriteBuildRecord(key, row);
+        if (st.ok()) st = WriteBuildRecord(key_, row);
         if (!st.ok()) {
           right_->Close();
           return st;
@@ -94,7 +109,7 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
           st = ctx->guard->ChargeMemoryOrSpill(
               bytes, [this] { return BeginSpillBuild(); }, &spilled);
         }
-        if (st.ok() && spilled) st = WriteBuildRecord(key, row);
+        if (st.ok() && spilled) st = WriteBuildRecord(key_, row);
         if (!st.ok()) {
           right_->Close();
           return st;
@@ -115,12 +130,66 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
       }
     }
     ++metrics_.build_rows;
-    table_[std::move(key)].push_back(std::move(row));
+    AddBuildRow(std::move(row));
   }
   right_->Close();
   metrics_.bytes_charged += charged_bytes_;
   if (spilling_) return SpillProbeSide(ctx);
   return left_->Open(ctx);
+}
+
+void HashJoinOp::ClearBuild() {
+  table_.Clear();
+  build_rows_.clear();
+  row_next_.clear();
+  key_first_.clear();
+  key_last_.clear();
+}
+
+void HashJoinOp::AddBuildRow(Row row) {
+  bool inserted = false;
+  const uint32_t id = table_.Insert(key_, &inserted);
+  const uint32_t r = static_cast<uint32_t>(build_rows_.size());
+  build_rows_.push_back(std::move(row));
+  row_next_.push_back(kNoRow);
+  if (inserted) {
+    key_first_.push_back(r);
+    key_last_.push_back(r);
+  } else {
+    row_next_[key_last_[id]] = r;
+    key_last_[id] = r;
+  }
+}
+
+void HashJoinOp::StartProbe(const Value* key) {
+  probing_ = true;
+  emitted_match_ = false;
+  match_ = kNoRow;
+  if (key == nullptr) return;
+  const uint32_t id = table_.Find(key, KeyTable::Hash(key, table_.width()));
+  if (id != KeyTable::kNotFound) match_ = key_first_[id];
+}
+
+bool HashJoinOp::NextMatch(Row* out) {
+  while (match_ != kNoRow) {
+    const Row& right_row = build_rows_[match_];
+    match_ = row_next_[match_];
+    Concat(current_left_, right_row, out);
+    if (residual_) {
+      EvalContext ectx;
+      ectx.row = out;
+      ectx.params = ctx_->params;
+      if (!EvalPredicate(*residual_, ectx)) continue;
+    }
+    emitted_match_ = true;
+    return true;
+  }
+  probing_ = false;
+  if (join_type_ == JoinType::kLeftOuter && !emitted_match_) {
+    PadRight(current_left_, right_->output_width(), out);
+    return true;
+  }
+  return false;
 }
 
 void HashJoinOp::AddSpillWritten(int64_t bytes) {
@@ -150,9 +219,7 @@ void HashJoinOp::ResetSpillState() {
 
 Status HashJoinOp::WriteBuildRecord(const Row& key, const Row& row) {
   Row rec;
-  rec.reserve(key.size() + row.size());
-  rec.insert(rec.end(), key.begin(), key.end());
-  rec.insert(rec.end(), row.begin(), row.end());
+  Concat(key, row, &rec);
   const size_t idx =
       SpillPartitionHash(key, /*depth=*/0) % spill_out_.size();
   return spill_out_[idx].build.writer->WriteRow(rec);
@@ -173,12 +240,13 @@ Status HashJoinOp::BeginSpillBuild() {
     spill_out_[i].depth = 0;
   }
   spilling_ = true;
-  for (const auto& [key, rows] : table_) {
-    for (const Row& r : rows) {
-      DECORR_RETURN_IF_ERROR(WriteBuildRecord(key, r));
+  for (uint32_t k = 0; k < table_.size(); ++k) {
+    const Row key = table_.KeyRow(k);
+    for (uint32_t r = key_first_[k]; r != kNoRow; r = row_next_[r]) {
+      DECORR_RETURN_IF_ERROR(WriteBuildRecord(key, build_rows_[r]));
     }
   }
-  table_.clear();
+  ClearBuild();
   if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(charged_bytes_);
   metrics_.bytes_charged += charged_bytes_;
   charged_bytes_ = 0;
@@ -220,8 +288,7 @@ Status HashJoinOp::SpillProbeSide(ExecContext* ctx) {
       return st;
     }
     if (eof) break;
-    Row key;
-    if (!EvalKeys(left_keys_, row, ctx->params, null_safe_keys_, &key)) {
+    if (!EvalKeys(left_keys_, row, ctx->params, null_safe_keys_, &key_)) {
       if (join_type_ == JoinType::kLeftOuter) {
         st = loj_null_.writer->WriteRow(row);
         if (!st.ok()) {
@@ -232,10 +299,8 @@ Status HashJoinOp::SpillProbeSide(ExecContext* ctx) {
       continue;
     }
     Row rec;
-    rec.reserve(key.size() + row.size());
-    rec.insert(rec.end(), key.begin(), key.end());
-    rec.insert(rec.end(), row.begin(), row.end());
-    const size_t idx = SpillPartitionHash(key, /*depth=*/0) % kSpillFanout;
+    Concat(key_, row, &rec);
+    const size_t idx = SpillPartitionHash(key_, /*depth=*/0) % kSpillFanout;
     st = spill_out_[idx].probe.writer->WriteRow(rec);
     if (!st.ok()) {
       left_->Close();
@@ -267,7 +332,7 @@ Status HashJoinOp::SpillProbeSide(ExecContext* ctx) {
 Status HashJoinOp::LoadNextPartition() {
   SpillPart part = std::move(spill_work_.back());
   spill_work_.pop_back();
-  table_.clear();
+  ClearBuild();
   SpillReader reader(part.build.file.get());
   const size_t nk = right_keys_.size();
   bool repartitioned = false;
@@ -276,14 +341,16 @@ Status HashJoinOp::LoadNextPartition() {
     bool reof = false;
     DECORR_RETURN_IF_ERROR(reader.ReadRow(&rec, &reof));
     if (reof) break;
-    Row key(rec.begin(), rec.begin() + static_cast<ptrdiff_t>(nk));
+    key_.clear();
+    key_.insert(key_.end(), rec.begin(),
+                rec.begin() + static_cast<ptrdiff_t>(nk));
     Row row(rec.begin() + static_cast<ptrdiff_t>(nk), rec.end());
     if (ctx_->guard != nullptr) {
-      const int64_t bytes = ApproxRowBytes(row) + ApproxRowBytes(key);
+      const int64_t bytes = ApproxRowBytes(row) + ApproxRowBytes(key_);
       bool spilled = false;
       Status st = ctx_->guard->ChargeMemoryOrSpill(
           bytes,
-          [&] { return RepartitionBuild(&part, &reader, key, row); },
+          [&] { return RepartitionBuild(&part, &reader, key_, row); },
           &spilled);
       if (!st.ok()) return st;
       if (spilled) {
@@ -292,11 +359,11 @@ Status HashJoinOp::LoadNextPartition() {
       }
       part_charged_ += bytes;
     }
-    table_[std::move(key)].push_back(std::move(row));
+    AddBuildRow(std::move(row));
   }
   AddSpillRead(reader.bytes_read());
   if (repartitioned) {
-    table_.clear();
+    ClearBuild();
     if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(part_charged_);
     part_charged_ = 0;
     return Status::OK();
@@ -330,16 +397,17 @@ Status HashJoinOp::RepartitionBuild(SpillPart* part, SpillReader* reader,
   }
   auto write_build = [&](const Row& key, const Row& row) -> Status {
     Row rec;
-    rec.reserve(key.size() + row.size());
-    rec.insert(rec.end(), key.begin(), key.end());
-    rec.insert(rec.end(), row.begin(), row.end());
+    Concat(key, row, &rec);
     const size_t idx = SpillPartitionHash(key, depth) % kSpillFanout;
     return subs[idx].build.writer->WriteRow(rec);
   };
   // Rows already loaded for this partition, the row whose charge tripped,
   // then the unread remainder of the partition's build file.
-  for (const auto& [key, rows] : table_) {
-    for (const Row& r : rows) DECORR_RETURN_IF_ERROR(write_build(key, r));
+  for (uint32_t k = 0; k < table_.size(); ++k) {
+    const Row key = table_.KeyRow(k);
+    for (uint32_t r = key_first_[k]; r != kNoRow; r = row_next_[r]) {
+      DECORR_RETURN_IF_ERROR(write_build(key, build_rows_[r]));
+    }
   }
   DECORR_RETURN_IF_ERROR(write_build(cur_key, cur_row));
   const size_t nk = right_keys_.size();
@@ -386,37 +454,16 @@ Status HashJoinOp::RepartitionBuild(SpillPart* part, SpillReader* reader,
 Status HashJoinOp::SpillNext(Row* out, bool* eof) {
   while (true) {
     DECORR_RETURN_IF_ERROR(ctx_->Check());
-    if (matches_ != nullptr) {
-      while (match_cursor_ < matches_->size()) {
-        const Row& right_row = (*matches_)[match_cursor_++];
-        Row combined = current_left_;
-        combined.insert(combined.end(), right_row.begin(), right_row.end());
-        if (residual_) {
-          EvalContext ectx;
-          ectx.row = &combined;
-          ectx.params = ctx_->params;
-          if (!EvalPredicate(*residual_, ectx)) continue;
-        }
-        emitted_match_ = true;
-        *out = std::move(combined);
-        *eof = false;
-        return Status::OK();
-      }
-      matches_ = nullptr;
-      if (join_type_ == JoinType::kLeftOuter && !emitted_match_) {
-        *out = current_left_;
-        AppendNullPadding(out, right_->output_width());
-        *eof = false;
-        return Status::OK();
-      }
+    if (probing_ && NextMatch(out)) {
+      *eof = false;
+      return Status::OK();
     }
     if (loj_null_reader_) {
       Row row;
       bool reof = false;
       DECORR_RETURN_IF_ERROR(loj_null_reader_->ReadRow(&row, &reof));
       if (!reof) {
-        *out = std::move(row);
-        AppendNullPadding(out, right_->output_width());
+        PadRight(row, right_->output_width(), out);
         *eof = false;
         return Status::OK();
       }
@@ -433,23 +480,18 @@ Status HashJoinOp::SpillNext(Row* out, bool* eof) {
         AddSpillRead(probe_reader_->bytes_read());
         probe_reader_.reset();
         current_part_ = SpillPart{};
-        table_.clear();
+        ClearBuild();
         if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(part_charged_);
         part_charged_ = 0;
         continue;
       }
+      // Records are key ++ row: probe with the key in place.
       const size_t nk = left_keys_.size();
-      Row key(rec.begin(), rec.begin() + static_cast<ptrdiff_t>(nk));
       current_left_.assign(rec.begin() + static_cast<ptrdiff_t>(nk),
                            rec.end());
-      emitted_match_ = false;
-      auto it = table_.find(key);
-      if (it != table_.end()) {
-        matches_ = &it->second;
-        match_cursor_ = 0;
-      } else if (join_type_ == JoinType::kLeftOuter) {
-        *out = current_left_;
-        AppendNullPadding(out, right_->output_width());
+      StartProbe(rec.data());
+      // A probe row without matches emits its LOJ padding right away.
+      if (match_ == kNoRow && NextMatch(out)) {
         *eof = false;
         return Status::OK();
       }
@@ -468,77 +510,36 @@ Status HashJoinOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.hashjoin.next");
   if (spilling_) return SpillNext(out, eof);
   while (true) {
-    // Drain matches for the current probe row.
-    if (matches_ != nullptr) {
-      while (match_cursor_ < matches_->size()) {
-        const Row& right_row = (*matches_)[match_cursor_++];
-        Row combined = current_left_;
-        combined.insert(combined.end(), right_row.begin(), right_row.end());
-        if (residual_) {
-          EvalContext ectx;
-          ectx.row = &combined;
-          ectx.params = ctx_->params;
-          if (!EvalPredicate(*residual_, ectx)) continue;
-        }
-        emitted_match_ = true;
-        *out = std::move(combined);
-        *eof = false;
-        return Status::OK();
-      }
-      // Matches exhausted; LOJ null padding if nothing survived.
-      matches_ = nullptr;
-      if (join_type_ == JoinType::kLeftOuter && !emitted_match_) {
-        *out = current_left_;
-        AppendNullPadding(out, right_->output_width());
-        *eof = false;
-        return Status::OK();
-      }
+    // Drain the current probe row: its matches, then any LOJ padding.
+    if (probing_ && NextMatch(out)) {
+      *eof = false;
+      return Status::OK();
     }
     if (left_eof_) {
       *eof = true;
       return Status::OK();
     }
-    // Fetch the next probe row.
+    // Fetch the next probe row. A NULL key matches nothing.
     bool child_eof = false;
     DECORR_RETURN_IF_ERROR(left_->Next(&current_left_, &child_eof));
     if (child_eof) {
       left_eof_ = true;
       continue;
     }
-    emitted_match_ = false;
-    Row key;
-    if (!EvalKeys(left_keys_, current_left_, ctx_->params, null_safe_keys_,
-                  &key)) {
-      // NULL key: no match possible.
-      if (join_type_ == JoinType::kLeftOuter) {
-        *out = current_left_;
-        AppendNullPadding(out, right_->output_width());
-        *eof = false;
-        return Status::OK();
-      }
-      continue;
-    }
-    auto it = table_.find(key);
-    if (it != table_.end()) {
-      matches_ = &it->second;
-      match_cursor_ = 0;
-    } else if (join_type_ == JoinType::kLeftOuter) {
-      *out = current_left_;
-      AppendNullPadding(out, right_->output_width());
-      *eof = false;
-      return Status::OK();
-    }
+    const bool has_key = EvalKeys(left_keys_, current_left_, ctx_->params,
+                                  null_safe_keys_, &key_);
+    StartProbe(has_key ? key_.data() : nullptr);
   }
 }
 
 void HashJoinOp::CloseImpl() {
   left_->Close();
-  table_.clear();
+  ClearBuild();
   if (ctx_ != nullptr && ctx_->guard != nullptr) {
     ctx_->guard->ReleaseMemory(charged_bytes_ + part_charged_);
   }
   charged_bytes_ = 0;
-  matches_ = nullptr;
+  probing_ = false;
   // Drops any remaining spill files (partition stacks, readers) so a
   // cancelled or failed query leaves no scratch data behind and an Apply
   // re-open starts clean.
@@ -592,24 +593,20 @@ Status NestedLoopJoinOp::NextImpl(Row* out, bool* eof) {
   while (true) {
     DECORR_RETURN_IF_ERROR(ctx_->Check());
     while (right_cursor_ < right_rows_.size()) {
-      const Row& right_row = right_rows_[right_cursor_++];
-      Row combined = current_left_;
-      combined.insert(combined.end(), right_row.begin(), right_row.end());
+      Concat(current_left_, right_rows_[right_cursor_++], out);
       if (predicate_) {
         EvalContext ectx;
-        ectx.row = &combined;
+        ectx.row = out;
         ectx.params = ctx_->params;
         if (!EvalPredicate(*predicate_, ectx)) continue;
       }
       emitted_match_ = true;
-      *out = std::move(combined);
       *eof = false;
       return Status::OK();
     }
     if (!emitted_match_ && join_type_ == JoinType::kLeftOuter) {
       emitted_match_ = true;
-      *out = current_left_;
-      AppendNullPadding(out, right_->output_width());
+      PadRight(current_left_, right_->output_width(), out);
       *eof = false;
       return Status::OK();
     }
@@ -687,16 +684,14 @@ Status IndexJoinOp::NextImpl(Row* out, bool* eof) {
       metrics_.rows_in_self += walked;
       DECORR_RETURN_IF_ERROR(st);
       if (matches_eof) break;
-      Row combined;
-      combined.reserve(current_left_.size() + projection_.size());
-      combined.insert(combined.end(), current_left_.begin(),
-                      current_left_.end());
-      AppendColumns(*table_, r, projection_, &combined);
+      out->clear();
+      out->reserve(current_left_.size() + projection_.size());
+      out->insert(out->end(), current_left_.begin(), current_left_.end());
+      AppendColumns(*table_, r, projection_, out);
       if (residual_) {
-        ectx.row = &combined;
+        ectx.row = out;
         if (!EvalPredicate(*residual_, ectx)) continue;
       }
-      *out = std::move(combined);
       *eof = false;
       return Status::OK();
     }
@@ -711,18 +706,16 @@ Status IndexJoinOp::NextImpl(Row* out, bool* eof) {
       continue;
     }
     ectx.row = &current_left_;
-    Row key;
-    key.reserve(key_exprs_.size());
+    key_.clear();
     bool null_key = false;
     for (const ExprPtr& expr : key_exprs_) {
-      Value v = Eval(*expr, ectx);
-      if (v.is_null()) null_key = true;
-      key.push_back(std::move(v));
+      key_.push_back(Eval(*expr, ectx));
+      if (key_.back().is_null()) null_key = true;
     }
     if (null_key) continue;
     ++ctx_->stats->index_lookups;
     ++metrics_.index_probes;
-    matches_.Reset(RowSet::List(index_->Lookup(key)));
+    matches_.Reset(RowSet::List(index_->Lookup(key_)));
   }
 }
 

@@ -8,9 +8,9 @@
 #define DECORR_EXEC_JOIN_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "decorr/common/key_table.h"
 #include "decorr/exec/operator.h"
 #include "decorr/exec/scan.h"
 #include "decorr/expr/expr.h"
@@ -58,14 +58,33 @@ class HashJoinOp : public Operator {
   JoinType join_type_;
   std::vector<bool> null_safe_keys_;  // empty = all NULL-rejecting
 
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> table_;
+  // The build table: one KeyTable entry per distinct key, the build rows in
+  // arrival order, and each key's rows linked first to last, so a probe
+  // walks its matches in build order.
+  KeyTable table_;
+  std::vector<Row> build_rows_;
+  std::vector<uint32_t> row_next_;   // per build row: its key's next row
+  std::vector<uint32_t> key_first_;  // per key id
+  std::vector<uint32_t> key_last_;   // per key id
   int64_t charged_bytes_ = 0;  // build-table memory charged to the guard
+  Row key_;                    // scratch: the evaluated build or probe key
   Row current_left_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_cursor_ = 0;
+  bool probing_ = false;        // current_left_ still has output pending
+  uint32_t match_ = kNoRow;     // its next candidate build row
   bool emitted_match_ = false;  // for LOJ null padding
   bool left_eof_ = true;
+
+  void ClearBuild();
+  void AddBuildRow(Row row);  // under the key in key_
+  // Starts probing with current_left_ under the key at `key` (null: a NULL
+  // key, which matches nothing).
+  void StartProbe(const Value* key);
+  // Writes the next surviving match of current_left_ to *out, or its LOJ
+  // padding once no match survived; false when the probe row is done.
+  bool NextMatch(Row* out);
 
   // --- Grace spill state (active only when ctx->temp is set and a build
   // charge trips the memory budget; see DESIGN.md §12). Build records are
@@ -169,6 +188,7 @@ class IndexJoinOp : public Operator {
 
   ExecContext* ctx_ = nullptr;
   Row current_left_;
+  Row key_;                    // scratch: the current left row's index key
   FilteredRowCursor matches_;  // the current left row's index matches
   bool left_eof_ = true;
 };

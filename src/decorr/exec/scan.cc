@@ -410,16 +410,14 @@ IndexLookupOp::IndexLookupOp(TablePtr table, std::shared_ptr<HashIndex> index,
 Status IndexLookupOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.indexlookup.open");
   ctx_ = ctx;
-  Row key;
-  key.reserve(key_exprs_.size());
   EvalContext ectx;
   ectx.row = nullptr;
   ectx.params = ctx->params;
   bool null_key = false;
+  key_.clear();
   for (const ExprPtr& expr : key_exprs_) {
-    Value v = Eval(*expr, ectx);
-    if (v.is_null()) null_key = true;
-    key.push_back(std::move(v));
+    key_.push_back(Eval(*expr, ectx));
+    if (key_.back().is_null()) null_key = true;
   }
   // A NULL key matches nothing and performs no probe, so it is not counted
   // as an index lookup.
@@ -427,7 +425,7 @@ Status IndexLookupOp::OpenImpl(ExecContext* ctx) {
   if (!null_key) {
     ++ctx->stats->index_lookups;
     ++metrics_.index_probes;
-    matches = RowSet::List(index_->Lookup(key));
+    matches = RowSet::List(index_->Lookup(key_));
   }
   rows_.Reset(matches);
   return Status::OK();

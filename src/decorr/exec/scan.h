@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,7 @@ struct RowSet {
   static RowSet Range(size_t begin, size_t size) {
     return {begin, nullptr, size};
   }
-  static RowSet List(const std::vector<uint32_t>& ids) {
+  static RowSet List(std::span<const uint32_t> ids) {
     return {0, ids.data(), ids.size()};
   }
   size_t operator[](size_t i) const { return ids ? ids[i] : begin + i; }
@@ -150,6 +151,7 @@ class IndexLookupOp : public Operator {
   ExprPtr filter_;
   StorageFilter storage_filter_;
   FilteredRowCursor rows_;  // over the match list; empty on a NULL key
+  Row key_;                 // scratch: the evaluated key, reused per Open
   ExecContext* ctx_ = nullptr;
 };
 

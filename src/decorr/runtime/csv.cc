@@ -172,25 +172,35 @@ Result<int64_t> ImportCsv(Database* db, const std::string& table,
   DECORR_ASSIGN_OR_RETURN(TablePtr target, db->catalog().GetTable(table));
   DECORR_ASSIGN_OR_RETURN(auto raw, ParseRaw(text));
   const TableSchema& schema = target->schema();
-  int64_t imported = 0;
-  for (size_t r = header ? 1 : 0; r < raw.size(); ++r) {
+  // Parse up to the first malformed row; the rows before it are appended
+  // (through the catalog, which keeps the table's indexes current) either
+  // way, as a row-at-a-time import would have.
+  std::vector<Row> rows;
+  Status parsed;
+  for (size_t r = header ? 1 : 0; r < raw.size() && parsed.ok(); ++r) {
     const auto& fields = raw[r];
     if (static_cast<int>(fields.size()) != schema.num_columns()) {
-      return Status::InvalidArgument(
+      parsed = Status::InvalidArgument(
           StrFormat("CSV row %zu has %zu fields, table %s expects %d", r,
                     fields.size(), table.c_str(), schema.num_columns()));
+      continue;
     }
     Row row;
     row.reserve(fields.size());
-    for (int c = 0; c < schema.num_columns(); ++c) {
-      DECORR_ASSIGN_OR_RETURN(Value v, ParseField(fields[c],
-                                                  schema.column(c)));
-      row.push_back(std::move(v));
+    for (int c = 0; c < schema.num_columns() && parsed.ok(); ++c) {
+      Result<Value> v = ParseField(fields[c], schema.column(c));
+      if (v.ok()) {
+        row.push_back(v.MoveValue());
+      } else {
+        parsed = v.status();
+      }
     }
-    DECORR_RETURN_IF_ERROR(target->AppendRow(row));
-    ++imported;
+    if (parsed.ok()) rows.push_back(std::move(row));
   }
-  return imported;
+  const Status appended = db->catalog().AppendRows(table, rows);
+  DECORR_RETURN_IF_ERROR(parsed);
+  DECORR_RETURN_IF_ERROR(appended);
+  return static_cast<int64_t>(rows.size());
 }
 
 std::string ExportCsv(const QueryResult& result) {

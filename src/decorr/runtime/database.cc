@@ -45,11 +45,7 @@ Status Database::CreateTable(const TableSchema& schema) {
 
 Status Database::Insert(const std::string& table,
                         const std::vector<Row>& rows) {
-  DECORR_ASSIGN_OR_RETURN(TablePtr t, catalog_->GetTable(table));
-  for (const Row& row : rows) {
-    DECORR_RETURN_IF_ERROR(t->AppendRow(row));
-  }
-  return Status::OK();
+  return catalog_->AppendRows(table, rows);
 }
 
 Status Database::AnalyzeAll() {

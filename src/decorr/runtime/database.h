@@ -161,7 +161,8 @@ class Database {
   // Creates an empty table.
   Status CreateTable(const TableSchema& schema);
 
-  // Appends rows to a table; statistics refresh on the next AnalyzeAll().
+  // Appends rows to a table and rebuilds its indexes (Catalog::AppendRows);
+  // statistics refresh on the next AnalyzeAll().
   Status Insert(const std::string& table, const std::vector<Row>& rows);
 
   // Recomputes statistics for every table (call after bulk loads).

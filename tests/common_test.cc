@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "decorr/common/fault.h"
+#include "decorr/common/key_table.h"
 #include "decorr/common/resource.h"
 #include "decorr/common/rng.h"
 #include "decorr/common/status.h"
@@ -311,6 +312,129 @@ TEST(RowTest, NullsEqualInRowKeys) {
   Row b = {Value::Null()};
   EXPECT_TRUE(RowEq()(a, b));
   EXPECT_EQ(RowHash()(a), RowHash()(b));
+}
+
+// ---- KeyTable ----
+
+uint32_t Put(KeyTable* table, const Row& key, bool* inserted = nullptr) {
+  bool fresh = false;
+  const uint32_t id = table->Insert(key, &fresh);
+  if (inserted != nullptr) *inserted = fresh;
+  return id;
+}
+
+TEST(KeyTableTest, HashIsRowHash) {
+  for (const Row& key : {Row{}, Row{Value::Int64(7)},
+                         Row{Value::Null(), Value::String("s")},
+                         Row{Value::Double(2.5), Value::Bool(true)}}) {
+    EXPECT_EQ(KeyTable::Hash(key.data(), key.size()), RowHash()(key));
+  }
+}
+
+TEST(KeyTableTest, DuplicateKeysKeepTheirFirstInsertionId) {
+  KeyTable table(1);
+  bool inserted = false;
+  EXPECT_EQ(Put(&table, {Value::Int64(5)}, &inserted), 0u);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(Put(&table, {Value::Int64(9)}, &inserted), 1u);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(Put(&table, {Value::Int64(5)}, &inserted), 0u);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(Put(&table, {Value::Int64(2)}, &inserted), 2u);
+  EXPECT_EQ(Put(&table, {Value::Int64(9)}, &inserted), 1u);
+  EXPECT_FALSE(inserted);
+  // Ids, and so the order callers emit groups in, follow first insertion.
+  ASSERT_EQ(table.size(), 3u);
+  EXPECT_TRUE(RowEq()(table.KeyRow(0), {Value::Int64(5)}));
+  EXPECT_TRUE(RowEq()(table.KeyRow(1), {Value::Int64(9)}));
+  EXPECT_TRUE(RowEq()(table.KeyRow(2), {Value::Int64(2)}));
+}
+
+TEST(KeyTableTest, NullKeyEqualsNullKey) {
+  KeyTable table(2);
+  const uint32_t id = Put(&table, {Value::Null(), Value::Int64(1)});
+  EXPECT_EQ(table.Find({Value::Null(), Value::Int64(1)}), id);
+  EXPECT_EQ(table.Find({Value::Null(), Value::Int64(2)}), KeyTable::kNotFound);
+  EXPECT_EQ(table.Find({Value::Int64(1), Value::Null()}), KeyTable::kNotFound);
+}
+
+TEST(KeyTableTest, Int64MatchesEqualDouble) {
+  KeyTable table(1);
+  const uint32_t id = Put(&table, {Value::Int64(4)});
+  EXPECT_EQ(table.Find({Value::Double(4.0)}), id);
+  EXPECT_EQ(table.Find({Value::Double(4.5)}), KeyTable::kNotFound);
+  bool inserted = true;
+  EXPECT_EQ(Put(&table, {Value::Double(4.0)}, &inserted), id);
+  EXPECT_FALSE(inserted);
+}
+
+TEST(KeyTableTest, MultiColumnKeysDifferingInOneColumnStayApart) {
+  KeyTable table(3);
+  const Row a = {Value::Int64(1), Value::String("x"), Value::Int64(7)};
+  const Row b = {Value::Int64(1), Value::String("y"), Value::Int64(7)};
+  const Row c = {Value::Int64(1), Value::String("x"), Value::Int64(8)};
+  const Row d = {Value::Int64(2), Value::String("x"), Value::Int64(7)};
+  EXPECT_EQ(Put(&table, a), 0u);
+  EXPECT_EQ(Put(&table, b), 1u);
+  EXPECT_EQ(Put(&table, c), 2u);
+  EXPECT_EQ(Put(&table, d), 3u);
+  EXPECT_EQ(table.Find(a), 0u);
+  EXPECT_EQ(table.Find(b), 1u);
+  EXPECT_EQ(table.Find(c), 2u);
+  EXPECT_EQ(table.Find(d), 3u);
+  // Equal hashes do not make keys equal: every column is compared (here a
+  // probe for (1, 'x', 8) carries the hash of (1, 'x', 7)).
+  const Row e = {Value::Int64(1), Value::String("x"), Value::Int64(8)};
+  KeyTable only_a(3);
+  Put(&only_a, a);
+  EXPECT_EQ(only_a.Find(e.data(), KeyTable::Hash(a.data(), a.size())),
+            KeyTable::kNotFound);
+}
+
+TEST(KeyTableTest, StringKeys) {
+  KeyTable table(1);
+  const std::string long_name(40, 'n');  // beyond the short-string buffer
+  EXPECT_EQ(Put(&table, {Value::String("")}), 0u);
+  EXPECT_EQ(Put(&table, {Value::String("abc")}), 1u);
+  EXPECT_EQ(Put(&table, {Value::String(long_name)}), 2u);
+  EXPECT_EQ(table.Find({Value::String("abc")}), 1u);
+  EXPECT_EQ(table.Find({Value::String(long_name)}), 2u);
+  EXPECT_EQ(table.Find({Value::String("")}), 0u);
+  EXPECT_EQ(table.Find({Value::String("abd")}), KeyTable::kNotFound);
+  EXPECT_EQ(table.key(2)[0].string_value(), long_name);
+}
+
+TEST(KeyTableTest, EveryKeyFoundAfterGrowthThroughManyRehashes) {
+  KeyTable table(2);
+  constexpr int64_t kKeys = 150000;  // about 13 directory doublings
+  for (int64_t i = 0; i < kKeys; ++i) {
+    bool inserted = false;
+    ASSERT_EQ(Put(&table, {Value::Int64(i), Value::String(std::to_string(i))},
+                  &inserted),
+              static_cast<uint32_t>(i));
+    ASSERT_TRUE(inserted);
+  }
+  ASSERT_EQ(table.size(), static_cast<size_t>(kKeys));
+  for (int64_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(table.Find({Value::Int64(i), Value::String(std::to_string(i))}),
+              static_cast<uint32_t>(i));
+  }
+  EXPECT_EQ(table.Find({Value::Int64(kKeys), Value::String("0")}),
+            KeyTable::kNotFound);
+  // Clear() forgets every key; the table is reusable at once.
+  table.Clear();
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.Find({Value::Int64(3), Value::String("3")}),
+            KeyTable::kNotFound);
+  EXPECT_EQ(Put(&table, {Value::Int64(3), Value::String("3")}), 0u);
+  EXPECT_EQ(table.Find({Value::Int64(3), Value::String("3")}), 0u);
+}
+
+TEST(KeyTableTest, ZeroWidthKeysAreOneGroup) {
+  KeyTable table(0);
+  EXPECT_EQ(Put(&table, {}), 0u);
+  EXPECT_EQ(Put(&table, {}), 0u);
+  EXPECT_EQ(table.size(), 1u);
 }
 
 // ---- Rng ----

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "decorr/common/key_table.h"
 #include "decorr/exec/aggregate.h"
 #include "decorr/exec/apply.h"
 #include "decorr/exec/filter_project.h"
@@ -237,6 +238,55 @@ TEST(HashJoinTest, ResidualFiltersMatches) {
     if (row[2].is_null()) ++padded;
   }
   EXPECT_EQ(padded, 2);
+}
+
+// An INT64 key other than `key` whose hash agrees with `key`'s in the low
+// 12 bits, so the two share a KeyTable bucket at any directory size up to
+// 4096.
+int64_t BucketMate(int64_t key) {
+  const Row k = {I(key)};
+  const size_t mask = 4095;
+  const size_t want = KeyTable::Hash(k.data(), 1) & mask;
+  for (int64_t other = key + 1;; ++other) {
+    const Row o = {I(other)};
+    if ((KeyTable::Hash(o.data(), 1) & mask) == want) return other;
+  }
+}
+
+TEST(HashJoinTest, RepeatedBuildKeyMatchesComeBackInBuildOrder) {
+  const int64_t mate = BucketMate(1);
+  // Key 1 repeats five times, interleaved with a key in the same bucket.
+  std::vector<Row> build;
+  for (int i = 0; i < 5; ++i) {
+    build.push_back({I(1), I(i)});
+    build.push_back({I(mate), I(100 + i)});
+  }
+  HashJoinOp join(Rows({{I(mate)}, {I(1)}, {I(7)}}, 1), Rows(build, 2),
+                  KeyAt(0), KeyAt(0), nullptr, JoinType::kInner);
+  auto rows = Drain(&join);
+  ASSERT_EQ(rows.size(), 10u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(rows[i][0].Equals(I(mate)));
+    EXPECT_TRUE(rows[i][2].Equals(I(100 + i))) << RowToString(rows[i]);
+    EXPECT_TRUE(rows[5 + i][0].Equals(I(1)));
+    EXPECT_TRUE(rows[5 + i][2].Equals(I(i))) << RowToString(rows[5 + i]);
+  }
+}
+
+TEST(HashJoinTest, OutputRowsHaveTheirFinalWidth) {
+  // Matches, residual survivors and LOJ padding alike are allocated at the
+  // combined width, not copied from the probe row and grown.
+  HashJoinOp join(Rows({{I(1), S("l1"), S("x")}, {I(9), S("l9"), S("y")}}, 3),
+                  RightRows(), KeyAt(0), KeyAt(0), nullptr,
+                  JoinType::kLeftOuter);
+  auto rows = Drain(&join);
+  ASSERT_EQ(rows.size(), 2u);
+  for (const Row& row : rows) {
+    EXPECT_EQ(row.size(), 5u);
+    EXPECT_EQ(row.capacity(), 5u);
+  }
+  EXPECT_TRUE(rows[1][3].is_null());
+  EXPECT_TRUE(rows[1][4].is_null());
 }
 
 TEST(NestedLoopJoinTest, CrossProduct) {
@@ -480,6 +530,29 @@ TEST(AggregateTest, GroupedCounts) {
   EXPECT_TRUE(rows[1][1].Equals(I(1)));
 }
 
+TEST(AggregateTest, GroupsComeOutInFirstOccurrenceOrder) {
+  std::vector<ExprPtr> keys;
+  keys.push_back(MakeSlotRef(0, TypeId::kInt64));
+  keys.push_back(MakeSlotRef(1, TypeId::kString));
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggKind::kCountStar, nullptr, false, TypeId::kInt64});
+  HashAggregateOp agg(
+      Rows({{I(3), S("c")}, {I(1), S("a")}, {I(3), S("c")}, {N(), S("n")},
+            {I(2), S("b")}, {I(1), S("a")}, {I(3), S("d")}, {N(), S("n")}},
+           2),
+      std::move(keys), std::move(aggs));
+  auto rows = Drain(&agg);
+  ASSERT_EQ(rows.size(), 5u);
+  const std::vector<Row> want = {{I(3), S("c"), I(2)},
+                                 {I(1), S("a"), I(2)},
+                                 {N(), S("n"), I(2)},
+                                 {I(2), S("b"), I(1)},
+                                 {I(3), S("d"), I(1)}};
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(RowEq()(rows[i], want[i])) << RowToString(rows[i]);
+  }
+}
+
 TEST(AggregateTest, ScalarAggOnEmptyInputProducesOneRow) {
   std::vector<AggSpec> aggs;
   aggs.push_back({AggKind::kCountStar, nullptr, false, TypeId::kInt64});
@@ -576,6 +649,30 @@ TEST(DistinctTest, RemovesDuplicatesKeepsFirst) {
   auto rows = Drain(&distinct);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(rows[2][0].is_null());
+}
+
+TEST(DistinctTest, EmitsInFirstOccurrenceOrder) {
+  DistinctOp distinct(Rows({{I(4), S("d")},
+                            {I(2), S("b")},
+                            {I(4), S("d")},
+                            {D(2.0), S("b")},  // equals (2, 'b')
+                            {N(), S("n")},
+                            {I(4), S("e")},
+                            {N(), S("n")},
+                            {I(1), S("a")}},
+                           2));
+  auto rows = Drain(&distinct);
+  const std::vector<Row> want = {{I(4), S("d")},
+                                 {I(2), S("b")},
+                                 {N(), S("n")},
+                                 {I(4), S("e")},
+                                 {I(1), S("a")}};
+  ASSERT_EQ(rows.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(RowEq()(rows[i], want[i])) << RowToString(rows[i]);
+  }
+  // The first occurrence wins: the INT64 row, not the DOUBLE duplicate.
+  EXPECT_EQ(rows[1][0].type(), TypeId::kInt64);
 }
 
 // ---- union / sort / limit / materialize ----

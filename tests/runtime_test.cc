@@ -2,6 +2,7 @@
 // refresh, and result rendering.
 #include <gtest/gtest.h>
 
+#include "decorr/runtime/csv.h"
 #include "decorr/runtime/database.h"
 #include "tests/test_util.h"
 
@@ -99,6 +100,72 @@ TEST(DatabaseTest, StatsRefreshChangesEstimates) {
   EXPECT_EQ(db.catalog().FindEntry("t")->stats.row_count, 0u);
   ASSERT_TRUE(db.AnalyzeAll().ok());
   EXPECT_EQ(db.catalog().FindEntry("t")->stats.row_count, 100u);
+}
+
+// A table t(k) holding k = i % 10 for 100 rows, indexed on k.
+void MakeIndexedTable(Database* db) {
+  ASSERT_TRUE(
+      db->CreateTable(TableSchema("t", {{"k", TypeId::kInt64, true}})).ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < 100; ++i) rows.push_back({I(i % 10)});
+  ASSERT_TRUE(db->Insert("t", rows).ok());
+  ASSERT_TRUE(db->CreateIndex("t", "t_k", {"k"}).ok());
+}
+
+// COUNT(*) of k = 3, through the index (checked in the plan) or a scan.
+int64_t CountThrees(Database* db, bool use_indexes) {
+  QueryOptions options;
+  options.planner.use_indexes = use_indexes;
+  auto result = db->Execute("SELECT COUNT(*) FROM t WHERE t.k = 3", options);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return -1;
+  EXPECT_EQ(result->plan_text.find("IndexLookup") != std::string::npos,
+            use_indexes)
+      << result->plan_text;
+  return result->rows[0][0].int64_value();
+}
+
+TEST(DatabaseTest, InsertKeepsIndexesCurrent) {
+  Database db;
+  MakeIndexedTable(&db);
+  ASSERT_TRUE(db.Insert("t", {{I(3)}}).ok());
+  EXPECT_EQ(CountThrees(&db, false), 11);
+  EXPECT_EQ(CountThrees(&db, true), 11);
+  // An append that fails partway keeps the rows before the bad one, and
+  // the index covers them too.
+  EXPECT_FALSE(db.Insert("t", {{I(3)}, {S("not a number")}}).ok());
+  EXPECT_EQ(CountThrees(&db, false), 12);
+  EXPECT_EQ(CountThrees(&db, true), 12);
+}
+
+TEST(DatabaseTest, ImportCsvKeepsIndexesCurrent) {
+  Database db;
+  MakeIndexedTable(&db);
+  auto imported = ImportCsv(&db, "t", "3\n4\n", /*header=*/false);
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  EXPECT_EQ(*imported, 2);
+  EXPECT_EQ(CountThrees(&db, false), 11);
+  EXPECT_EQ(CountThrees(&db, true), 11);
+  // A malformed row stops the import; the rows before it are appended and
+  // indexed.
+  EXPECT_FALSE(ImportCsv(&db, "t", "3\nxx\n3\n", false).ok());
+  EXPECT_EQ(CountThrees(&db, false), 12);
+  EXPECT_EQ(CountThrees(&db, true), 12);
+}
+
+TEST(DatabaseTest, AppendSwapsInAFreshIndex) {
+  // A plan that already holds the old index keeps it: the append replaces
+  // the catalog's entry instead of changing the index in place.
+  Database db;
+  MakeIndexedTable(&db);
+  std::shared_ptr<HashIndex> before = db.catalog().FindIndexCoveredBy("t", {0});
+  ASSERT_NE(before, nullptr);
+  ASSERT_TRUE(db.Insert("t", {{I(3)}}).ok());
+  std::shared_ptr<HashIndex> after = db.catalog().FindIndexCoveredBy("t", {0});
+  ASSERT_NE(after, nullptr);
+  EXPECT_NE(before, after);
+  EXPECT_EQ(before->Lookup({I(3)}).size(), 10u);
+  EXPECT_EQ(after->Lookup({I(3)}).size(), 11u);
 }
 
 TEST(DatabaseTest, SharedCatalogConstructor) {

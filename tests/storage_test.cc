@@ -94,9 +94,40 @@ TEST(HashIndexTest, NullKeysNotIndexed) {
   Table t(TwoColSchema());
   ASSERT_TRUE(t.AppendRow({I(1), N()}).ok());
   ASSERT_TRUE(t.AppendRow({I(2), S("x")}).ok());
+  ASSERT_TRUE(t.AppendRow({I(3), N()}).ok());
+  ASSERT_TRUE(t.AppendRow({I(4), S("x")}).ok());
   HashIndex index(t, {1});
   EXPECT_EQ(index.num_distinct_keys(), 1u);
   EXPECT_TRUE(index.Lookup({N()}).empty());
+  const auto ids = index.Lookup({S("x")});
+  EXPECT_EQ(std::vector<uint32_t>(ids.begin(), ids.end()),
+            (std::vector<uint32_t>{1, 3}));
+}
+
+TEST(HashIndexTest, IdsComeBackAscendingPerKey) {
+  Table t(TwoColSchema());
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(t.AppendRow({I((i * 7) % 13), S("v")}).ok());
+  }
+  HashIndex index(t, {0});
+  EXPECT_EQ(index.num_distinct_keys(), 13u);
+  size_t total = 0;
+  for (int k = 0; k < 13; ++k) {
+    const auto ids = index.Lookup({I(k)});
+    ASSERT_FALSE(ids.empty());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_TRUE(t.GetValue(ids[i], 0).Equals(I(k)));
+      if (i > 0) {
+        EXPECT_LT(ids[i - 1], ids[i]);
+      }
+    }
+    total += ids.size();
+  }
+  EXPECT_EQ(total, 1000u);
+  // Lookups compare like hash keys: a DOUBLE finds its equal INT64.
+  EXPECT_EQ(index.Lookup({D(5.0)}).size(), index.Lookup({I(5)}).size());
+  // A key of the wrong arity matches nothing.
+  EXPECT_TRUE(index.Lookup({I(5), I(5)}).empty());
 }
 
 TEST(HashIndexTest, MultiColumnKey) {
