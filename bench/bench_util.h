@@ -93,37 +93,55 @@ inline double MedianPhaseMs(const std::vector<QueryProfile>& runs,
   return mid / 1e6;
 }
 
-// Best-of-three unprofiled timings (slow runs: a single shot is enough),
-// with each phase's median over those runs, then one profiled run for the
-// operator breakdown. Profiling clocks every operator call; keeping the
-// phases to unprofiled runs keeps that cost out of them.
-inline StrategyRun RunStrategy(Database& db, const std::string& sql,
-                               Strategy s) {
-  StrategyRun best;
-  std::vector<QueryProfile> timed;
-  for (int i = 0; i < 3; ++i) {
-    StrategyRun run = TimeOneRun(db, sql, s);
-    if (!run.ok) return run;
-    timed.push_back(run.profile);
-    if (!best.ok || run.ms < best.ms) best = run;
-    if (run.ms > 1000.0) break;
+// Times every strategy of `strategies` on `sql`, round-robin: round r runs
+// each strategy once, so drift on a shared host spreads over all of them
+// instead of landing on one strategy's back-to-back runs. Each strategy
+// keeps its best of three unprofiled runs (a strategy whose run took over a
+// second sits the later rounds out: one shot is enough) and each phase's
+// median over its runs, then one profiled run gives its operator
+// breakdown. Profiling clocks every operator call; keeping the phases to
+// unprofiled runs keeps that cost out of them. A strategy whose run fails
+// reports that run and is not run again.
+inline std::vector<StrategyRun> RunStrategies(
+    Database& db, const std::string& sql,
+    const std::vector<Strategy>& strategies) {
+  const size_t n = strategies.size();
+  std::vector<StrategyRun> best(n);
+  std::vector<std::vector<QueryProfile>> timed(n);
+  std::vector<bool> done(n, false);
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < n; ++i) {
+      if (done[i]) continue;
+      StrategyRun run = TimeOneRun(db, sql, strategies[i]);
+      done[i] = !run.ok || run.ms > 1000.0;
+      if (!run.ok) {
+        best[i] = std::move(run);
+        continue;
+      }
+      timed[i].push_back(run.profile);
+      if (!best[i].ok || run.ms < best[i].ms) best[i] = std::move(run);
+    }
   }
-  JsonWriter phases;
-  phases.BeginObject()
-      .Key("parse_ms").Double(MedianPhaseMs(timed, &QueryProfile::parse_nanos))
-      .Key("bind_ms").Double(MedianPhaseMs(timed, &QueryProfile::bind_nanos))
-      .Key("rewrite_ms")
-      .Double(MedianPhaseMs(timed, &QueryProfile::rewrite_nanos))
-      .Key("plan_ms").Double(MedianPhaseMs(timed, &QueryProfile::plan_nanos))
-      .Key("exec_ms").Double(MedianPhaseMs(timed, &QueryProfile::exec_nanos))
-      .EndObject();
-  best.phases_json = std::move(phases).str();
-  QueryOptions options;
-  options.strategy = s;
-  options.fallback = false;
-  auto profiled = db.ExplainAnalyze(sql, options);
-  if (profiled.ok()) {
-    best.operators_json = MetricsNodeToJson(profiled->profile.plan);
+  for (size_t i = 0; i < n; ++i) {
+    if (!best[i].ok) continue;
+    const std::vector<QueryProfile>& runs = timed[i];
+    JsonWriter phases;
+    phases.BeginObject()
+        .Key("parse_ms").Double(MedianPhaseMs(runs, &QueryProfile::parse_nanos))
+        .Key("bind_ms").Double(MedianPhaseMs(runs, &QueryProfile::bind_nanos))
+        .Key("rewrite_ms")
+        .Double(MedianPhaseMs(runs, &QueryProfile::rewrite_nanos))
+        .Key("plan_ms").Double(MedianPhaseMs(runs, &QueryProfile::plan_nanos))
+        .Key("exec_ms").Double(MedianPhaseMs(runs, &QueryProfile::exec_nanos))
+        .EndObject();
+    best[i].phases_json = std::move(phases).str();
+    QueryOptions options;
+    options.strategy = strategies[i];
+    options.fallback = false;
+    auto profiled = db.ExplainAnalyze(sql, options);
+    if (profiled.ok()) {
+      best[i].operators_json = MetricsNodeToJson(profiled->profile.plan);
+    }
   }
   return best;
 }
@@ -183,12 +201,19 @@ inline void WriteFigure(JsonWriter& w, Database& db, const FigureSpec& spec) {
   w.Key("title").String(spec.title);
   w.Key("paper_note").String(spec.paper_note);
   w.Key("strategies").BeginArray();
+  const std::vector<StrategyRun> runs =
+      RunStrategies(db, spec.sql, spec.strategies);
   double ni_ms = -1.0;
-  for (Strategy s : spec.strategies) {
-    StrategyRun run = RunStrategy(db, spec.sql, s);
-    if (run.ok && s == Strategy::kNestedIteration) ni_ms = run.ms;
-    WriteStrategyRun(w, s, run, ni_ms);
-    std::fprintf(stderr, "[bench]   %-8s %s\n", StrategyName(s),
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].ok && spec.strategies[i] == Strategy::kNestedIteration) {
+      ni_ms = runs[i].ms;
+    }
+  }
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const StrategyRun& run = runs[i];
+    WriteStrategyRun(w, spec.strategies[i], run, ni_ms);
+    std::fprintf(stderr, "[bench]   %-8s %s\n",
+                 StrategyName(spec.strategies[i]),
                  run.ok ? StrFormat("%.2f ms, %zu rows", run.ms,
                                     run.rows).c_str()
                         : run.error.c_str());

@@ -10,8 +10,8 @@ any machine; a change that only makes the same work faster passes.
 
 The same holds per operator: each strategy's `operators` tree is walked in
 step with the baseline's, and every node must name the same operator and
-report the same rows_out, rows_in, loops, next_calls, build_rows and
-index_probes (an absent field counts as 0). This catches work that moved
+report the same rows_out, rows_in, keyfilter_rejected, loops, next_calls,
+build_rows and index_probes (an absent field counts as 0). This catches work that moved
 between operators while the per-strategy totals stayed put. A baseline
 strategy without an operator tree is skipped with a note.
 
@@ -84,9 +84,10 @@ import sys
 WORK_COUNTERS = ("rows_scanned", "index_lookups", "subquery_invocations",
                  "rows_materialized")
 # Deterministic per-operator counters, compared exactly node by node. The
-# JSON omits build_rows and index_probes when they are zero.
-OPERATOR_COUNTERS = ("rows_out", "rows_in", "loops", "next_calls",
-                     "build_rows", "index_probes")
+# JSON omits keyfilter_rejected, build_rows and index_probes when they are
+# zero.
+OPERATOR_COUNTERS = ("rows_out", "rows_in", "keyfilter_rejected", "loops",
+                     "next_calls", "build_rows", "index_probes")
 
 
 def load(path):

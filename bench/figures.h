@@ -133,8 +133,11 @@ inline void WriteCacheSweep(JsonWriter& w, Database& db, const char* regime) {
   w.Key("levels").BeginArray();
   for (const Level& level : levels) {
     const std::string sql = CacheSweepQuery(level.pred);
-    StrategyRun ni = RunStrategy(db, sql, Strategy::kNestedIteration);
-    StrategyRun nic = RunStrategy(db, sql, Strategy::kNestedIterationCached);
+    const std::vector<StrategyRun> runs = RunStrategies(
+        db, sql,
+        {Strategy::kNestedIteration, Strategy::kNestedIterationCached});
+    const StrategyRun& ni = runs[0];
+    const StrategyRun& nic = runs[1];
     w.BeginObject();
     w.Key("id").String(level.id);
     w.Key("supplier_filter").String(level.pred);

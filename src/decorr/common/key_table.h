@@ -1,6 +1,7 @@
 // KeyTable: the one hash table under the executor's hash operators (hash
 // join, hash aggregation, DISTINCT, group-probe Apply, the uniqueness
-// check) and the hash index.
+// check) and the hash index. A hash join's table also serves as the
+// runtime key filter on its probe side (exec/scan.h, KeyFilter).
 //
 // It maps each distinct key — a fixed-width tuple of Values — to a dense id
 // (0, 1, 2, ... in first-insertion order); callers keep their payload (build
@@ -60,6 +61,19 @@ class KeyTable {
   }
   uint32_t Find(const Row& key) const {
     return Find(key.data(), Hash(key.data(), width_));
+  }
+  // Find() in a width-1 table for a key that is not held as a Value (a
+  // cell of typed column storage): `value_hash` is the key's Value::Hash()
+  // and `equals(stored)` its Value::Equals against a stored key Value.
+  template <typename Equals>
+  uint32_t FindOne(size_t value_hash, const Equals& equals) const {
+    if (heads_.empty()) return kNotFound;
+    const size_t hash = HashCombine(1, value_hash);  // Hash() at width 1
+    for (uint32_t e = heads_[hash & mask_]; e != kNotFound;
+         e = entries_[e].next) {
+      if (entries_[e].hash == hash && equals(keys_[e])) return e;
+    }
+    return kNotFound;
   }
 
   // The id of `key`, copying it in as the next id when it is new (and then

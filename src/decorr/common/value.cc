@@ -76,16 +76,29 @@ size_t Value::Hash() const {
     case TypeId::kNull:
       return 0x9e3779b97f4a7c15ULL;
     case TypeId::kBool:
-      return HashCombine(1, static_cast<size_t>(i64_ != 0));
+      return HashBool(i64_ != 0);
     case TypeId::kInt64:
-      // Hash via double so 4 and 4.0 collide (they compare equal).
-      return HashCombine(2, std::hash<double>()(static_cast<double>(i64_)));
+      return HashInt64(i64_);
     case TypeId::kDouble:
-      return HashCombine(2, std::hash<double>()(dbl_));
+      return HashDouble(dbl_);
     case TypeId::kString:
-      return HashCombine(3, std::hash<std::string>()(str_));
+      return HashString(str_);
   }
   return 0;
+}
+
+size_t Value::HashBool(bool v) {
+  return HashCombine(1, static_cast<size_t>(v));
+}
+
+// INT64 hashes via double (HashInt64), so 4 and 4.0 collide: they compare
+// equal.
+size_t Value::HashDouble(double v) {
+  return HashCombine(2, std::hash<double>()(v));
+}
+
+size_t Value::HashString(std::string_view v) {
+  return HashCombine(3, std::hash<std::string_view>()(v));
 }
 
 std::string Value::ToString() const {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "decorr/common/types.h"
@@ -57,6 +58,14 @@ class Value {
 
   // Hash consistent with Equals (INT64 4 and DOUBLE 4.0 hash identically).
   size_t Hash() const;
+  // Hash() of a non-NULL Value of each type, for callers that hash typed
+  // column storage without building a Value.
+  static size_t HashBool(bool v);
+  static size_t HashInt64(int64_t v) {
+    return HashDouble(static_cast<double>(v));
+  }
+  static size_t HashDouble(double v);
+  static size_t HashString(std::string_view v);
 
   // SQL-ish rendering: NULL, TRUE, 42, 3.5, 'text'.
   std::string ToString() const;

@@ -93,9 +93,8 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
 
   DECORR_RETURN_IF_ERROR(child_->Open(ctx));
   while (true) {
-    Row in;
     bool eof = false;
-    Status st = child_->Next(&in, &eof);
+    Status st = child_->Next(&in_, &eof);
     if (st.ok() && ctx->guard) st = ctx->guard->Check();
     if (!st.ok()) {
       child_->Close();
@@ -103,7 +102,7 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
     }
     if (eof) break;
     EvalContext ectx;
-    ectx.row = &in;
+    ectx.row = &in_;
     ectx.params = ctx->params;
     key_.clear();
     for (const ExprPtr& expr : group_keys_) key_.push_back(Eval(*expr, ectx));
@@ -143,7 +142,7 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
       id = groups_.Append(key_.data(), hash);
       build_states_.emplace_back(aggs_.size());
     }
-    Accumulate(in, &build_states_[id]);
+    Accumulate(in_, &build_states_[id]);
   }
   child_->Close();
 

@@ -80,6 +80,7 @@ class HashAggregateOp : public Operator {
   // flush it wholesale; also reused as the per-partition merge table.
   KeyTable groups_;
   std::vector<std::vector<AggState>> build_states_;
+  Row in_;   // scratch: the current input row, reused across rows
   Row key_;  // scratch: the current input row's group key
 
   // --- Grace spill state (see DESIGN.md §12). Records are partial-state

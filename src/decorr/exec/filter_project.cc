@@ -28,6 +28,10 @@ Status FilterOp::NextImpl(Row* out, bool* eof) {
 
 void FilterOp::CloseImpl() { child_->Close(); }
 
+bool FilterOp::OfferKeyFilter(int column, const KeyFilter* filter) {
+  return child_->OfferKeyFilter(column, filter);
+}
+
 std::string FilterOp::ToString(int indent) const {
   return Indent(indent) + "Filter " + predicate_->ToString() + "\n" +
          child_->ToString(indent + 1);
@@ -43,11 +47,10 @@ Status ProjectOp::OpenImpl(ExecContext* ctx) {
 
 Status ProjectOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.project.next");
-  Row in;
-  DECORR_RETURN_IF_ERROR(child_->Next(&in, eof));
+  DECORR_RETURN_IF_ERROR(child_->Next(&in_, eof));
   if (*eof) return Status::OK();
   EvalContext ectx;
-  ectx.row = &in;
+  ectx.row = &in_;
   ectx.params = ctx_->params;
   out->clear();
   out->reserve(exprs_.size());
@@ -56,6 +59,12 @@ Status ProjectOp::NextImpl(Row* out, bool* eof) {
 }
 
 void ProjectOp::CloseImpl() { child_->Close(); }
+
+bool ProjectOp::OfferKeyFilter(int column, const KeyFilter* filter) {
+  const Expr& e = *exprs_[column];
+  return e.kind == ExprKind::kColumnRef && e.slot >= 0 &&
+         child_->OfferKeyFilter(e.slot, filter);
+}
 
 std::string ProjectOp::ToString(int indent) const {
   std::string out = Indent(indent) + "Project [";

@@ -18,6 +18,7 @@ class FilterOp : public Operator {
   std::string ToString(int indent) const override;
   int output_width() const override { return child_->output_width(); }
   void Introspect(PlanIntrospection* out) const override;
+  bool OfferKeyFilter(int column, const KeyFilter* filter) override;
 
  protected:
   Status OpenImpl(ExecContext* ctx) override;
@@ -38,6 +39,8 @@ class ProjectOp : public Operator {
   std::string ToString(int indent) const override;
   int output_width() const override { return static_cast<int>(exprs_.size()); }
   void Introspect(PlanIntrospection* out) const override;
+  // Passes filters on column-reference outputs to the input column.
+  bool OfferKeyFilter(int column, const KeyFilter* filter) override;
 
  protected:
   Status OpenImpl(ExecContext* ctx) override;
@@ -48,6 +51,7 @@ class ProjectOp : public Operator {
   OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
   ExecContext* ctx_ = nullptr;
+  Row in_;  // scratch: the input row, reused across calls
 };
 
 }  // namespace decorr

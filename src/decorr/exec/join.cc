@@ -62,7 +62,19 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
       residual_(std::move(residual)),
       join_type_(join_type),
       null_safe_keys_(std::move(null_safe_keys)),
-      table_(right_keys_.size()) {}
+      table_(right_keys_.size()) {
+  if (join_type_ != JoinType::kInner || left_keys_.size() != 1) return;
+  const Expr& probe = *left_keys_[0];
+  if (probe.kind != ExprKind::kColumnRef || probe.slot < 0) return;
+  key_filter_.keys = &table_;
+  key_filter_.null_safe = !null_safe_keys_.empty() && null_safe_keys_[0];
+  left_->OfferKeyFilter(probe.slot, &key_filter_);
+}
+
+bool HashJoinOp::OfferKeyFilter(int column, const KeyFilter* filter) {
+  return column < left_->output_width() &&
+         left_->OfferKeyFilter(column, filter);
+}
 
 Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   DECORR_FAULT_POINT("exec.hashjoin.build");
@@ -135,7 +147,12 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   right_->Close();
   metrics_.bytes_charged += charged_bytes_;
   if (spilling_) return SpillProbeSide(ctx);
-  return left_->Open(ctx);
+  // The build is complete and in memory: probe rows without a key in it
+  // can be rejected where they are read.
+  key_filter_.live = key_filter_.keys != nullptr;
+  Status st = left_->Open(ctx);
+  if (!st.ok()) key_filter_.live = false;
+  return st;
 }
 
 void HashJoinOp::ClearBuild() {
@@ -534,6 +551,7 @@ Status HashJoinOp::NextImpl(Row* out, bool* eof) {
 
 void HashJoinOp::CloseImpl() {
   left_->Close();
+  key_filter_.live = false;
   ClearBuild();
   if (ctx_ != nullptr && ctx_->guard != nullptr) {
     ctx_->guard->ReleaseMemory(charged_bytes_ + part_charged_);
@@ -678,8 +696,8 @@ Status IndexJoinOp::NextImpl(Row* out, bool* eof) {
       size_t r = 0;
       bool matches_eof = false;
       int64_t walked = 0;
-      Status st =
-          matches_.Next(storage_filter_, *ctx_, &r, &matches_eof, &walked);
+      Status st = matches_.Next(storage_filter_, *ctx_, &r, &matches_eof,
+                                &walked, &metrics_.keyfilter_rejected);
       ctx_->stats->rows_scanned += walked;
       metrics_.rows_in_self += walked;
       DECORR_RETURN_IF_ERROR(st);
@@ -722,6 +740,13 @@ Status IndexJoinOp::NextImpl(Row* out, bool* eof) {
 void IndexJoinOp::CloseImpl() {
   left_->Close();
   matches_.Reset(RowSet{});
+}
+
+bool IndexJoinOp::OfferKeyFilter(int column, const KeyFilter* filter) {
+  const int lw = left_->output_width();
+  if (column < lw) return false;
+  matches_.AddKeyFilter(table_->column(projection_[column - lw]), filter);
+  return true;
 }
 
 std::string IndexJoinOp::ToString(int indent) const {

@@ -30,7 +30,10 @@ class HashJoinOp : public Operator {
   // (empty = all false) marks key positions joined with IS NOT DISTINCT
   // FROM semantics: NULL matches NULL there, as required by the binding
   // joins decorrelation emits (a NULL correlation value is a binding, not a
-  // mismatch).
+  // mismatch). An inner join whose one left key is a column reference
+  // offers its build table down the left side as a runtime key filter on
+  // that column (exec/scan.h), live from the end of each in-memory build
+  // to Close.
   HashJoinOp(OperatorPtr left, OperatorPtr right, std::vector<ExprPtr>
              left_keys, std::vector<ExprPtr> right_keys, ExprPtr residual,
              JoinType join_type, std::vector<bool> null_safe_keys = {});
@@ -41,6 +44,8 @@ class HashJoinOp : public Operator {
     return left_->output_width() + right_->output_width();
   }
   void Introspect(PlanIntrospection* out) const override;
+  // Passes filters on left columns to the probe side.
+  bool OfferKeyFilter(int column, const KeyFilter* filter) override;
 
  protected:
   Status OpenImpl(ExecContext* ctx) override;
@@ -70,6 +75,7 @@ class HashJoinOp : public Operator {
   std::vector<uint32_t> key_first_;  // per key id
   std::vector<uint32_t> key_last_;   // per key id
   int64_t charged_bytes_ = 0;  // build-table memory charged to the guard
+  KeyFilter key_filter_;       // this join's offer; its keys are table_
   Row key_;                    // scratch: the evaluated build or probe key
   Row current_left_;
   bool probing_ = false;        // current_left_ still has output pending
@@ -170,6 +176,9 @@ class IndexJoinOp : public Operator {
     return left_->output_width() + static_cast<int>(projection_.size());
   }
   void Introspect(PlanIntrospection* out) const override;
+  // Takes filters on the table's own columns only: passing one to the left
+  // input would skip index probes.
+  bool OfferKeyFilter(int column, const KeyFilter* filter) override;
 
  protected:
   Status OpenImpl(ExecContext* ctx) override;

@@ -25,6 +25,7 @@ MetricsNode Collect(const Operator& op, std::string role) {
 
   const OperatorMetrics& m = op.metrics();
   node.rows_out = m.rows_out;
+  node.keyfilter_rejected = m.keyfilter_rejected;
   node.open_calls = m.open_calls;
   node.next_calls = m.next_calls;
   node.open_nanos = m.open_nanos;
@@ -64,9 +65,14 @@ void Render(const MetricsNode& node, int indent, bool include_timing,
     *out += ": ";
   }
   *out += node.detail.empty() ? node.name : node.detail;
-  *out += StrFormat(" (rows=%lld in=%lld loops=%lld",
-                    (long long)node.rows_out, (long long)node.rows_in,
-                    (long long)node.open_calls);
+  *out += StrFormat(" (rows=%lld in=%lld", (long long)node.rows_out,
+                    (long long)node.rows_in);
+  // Only once a key filter rejected rows, so plans without one render
+  // byte-identically (same contract as build=/probes=).
+  if (node.keyfilter_rejected > 0) {
+    *out += StrFormat(" keyfilter=%lld", (long long)node.keyfilter_rejected);
+  }
+  *out += StrFormat(" loops=%lld", (long long)node.open_calls);
   if (node.build_rows > 0) {
     *out += StrFormat(" build=%lld", (long long)node.build_rows);
   }
@@ -111,6 +117,9 @@ void NodeJson(JsonWriter* w, const MetricsNode& node) {
   if (!node.role.empty()) w->Key("role").String(node.role);
   w->Key("rows_out").Int(node.rows_out);
   w->Key("rows_in").Int(node.rows_in);
+  if (node.keyfilter_rejected > 0) {
+    w->Key("keyfilter_rejected").Int(node.keyfilter_rejected);
+  }
   w->Key("loops").Int(node.open_calls);
   w->Key("next_calls").Int(node.next_calls);
   w->Key("open_ms").Double(Ms(node.open_nanos));

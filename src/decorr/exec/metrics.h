@@ -32,6 +32,9 @@ struct OperatorMetrics {
   // operators with children report 0 and the snapshot derives rows_in from
   // the children's rows_out instead.
   int64_t rows_in_self = 0;
+  // Rows of rows_in_self that only a runtime key filter rejected (access
+  // paths only; see KeyFilter in exec/scan.h).
+  int64_t keyfilter_rejected = 0;
 
   // Wall time, nanoseconds, inclusive of children (a Filter's Next includes
   // its child's Next). Zero unless profiling.
@@ -71,6 +74,7 @@ struct OperatorMetrics {
     close_calls += other.close_calls;
     rows_out += other.rows_out;
     rows_in_self += other.rows_in_self;
+    keyfilter_rejected += other.keyfilter_rejected;
     open_nanos += other.open_nanos;
     next_nanos += other.next_nanos;
     close_nanos += other.close_nanos;
@@ -100,6 +104,7 @@ struct MetricsNode {
 
   int64_t rows_in = 0;  // rows_in_self + sum of children rows_out
   int64_t rows_out = 0;
+  int64_t keyfilter_rejected = 0;
   int64_t open_calls = 0;   // "loops": how often this operator was (re)opened
   int64_t next_calls = 0;
   int64_t open_nanos = 0;
@@ -130,6 +135,8 @@ MetricsNode CollectMetricsTree(const Operator& root);
 
 // Indented plan rendering annotated with metrics, one operator per line:
 //   role: detail (rows=N in=M loops=K time=Tms self=Sms)
+// with keyfilter=R after in= on access paths whose key filters rejected
+// rows.
 // With include_timing=false the time/self/bytes fields are omitted, which
 // makes the output deterministic for golden tests.
 std::string RenderMetricsTree(const MetricsNode& node, bool include_timing);

@@ -61,6 +61,12 @@ std::string Operator::Indent(int n) { return Repeat("  ", n); }
 
 void Operator::Introspect(PlanIntrospection* out) const { (void)out; }
 
+bool Operator::OfferKeyFilter(int column, const KeyFilter* filter) {
+  (void)column;
+  (void)filter;
+  return false;
+}
+
 void Operator::MergeMetricsFrom(const Operator& other) {
   metrics_.Merge(other.metrics_);
   PlanIntrospection mine, theirs;

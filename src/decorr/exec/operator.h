@@ -18,6 +18,7 @@
 namespace decorr {
 
 struct Expr;
+struct KeyFilter;
 class Operator;
 class TempFileManager;
 
@@ -145,6 +146,14 @@ class Operator {
   // The base implementation reports nothing; every concrete operator
   // overrides it.
   virtual void Introspect(PlanIntrospection* out) const;
+
+  // Offers a runtime key filter (exec/scan.h) on output column `column`
+  // and returns whether this operator or one below it took it. Only
+  // operators that hand every row of that column up unchanged and never
+  // re-read, share or count their input differently pass it on (Filter,
+  // column references of Project, the probe side of a hash join), and
+  // only base-table access paths take it; the default refuses.
+  virtual bool OfferKeyFilter(int column, const KeyFilter* filter);
 
   // Counters accumulated so far (across re-opens).
   const OperatorMetrics& metrics() const { return metrics_; }

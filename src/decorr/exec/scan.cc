@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <string_view>
 
 #include "decorr/common/fault.h"
 #include "decorr/common/string_util.h"
@@ -28,37 +30,149 @@ bool IsFixed(const Expr& e) {
   return e.kind == ExprKind::kConstant || e.kind == ExprKind::kParamRef;
 }
 
-// The shapes the in-place path covers. Operand types are checked per call,
-// since parameters are only known then.
-bool InPlaceShape(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kComparison: {
-      const Expr& l = *e.children[0];
-      const Expr& r = *e.children[1];
-      return (IsColumn(l) && IsFixed(r)) || (IsFixed(l) && IsColumn(r));
-    }
-    case ExprKind::kIsNull:
-      return IsColumn(*e.children[0]);
-    case ExprKind::kLike:
-      return IsColumn(*e.children[0]) && IsFixed(*e.children[1]);
-    case ExprKind::kInList:
-      return IsColumn(*e.children[0]) &&
-             std::all_of(e.children.begin() + 1, e.children.end(),
-                         [](const ExprPtr& item) { return IsFixed(*item); });
-    case ExprKind::kAnd:
-    case ExprKind::kOr:
-      return InPlaceShape(*e.children[0]) && InPlaceShape(*e.children[1]);
-    default:
-      return false;
-  }
-}
-
 // A constant's or parameter's value; null for a parameter without a
 // binding, which is left to the row evaluator to report.
 const Value* FixedValue(const Expr& e, const Row* params) {
   if (e.kind == ExprKind::kConstant) return &e.value;
   return params != nullptr ? &(*params)[e.param] : nullptr;
 }
+
+// A LIKE pattern as a test: a pattern whose only wildcards are a leading
+// and/or trailing '%' is an equality, prefix, suffix or substring test of
+// its literal middle; any other pattern keeps LikeMatch. Views `pattern`,
+// which must outlive it.
+class LikeTest {
+ public:
+  explicit LikeTest(const std::string& pattern) : pattern_(&pattern) {
+    size_t begin = 0;
+    size_t end = pattern.size();
+    while (begin < end && pattern[begin] == '%') ++begin;
+    while (end > begin && pattern[end - 1] == '%') --end;
+    const std::string_view middle(pattern.data() + begin, end - begin);
+    if (middle.find_first_of("%_") != std::string_view::npos) return;
+    literal_ = middle;
+    const bool leading = begin > 0;
+    const bool trailing = end < pattern.size();
+    kind_ = leading ? (trailing ? kContains : kSuffix)
+                    : (trailing ? kPrefix : kEquals);
+  }
+
+  bool operator()(const std::string& text) const {
+    switch (kind_) {
+      case kEquals: return text == literal_;
+      case kPrefix: return text.starts_with(literal_);
+      case kSuffix: return text.ends_with(literal_);
+      case kContains: return text.find(literal_) != std::string::npos;
+      case kGeneral: break;
+    }
+    return LikeMatch(text, *pattern_);
+  }
+
+ private:
+  enum Kind : uint8_t { kGeneral, kEquals, kPrefix, kSuffix, kContains };
+  const std::string* pattern_;
+  Kind kind_ = kGeneral;
+  std::string_view literal_;  // the pattern between its end '%'s
+};
+
+// An IN list's items by type, and whether one was NULL, matched with
+// Value::Compare's equality: numbers compare across INT64/DOUBLE, other
+// types only within their own type. Strings view the items' Values, which
+// must outlive it.
+struct InItems {
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;  // the DOUBLE items
+  std::vector<double> numbers;  // every INT64 and DOUBLE item, as a double
+  std::vector<std::string_view> strings;
+  std::vector<bool> bools;
+  bool saw_null = false;
+
+  void Add(const Value& item) {
+    switch (item.type()) {
+      case TypeId::kNull: saw_null = true; break;
+      case TypeId::kInt64:
+        ints.push_back(item.int64_value());
+        numbers.push_back(item.AsDouble());
+        break;
+      case TypeId::kDouble:
+        doubles.push_back(item.double_value());
+        numbers.push_back(item.double_value());
+        break;
+      case TypeId::kString: strings.push_back(item.string_value()); break;
+      case TypeId::kBool: bools.push_back(item.bool_value()); break;
+    }
+  }
+};
+
+}  // namespace
+
+// The in-place form of a filter: its Expr tree, with the parts fixed for
+// the filter prepared once. Operand types are still checked per call,
+// since parameters are only known then.
+struct StorageFilter::Node {
+  const Expr* expr = nullptr;
+  std::vector<Node> children;    // kAnd / kOr: both operands
+  std::optional<LikeTest> like;  // kLike with a non-NULL string constant
+  InItems in;                    // kInList: the constant items
+  std::vector<const Expr*> in_params;  // kInList: the parameter items
+
+  // The in-place form of `e`, or nullopt for shapes left to the row
+  // evaluator.
+  static std::optional<Node> Prepare(const Expr& e) {
+    Node node;
+    node.expr = &e;
+    switch (e.kind) {
+      case ExprKind::kComparison: {
+        const Expr& l = *e.children[0];
+        const Expr& r = *e.children[1];
+        if ((IsColumn(l) && IsFixed(r)) || (IsFixed(l) && IsColumn(r))) {
+          return node;
+        }
+        return std::nullopt;
+      }
+      case ExprKind::kIsNull:
+        if (IsColumn(*e.children[0])) return node;
+        return std::nullopt;
+      case ExprKind::kLike: {
+        const Expr& pattern = *e.children[1];
+        if (!IsColumn(*e.children[0]) || !IsFixed(pattern)) {
+          return std::nullopt;
+        }
+        if (pattern.kind == ExprKind::kConstant &&
+            pattern.value.type() == TypeId::kString) {
+          node.like.emplace(pattern.value.string_value());
+        }
+        return node;
+      }
+      case ExprKind::kInList:
+        if (!IsColumn(*e.children[0])) return std::nullopt;
+        for (size_t c = 1; c < e.children.size(); ++c) {
+          const Expr& item = *e.children[c];
+          if (!IsFixed(item)) return std::nullopt;
+          if (item.kind == ExprKind::kConstant) {
+            node.in.Add(item.value);
+          } else {
+            node.in_params.push_back(&item);
+          }
+        }
+        return node;
+      case ExprKind::kAnd:
+      case ExprKind::kOr:
+        for (const ExprPtr& child : e.children) {
+          std::optional<Node> prepared = Prepare(*child);
+          if (!prepared) return std::nullopt;
+          node.children.push_back(std::move(*prepared));
+        }
+        return node;
+      default:
+        return std::nullopt;
+    }
+  }
+};
+
+namespace {
+
+using Node = StorageFilter::Node;
 
 template <typename T>
 bool ApplyCmp(BinaryOp op, const T& a, const T& b) {
@@ -158,60 +272,53 @@ bool CompareInPlace(const Expr& e, const Table& t, const Row* params,
   }
 }
 
-// [NOT] IN over fixed items, with Value::Compare's equality: numbers compare
-// across INT64/DOUBLE, other types only within their own type. A row equal
-// to some item yields !negated; otherwise a NULL item makes it UNKNOWN.
-bool InListInPlace(const Expr& e, const Table& t, const Row* params,
+// [NOT] IN over the node's items: a row equal to some item yields
+// !negated; otherwise a NULL item makes it UNKNOWN.
+bool InListInPlace(const Node& n, const Table& t, const Row* params,
                    const RowSet& rows, char* match) {
+  const Expr& e = *n.expr;
   const Column& col = t.column(e.children[0]->slot);
-  std::vector<int64_t> ints;
-  std::vector<double> doubles;
-  std::vector<const std::string*> strings;
-  std::vector<bool> bools;
-  bool saw_null = false;
-  for (size_t c = 1; c < e.children.size(); ++c) {
-    const Value* value = FixedValue(*e.children[c], params);
-    if (value == nullptr) return false;
-    const Value& item = *value;
-    switch (item.type()) {
-      case TypeId::kNull: saw_null = true; break;
-      case TypeId::kInt64: ints.push_back(item.int64_value()); break;
-      case TypeId::kDouble: doubles.push_back(item.double_value()); break;
-      case TypeId::kString: strings.push_back(&item.string_value()); break;
-      case TypeId::kBool: bools.push_back(item.bool_value()); break;
+  // Parameter items join a per-call copy of the prepared constants.
+  std::optional<InItems> with_params;
+  if (!n.in_params.empty()) {
+    with_params.emplace(n.in);
+    for (const Expr* item : n.in_params) {
+      const Value* value = FixedValue(*item, params);
+      if (value == nullptr) return false;
+      with_params->Add(*value);
     }
   }
+  const InItems& items = with_params ? *with_params : n.in;
   const bool on_hit = !e.negated;
-  const bool on_miss = e.negated && !saw_null;
-  auto has = [](const auto& items, const auto& v) {
-    return std::find(items.begin(), items.end(), v) != items.end();
+  const bool on_miss = e.negated && !items.saw_null;
+  auto has = [](const auto& set, const auto& v) {
+    return std::find(set.begin(), set.end(), v) != set.end();
   };
   switch (col.type()) {
     case TypeId::kInt64:
       Narrow(rows, col, match, [&](size_t r) {
         const int64_t v = col.Int64At(r);
-        return has(ints, v) || has(doubles, static_cast<double>(v)) ? on_hit
-                                                                    : on_miss;
+        return has(items.ints, v) ||
+                       has(items.doubles, static_cast<double>(v))
+                   ? on_hit
+                   : on_miss;
       });
       return true;
     case TypeId::kDouble:
-      for (int64_t v : ints) doubles.push_back(static_cast<double>(v));
       Narrow(rows, col, match, [&](size_t r) {
-        return has(doubles, col.DoubleAt(r)) ? on_hit : on_miss;
+        return has(items.numbers, col.DoubleAt(r)) ? on_hit : on_miss;
       });
       return true;
     case TypeId::kString:
       Narrow(rows, col, match, [&](size_t r) {
-        const std::string& v = col.StringAt(r);
-        return std::any_of(strings.begin(), strings.end(),
-                           [&](const std::string* s) { return *s == v; })
+        return has(items.strings, std::string_view(col.StringAt(r)))
                    ? on_hit
                    : on_miss;
       });
       return true;
     case TypeId::kBool:
       Narrow(rows, col, match, [&](size_t r) {
-        return has(bools, col.BoolAt(r)) ? on_hit : on_miss;
+        return has(items.bools, col.BoolAt(r)) ? on_hit : on_miss;
       });
       return true;
     default:
@@ -219,10 +326,35 @@ bool InListInPlace(const Expr& e, const Table& t, const Row* params,
   }
 }
 
+bool LikeInPlace(const Node& n, const Table& t, const Row* params,
+                 const RowSet& rows, char* match) {
+  const Expr& e = *n.expr;
+  const Column& col = t.column(e.children[0]->slot);
+  // A parameter pattern is prepared per call.
+  std::optional<LikeTest> per_call;
+  if (!n.like) {
+    const Value* pattern = FixedValue(*e.children[1], params);
+    if (pattern == nullptr) return false;
+    if (pattern->is_null()) {
+      std::fill(match, match + rows.size, 0);
+      return true;
+    }
+    if (pattern->type() != TypeId::kString) return false;
+    per_call.emplace(pattern->string_value());
+  }
+  if (col.type() != TypeId::kString) return false;
+  const LikeTest& like = n.like ? *n.like : *per_call;
+  Narrow(rows, col, match, [&](size_t r) {
+    return like(col.StringAt(r)) != e.negated;
+  });
+  return true;
+}
+
 // Returns false (with `match` clobbered) on operand types it does not
 // handle; the caller then falls back to the row evaluator.
-bool EvalInPlace(const Expr& e, const Table& t, const Row* params,
+bool EvalInPlace(const Node& n, const Table& t, const Row* params,
                  const RowSet& rows, char* match) {
+  const Expr& e = *n.expr;
   switch (e.kind) {
     case ExprKind::kComparison:
       return CompareInPlace(e, t, params, rows, match);
@@ -233,33 +365,18 @@ bool EvalInPlace(const Expr& e, const Table& t, const Row* params,
       }
       return true;
     }
-    case ExprKind::kLike: {
-      const Column& col = t.column(e.children[0]->slot);
-      const Value* pattern = FixedValue(*e.children[1], params);
-      if (pattern == nullptr) return false;
-      if (pattern->is_null()) {
-        std::fill(match, match + rows.size, 0);
-        return true;
-      }
-      if (col.type() != TypeId::kString || pattern->type() != TypeId::kString) {
-        return false;
-      }
-      const std::string& like = pattern->string_value();
-      Narrow(rows, col, match, [&](size_t r) {
-        return LikeMatch(col.StringAt(r), like) != e.negated;
-      });
-      return true;
-    }
+    case ExprKind::kLike:
+      return LikeInPlace(n, t, params, rows, match);
     case ExprKind::kInList:
-      return InListInPlace(e, t, params, rows, match);
+      return InListInPlace(n, t, params, rows, match);
     case ExprKind::kAnd:
-      return EvalInPlace(*e.children[0], t, params, rows, match) &&
-             EvalInPlace(*e.children[1], t, params, rows, match);
+      return EvalInPlace(n.children[0], t, params, rows, match) &&
+             EvalInPlace(n.children[1], t, params, rows, match);
     case ExprKind::kOr: {
       std::vector<char> rest(match, match + rows.size);
-      if (!EvalInPlace(*e.children[0], t, params, rows, match)) return false;
+      if (!EvalInPlace(n.children[0], t, params, rows, match)) return false;
       for (size_t i = 0; i < rows.size; ++i) rest[i] &= !match[i];
-      if (!EvalInPlace(*e.children[1], t, params, rows, rest.data())) {
+      if (!EvalInPlace(n.children[1], t, params, rows, rest.data())) {
         return false;
       }
       for (size_t i = 0; i < rows.size; ++i) match[i] |= rest[i];
@@ -277,7 +394,9 @@ bool EvalInPlace(const Expr& e, const Table& t, const Row* params,
 StorageFilter::StorageFilter(const Table& table, const Expr* filter)
     : table_(table), filter_(filter) {
   if (filter_ == nullptr) return;
-  in_place_ = InPlaceShape(*filter_);
+  if (std::optional<Node> prepared = Node::Prepare(*filter_)) {
+    in_place_ = std::make_unique<const Node>(std::move(*prepared));
+  }
   std::vector<const Expr*> refs;
   CollectColumnRefs(*filter_, &refs);
   for (const Expr* ref : refs) {
@@ -288,12 +407,14 @@ StorageFilter::StorageFilter(const Table& table, const Expr* filter)
   }
 }
 
+StorageFilter::~StorageFilter() = default;
+
 void StorageFilter::Eval(const Row* params, const RowSet& rows,
                          std::vector<char>* match) const {
   match->assign(rows.size, 1);
   if (filter_ == nullptr) return;
   if (in_place_ &&
-      EvalInPlace(*filter_, table_, params, rows, match->data())) {
+      EvalInPlace(*in_place_, table_, params, rows, match->data())) {
     return;
   }
   Row scratch(table_.num_columns());
@@ -306,18 +427,111 @@ void StorageFilter::Eval(const Row* params, const RowSet& rows,
   }
 }
 
+// ---- Runtime key filters ----
+
+namespace {
+
+// Verdict byte of a row that passed the StorageFilter but not a key filter.
+constexpr char kKeyRejected = 2;
+
+// Value::Compare's equality of two numbers: neither is less than the other.
+bool SameNumber(double a, double b) { return !(a < b) && !(a > b); }
+
+// Marks kKeyRejected every row of `rows` still passing (1) whose `col`
+// value fails: a NULL value fails unless `null_passes`, any other unless
+// has(row).
+template <typename Has>
+void RejectMisses(const RowSet& rows, const Column& col, bool null_passes,
+                  Has has, char* match) {
+  for (size_t i = 0; i < rows.size; ++i) {
+    if (match[i] != 1) continue;
+    const size_t r = rows[i];
+    if (col.IsNull(r) ? !null_passes : !has(r)) match[i] = kKeyRejected;
+  }
+}
+
+// Applies one key filter to `rows`: a value passes iff it is a key of the
+// build table, found with KeyTable's hash and equality (Value::Hash and
+// Value::Equals of the value) computed on the typed cell.
+void ApplyKeyFilter(const KeyFilter& filter, const Column& col,
+                    const RowSet& rows, char* match) {
+  const KeyTable& keys = *filter.keys;
+  const Value null_key;
+  const bool null_passes =
+      filter.null_safe &&
+      keys.Find(&null_key, KeyTable::Hash(&null_key, 1)) !=
+          KeyTable::kNotFound;
+  auto found = [&](size_t hash, auto equals) {
+    return keys.FindOne(hash, equals) != KeyTable::kNotFound;
+  };
+  switch (col.type()) {
+    case TypeId::kInt64:
+      RejectMisses(rows, col, null_passes, [&](size_t r) {
+        const int64_t v = col.Int64At(r);
+        return found(Value::HashInt64(v), [v](const Value& k) {
+          if (k.type() == TypeId::kInt64) return k.int64_value() == v;
+          return k.type() == TypeId::kDouble &&
+                 SameNumber(k.double_value(), static_cast<double>(v));
+        });
+      }, match);
+      return;
+    case TypeId::kDouble:
+      RejectMisses(rows, col, null_passes, [&](size_t r) {
+        const double v = col.DoubleAt(r);
+        return found(Value::HashDouble(v), [v](const Value& k) {
+          return (k.type() == TypeId::kInt64 ||
+                  k.type() == TypeId::kDouble) &&
+                 SameNumber(k.AsDouble(), v);
+        });
+      }, match);
+      return;
+    case TypeId::kString:
+      RejectMisses(rows, col, null_passes, [&](size_t r) {
+        const std::string& v = col.StringAt(r);
+        return found(Value::HashString(v), [&v](const Value& k) {
+          return k.type() == TypeId::kString && k.string_value() == v;
+        });
+      }, match);
+      return;
+    case TypeId::kBool:
+      RejectMisses(rows, col, null_passes, [&](size_t r) {
+        const bool v = col.BoolAt(r);
+        return found(Value::HashBool(v), [v](const Value& k) {
+          return k.type() == TypeId::kBool && k.bool_value() == v;
+        });
+      }, match);
+      return;
+    default:
+      return;
+  }
+}
+
+}  // namespace
+
+bool FilteredRowCursor::ApplyKeyFilters(const RowSet& chunk) {
+  bool any = false;
+  for (const auto& [column, filter] : key_filters_) {
+    if (!filter->live) continue;
+    any = true;
+    ApplyKeyFilter(*filter, *column, chunk, match_.data());
+  }
+  return any;
+}
+
 Status FilteredRowCursor::Next(const StorageFilter& filter,
                                const ExecContext& ctx, size_t* row, bool* eof,
-                               int64_t* walked) {
+                               int64_t* walked, int64_t* key_rejected) {
   while (pos_ < rows_.size) {
     if (pos_ == end_) {
       DECORR_RETURN_IF_ERROR(ctx.Check());
       start_ = pos_;
       end_ = std::min(rows_.size, pos_ + kChunkRows);
-      filter.Eval(ctx.params, rows_.Slice(start_, end_ - start_), &match_);
+      const RowSet chunk = rows_.Slice(start_, end_ - start_);
+      filter.Eval(ctx.params, chunk, &match_);
+      keyed_ = ApplyKeyFilters(chunk);
     }
-    // Eval writes exactly 0 or 1 per row, so the next passing row of the
-    // chunk is the next 1 byte.
+    // Verdicts are 0 (StorageFilter fails), kKeyRejected or 1, so the next
+    // passing row of the chunk is the next 1 byte.
     const char* chunk = match_.data();
     const void* hit = std::memchr(chunk + (pos_ - start_), 1, end_ - pos_);
     const size_t next =
@@ -325,6 +539,10 @@ Status FilteredRowCursor::Next(const StorageFilter& filter,
                        : start_ + static_cast<size_t>(
                                       static_cast<const char*>(hit) - chunk);
     *walked += static_cast<int64_t>(next - pos_);
+    if (keyed_) {
+      *key_rejected += std::count(chunk + (pos_ - start_),
+                                  chunk + (next - start_), kKeyRejected);
+    }
     pos_ = next;
     if (pos_ == end_) continue;
     DECORR_RETURN_IF_ERROR(ctx.Check());
@@ -371,7 +589,8 @@ Status SeqScanOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.seqscan.next");
   size_t r = 0;
   int64_t walked = 0;
-  Status st = rows_.Next(storage_filter_, *ctx_, &r, eof, &walked);
+  Status st = rows_.Next(storage_filter_, *ctx_, &r, eof, &walked,
+                         &metrics_.keyfilter_rejected);
   ctx_->stats->rows_scanned += walked;
   metrics_.rows_in_self += walked;
   if (!st.ok() || *eof) return st;
@@ -382,6 +601,11 @@ Status SeqScanOp::NextImpl(Row* out, bool* eof) {
 }
 
 void SeqScanOp::CloseImpl() {}
+
+bool SeqScanOp::OfferKeyFilter(int column, const KeyFilter* filter) {
+  rows_.AddKeyFilter(table_->column(projection_[column]), filter);
+  return true;
+}
 
 std::string SeqScanOp::name() const {
   return "SeqScan(" + table_->schema().name() + ")";
@@ -435,7 +659,8 @@ Status IndexLookupOp::NextImpl(Row* out, bool* eof) {
   DECORR_FAULT_POINT("exec.indexlookup.next");
   size_t r = 0;
   int64_t walked = 0;
-  Status st = rows_.Next(storage_filter_, *ctx_, &r, eof, &walked);
+  Status st = rows_.Next(storage_filter_, *ctx_, &r, eof, &walked,
+                         &metrics_.keyfilter_rejected);
   ctx_->stats->rows_scanned += walked;
   metrics_.rows_in_self += walked;
   if (!st.ok() || *eof) return st;
@@ -446,6 +671,11 @@ Status IndexLookupOp::NextImpl(Row* out, bool* eof) {
 }
 
 void IndexLookupOp::CloseImpl() { rows_.Reset(RowSet{}); }
+
+bool IndexLookupOp::OfferKeyFilter(int column, const KeyFilter* filter) {
+  rows_.AddKeyFilter(table_->column(projection_[column]), filter);
+  return true;
+}
 
 std::string IndexLookupOp::name() const {
   return "IndexLookup(" + table_->schema().name() + ")";

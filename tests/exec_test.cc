@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 
 #include "decorr/common/key_table.h"
+#include "decorr/common/resource.h"
 #include "decorr/exec/aggregate.h"
 #include "decorr/exec/apply.h"
 #include "decorr/exec/filter_project.h"
@@ -13,6 +16,7 @@
 #include "decorr/exec/misc_ops.h"
 #include "decorr/exec/scan.h"
 #include "decorr/expr/eval.h"
+#include "decorr/storage/temp_file.h"
 #include "tests/test_util.h"
 
 namespace decorr {
@@ -328,11 +332,15 @@ TablePtr NullHeavyTable() {
                             {"s", TypeId::kString, true},
                             {"b", TypeId::kBool, true}});
   auto table = std::make_shared<Table>(schema);
-  const char* words[] = {"apple", "banana", "ab", "", "xab", "Apple"};
+  const char* words[] = {"apple", "banana", "ab",   "",     "xab",
+                         "Apple", "abc",    "xabc", "abcx", "xabcx",
+                         "ac",    "abbc",   "bc",   "b",    "abcabc",
+                         "%",     "a_c",    "bb"};
+  constexpr int64_t kWords = sizeof(words) / sizeof(words[0]);
   for (int64_t r = 0; r < 300; ++r) {
     (void)table->AppendRow(
         {r % 3 == 0 ? N() : I(r % 7), r % 4 == 0 ? N() : D((r % 5) * 0.5),
-         r % 5 == 0 ? N() : S(words[r % 6]),
+         r % 5 == 0 ? N() : S(words[r % kWords]),
          r % 6 == 0 ? N() : Value::Bool(r % 2 == 0)});
   }
   return table;
@@ -372,9 +380,13 @@ TEST(StorageFilterTest, MatchesScalarEvalOverChunksAndMatchLists) {
 
   std::vector<ExprPtr> exprs;
   for (bool negated : {false, true}) {
-    // Literal patterns and '%'/'_' wildcards at the ends, inside and alone.
+    // Literal patterns and '%'/'_' wildcards at the ends, inside and alone:
+    // the prepared equality, prefix, suffix and substring tests, and the
+    // patterns that keep LikeMatch.
     for (const char* pattern :
-         {"ab", "", "a%", "%ab", "%pp%", "%", "%%", "%b_", "a%e", "%a%b%"}) {
+         {"ab", "", "a%", "%ab", "%pp%", "%", "%%", "%b_", "a%e", "%a%b%",
+          "abc", "abc%", "%abc", "%abc%", "a%c", "_bc%", "%%abc%%", "%_",
+          "_"}) {
       exprs.push_back(MakeLike(s->Clone(), MakeConstant(S(pattern)), negated));
     }
     exprs.push_back(MakeLike(s->Clone(), MakeParamRef(2, TypeId::kString),
@@ -390,11 +402,28 @@ TEST(StorageFilterTest, MatchesScalarEvalOverChunksAndMatchLists) {
     exprs.push_back(Items(b->Clone(), {Value::Bool(true)}, negated));
     exprs.push_back(MakeIsNull(s->Clone(), negated));
   }
-  {
+  for (bool negated : {false, true}) {
     std::vector<ExprPtr> list;
     list.push_back(MakeParamRef(0, TypeId::kInt64));
     list.push_back(MakeParamRef(1, TypeId::kInt64));  // NULL parameter
-    exprs.push_back(MakeInList(i->Clone(), std::move(list), false));
+    exprs.push_back(MakeInList(i->Clone(), std::move(list), negated));
+    // Prepared constants joined by a parameter item, over INT64 and DOUBLE
+    // columns, with and without a NULL constant.
+    for (const Expr* col : {i.get(), d.get()}) {
+      for (bool with_null : {false, true}) {
+        std::vector<ExprPtr> items;
+        items.push_back(MakeConstant(I(1)));
+        items.push_back(MakeParamRef(0, TypeId::kInt64));
+        items.push_back(MakeConstant(D(1.5)));
+        if (with_null) items.push_back(MakeConstant(N()));
+        exprs.push_back(MakeInList(col->Clone(), std::move(items), negated));
+      }
+    }
+    std::vector<ExprPtr> strings;
+    strings.push_back(MakeConstant(S("abc")));
+    strings.push_back(MakeParamRef(2, TypeId::kString));
+    strings.push_back(MakeConstant(S("")));
+    exprs.push_back(MakeInList(s->Clone(), std::move(strings), negated));
   }
   for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
                       BinaryOp::kGe, BinaryOp::kNullEq}) {
@@ -513,6 +542,552 @@ TEST(ChunkedCursorTest, IndexJoinCountsEveryMatchOfEveryProbe) {
   EXPECT_EQ(stats.index_lookups, 3);
   EXPECT_EQ(stats.rows_scanned, 2 * kChunkedRows);
   EXPECT_EQ(join.metrics().rows_in_self, 2 * kChunkedRows);
+}
+
+// ---- runtime key filters ----
+
+// 3,000 probe rows over three cursor chunks: k = r % 100, NULL when
+// r % 7 == 0; g = r % 5 (the index group); s = "s<k>".
+constexpr int64_t kProbeRows = 3000;
+
+TablePtr ProbeTable() {
+  TableSchema schema("p", {{"k", TypeId::kInt64, true},
+                           {"g", TypeId::kInt64, false},
+                           {"s", TypeId::kString, false}});
+  auto table = std::make_shared<Table>(schema);
+  for (int64_t r = 0; r < kProbeRows; ++r) {
+    (void)table->AppendRow({r % 7 == 0 ? N() : I(r % 100), I(r % 5),
+                            S("s" + std::to_string(r % 100))});
+  }
+  return table;
+}
+
+// Probe rows whose k is one of `keys` (NULL entries match NULL k).
+int64_t CountProbeKeys(const std::vector<Value>& keys) {
+  int64_t n = 0;
+  for (int64_t r = 0; r < kProbeRows; ++r) {
+    const Value k = r % 7 == 0 ? N() : I(r % 100);
+    for (const Value& key : keys) {
+      if (key.Equals(k)) {
+        ++n;
+        break;
+      }
+    }
+  }
+  return n;
+}
+
+std::vector<std::string> Render(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) out.push_back(RowToString(row));
+  return out;
+}
+
+// A one-column build side holding `keys`.
+OperatorPtr BuildKeys(const std::vector<Value>& keys) {
+  std::vector<Row> rows;
+  for (const Value& key : keys) rows.push_back({key});
+  return Rows(std::move(rows), 1);
+}
+
+// `op` drained on its own: the rows an access path yields without a key
+// filter, as a RowsScan, which takes none.
+OperatorPtr Unfiltered(Operator* op, const Row* params = nullptr) {
+  const int width = op->output_width();
+  return Rows(Drain(op, params), width);
+}
+
+OperatorPtr KeyJoin(OperatorPtr probe, int probe_col, OperatorPtr build,
+                    bool null_safe = false) {
+  return std::make_unique<HashJoinOp>(
+      std::move(probe), std::move(build), KeyAt(probe_col), KeyAt(0),
+      nullptr, JoinType::kInner, std::vector<bool>{null_safe});
+}
+
+TEST(KeyFilterTest, SeqScanProbeSideKeepsRowsAndOrder) {
+  TablePtr table = ProbeTable();
+  const std::vector<Value> keys = {I(3), I(42), I(3), I(1000)};
+  auto scan = std::make_unique<SeqScanOp>(table, std::vector<int>{2, 0},
+                                          nullptr);
+  SeqScanOp* probe = scan.get();
+  OperatorPtr join = KeyJoin(std::move(scan), 1, BuildKeys(keys));
+  SeqScanOp reference_scan(table, {2, 0}, nullptr);
+  OperatorPtr reference =
+      KeyJoin(Unfiltered(&reference_scan), 1, BuildKeys(keys));
+
+  ExecStats stats;
+  EXPECT_EQ(Render(Drain(join.get(), nullptr, &stats)),
+            Render(Drain(reference.get())));
+  const int64_t passing = CountProbeKeys(keys);
+  EXPECT_EQ(probe->metrics().rows_out, passing);
+  EXPECT_EQ(probe->metrics().rows_in_self, kProbeRows);
+  EXPECT_EQ(probe->metrics().keyfilter_rejected, kProbeRows - passing);
+  EXPECT_EQ(stats.rows_scanned, kProbeRows);
+}
+
+TEST(KeyFilterTest, IndexLookupProbeSideKeepsRowsAndOrder) {
+  TablePtr table = ProbeTable();
+  auto index = std::make_shared<HashIndex>(*table, std::vector<int>{1});
+  auto lookup = [&] {
+    std::vector<ExprPtr> key;
+    key.push_back(MakeConstant(I(2)));
+    return std::make_unique<IndexLookupOp>(table, index, std::move(key),
+                                           std::vector<int>{0, 2}, nullptr);
+  };
+  const std::vector<Value> keys = {I(12), I(37), I(97)};
+  auto filtered = lookup();
+  IndexLookupOp* probe = filtered.get();
+  OperatorPtr join = KeyJoin(std::move(filtered), 0, BuildKeys(keys));
+  auto reference_lookup = lookup();
+  OperatorPtr reference =
+      KeyJoin(Unfiltered(reference_lookup.get()), 0, BuildKeys(keys));
+
+  ExecStats stats;
+  const std::vector<std::string> rows =
+      Render(Drain(join.get(), nullptr, &stats));
+  EXPECT_FALSE(rows.empty());
+  EXPECT_EQ(rows, Render(Drain(reference.get())));
+  EXPECT_EQ(stats.index_lookups, 1);
+  EXPECT_EQ(probe->metrics().rows_in_self, kProbeRows / 5);
+  EXPECT_EQ(probe->metrics().rows_out, static_cast<int64_t>(rows.size()));
+  EXPECT_EQ(probe->metrics().keyfilter_rejected,
+            kProbeRows / 5 - static_cast<int64_t>(rows.size()));
+}
+
+TEST(KeyFilterTest, IndexJoinTakesOnlyItsTableColumns) {
+  TablePtr table = ProbeTable();
+  auto index = std::make_shared<HashIndex>(*table, std::vector<int>{1});
+  // Output: outer g ++ [k, s] of the matching table rows.
+  auto index_join = [&] {
+    return std::make_unique<IndexJoinOp>(Rows({{I(1)}, {I(4)}, {I(9)}}, 1),
+                                         table, index, KeyAt(0),
+                                         std::vector<int>{0, 2}, nullptr,
+                                         nullptr);
+  };
+  const std::vector<Value> keys = {I(1), I(4), I(14), I(99)};
+  auto filtered = index_join();
+  IndexJoinOp* probe = filtered.get();
+  OperatorPtr join = KeyJoin(std::move(filtered), 1, BuildKeys(keys));
+  auto reference_join = index_join();
+  OperatorPtr reference =
+      KeyJoin(Unfiltered(reference_join.get()), 1, BuildKeys(keys));
+
+  ExecStats stats;
+  const std::vector<std::string> rows =
+      Render(Drain(join.get(), nullptr, &stats));
+  EXPECT_FALSE(rows.empty());
+  EXPECT_EQ(rows, Render(Drain(reference.get())));
+  EXPECT_EQ(stats.index_lookups, 3);
+  EXPECT_EQ(probe->metrics().index_probes, 3);
+  EXPECT_EQ(probe->metrics().rows_in_self, 2 * kProbeRows / 5);
+  EXPECT_EQ(probe->metrics().rows_out, static_cast<int64_t>(rows.size()));
+  EXPECT_GT(probe->metrics().keyfilter_rejected, 0);
+
+  // A key on the outer column is not passed to the left input: filtering it
+  // would skip index probes.
+  auto outer = std::make_unique<SeqScanOp>(table, std::vector<int>{1},
+                                           nullptr);
+  SeqScanOp* outer_scan = outer.get();
+  OperatorPtr on_outer = KeyJoin(
+      std::make_unique<IndexJoinOp>(std::move(outer), table, index, KeyAt(0),
+                                    std::vector<int>{0}, nullptr, nullptr),
+      0, BuildKeys({I(4)}));
+  ExecStats outer_stats;
+  EXPECT_EQ(Drain(on_outer.get(), nullptr, &outer_stats).size(),
+            static_cast<size_t>(kProbeRows / 5 * kProbeRows / 5));
+  EXPECT_EQ(outer_scan->metrics().rows_out, kProbeRows);
+  EXPECT_EQ(outer_scan->metrics().keyfilter_rejected, 0);
+  EXPECT_EQ(outer_stats.index_lookups, kProbeRows);
+}
+
+TEST(KeyFilterTest, PassesThroughFilterProjectAndProbeSidesOnly) {
+  TablePtr table = ProbeTable();
+  const std::vector<Value> keys = {I(3), I(42)};
+  const int64_t passing = CountProbeKeys(keys);
+  auto scan = [&](SeqScanOp** probe) {
+    auto op = std::make_unique<SeqScanOp>(table, std::vector<int>{0, 2},
+                                          nullptr);
+    *probe = op.get();
+    return op;
+  };
+  // [s, k, k + 0] over a Filter over the scan [k, s].
+  auto project = [&](OperatorPtr input) {
+    std::vector<ExprPtr> exprs;
+    exprs.push_back(MakeSlotRef(1, TypeId::kString));
+    exprs.push_back(MakeSlotRef(0, TypeId::kInt64));
+    exprs.push_back(MakeArithmetic(BinaryOp::kAdd,
+                                   MakeSlotRef(0, TypeId::kInt64),
+                                   MakeConstant(I(0))));
+    return std::make_unique<ProjectOp>(
+        std::make_unique<FilterOp>(
+            std::move(input), MakeIsNull(MakeSlotRef(0, TypeId::kInt64),
+                                         /*negated=*/true)),
+        std::move(exprs));
+  };
+  SeqScanOp* probe = nullptr;
+  OperatorPtr by_column = KeyJoin(project(scan(&probe)), 1, BuildKeys(keys));
+  SeqScanOp reference_scan(table, {0, 2}, nullptr);
+  OperatorPtr reference =
+      KeyJoin(project(Unfiltered(&reference_scan)), 1, BuildKeys(keys));
+  EXPECT_EQ(Render(Drain(by_column.get())), Render(Drain(reference.get())));
+  EXPECT_EQ(probe->metrics().rows_out, passing);
+
+  // A computed output is not the scan's column.
+  OperatorPtr computed = KeyJoin(project(scan(&probe)), 2, BuildKeys(keys));
+  EXPECT_EQ(static_cast<int64_t>(Drain(computed.get()).size()), passing);
+  EXPECT_EQ(probe->metrics().keyfilter_rejected, 0);
+
+  // Through a hash join's probe side both joins' filters apply; its build
+  // side takes none.
+  SeqScanOp* build = nullptr;
+  auto inner = std::make_unique<HashJoinOp>(
+      scan(&probe), scan(&build), KeyAt(0), KeyAt(0), nullptr,
+      JoinType::kInner);
+  OperatorPtr outer = KeyJoin(std::move(inner), 0, BuildKeys({I(3)}));
+  Drain(outer.get());
+  EXPECT_EQ(probe->metrics().rows_out, CountProbeKeys({I(3)}));
+  EXPECT_EQ(build->metrics().rows_out, kProbeRows);
+  auto inner_on_build = std::make_unique<HashJoinOp>(
+      scan(&probe), scan(&build), KeyAt(0), KeyAt(0), nullptr,
+      JoinType::kInner);
+  OperatorPtr on_build =
+      KeyJoin(std::move(inner_on_build), 2, BuildKeys({I(3)}));
+  Drain(on_build.get());
+  EXPECT_EQ(build->metrics().keyfilter_rejected, 0);
+  EXPECT_EQ(probe->metrics().rows_out, kProbeRows - CountProbeKeys({N()}));
+}
+
+TEST(KeyFilterTest, NullProbeKeysFollowTheJoinKeySemantics) {
+  TablePtr table = ProbeTable();
+  const int64_t nulls = CountProbeKeys({N()});
+  struct Case {
+    bool null_safe;
+    std::vector<Value> keys;
+    int64_t passing;
+  };
+  const Case cases[] = {
+      // A plain key never matches NULL, even if the build had one.
+      {false, {I(5), N()}, CountProbeKeys({I(5)})},
+      // A null-safe key keeps NULL probe keys exactly when the build holds
+      // a NULL key.
+      {true, {I(5), N()}, CountProbeKeys({I(5)}) + nulls},
+      {true, {I(5)}, CountProbeKeys({I(5)})},
+  };
+  for (const Case& c : cases) {
+    auto scan = std::make_unique<SeqScanOp>(table, std::vector<int>{0, 1},
+                                            nullptr);
+    SeqScanOp* probe = scan.get();
+    OperatorPtr join =
+        KeyJoin(std::move(scan), 0, BuildKeys(c.keys), c.null_safe);
+    SeqScanOp reference_scan(table, {0, 1}, nullptr);
+    OperatorPtr reference = KeyJoin(Unfiltered(&reference_scan), 0,
+                                    BuildKeys(c.keys), c.null_safe);
+    EXPECT_EQ(Render(Drain(join.get())), Render(Drain(reference.get())));
+    EXPECT_EQ(probe->metrics().rows_out, c.passing)
+        << "null_safe=" << c.null_safe << " keys=" << c.keys.size();
+    EXPECT_EQ(probe->metrics().keyfilter_rejected, kProbeRows - c.passing);
+  }
+}
+
+TEST(KeyFilterTest, Int64ProbeKeyMatchesDoubleBuildKey) {
+  TablePtr table = ProbeTable();
+  auto scan = std::make_unique<SeqScanOp>(table, std::vector<int>{0},
+                                          nullptr);
+  SeqScanOp* probe = scan.get();
+  OperatorPtr join = KeyJoin(std::move(scan), 0, BuildKeys({D(7.0), D(7.5)}));
+  const std::vector<Row> rows = Drain(join.get());
+  ASSERT_EQ(static_cast<int64_t>(rows.size()), CountProbeKeys({I(7)}));
+  EXPECT_TRUE(rows[0][0].Equals(I(7)));
+  EXPECT_EQ(probe->metrics().rows_out, CountProbeKeys({I(7)}));
+}
+
+TEST(KeyFilterTest, EmptyBuildRejectsEveryRow) {
+  TablePtr table = ProbeTable();
+  auto scan = std::make_unique<SeqScanOp>(table, std::vector<int>{0},
+                                          nullptr);
+  SeqScanOp* probe = scan.get();
+  OperatorPtr join = KeyJoin(std::move(scan), 0, BuildKeys({}));
+  EXPECT_TRUE(Drain(join.get()).empty());
+  EXPECT_EQ(probe->metrics().rows_out, 0);
+  EXPECT_EQ(probe->metrics().rows_in_self, kProbeRows);
+  EXPECT_EQ(probe->metrics().keyfilter_rejected, kProbeRows);
+}
+
+TEST(KeyFilterTest, OuterMultiKeyAndComputedKeyJoinsOfferNone) {
+  TablePtr table = ProbeTable();
+  std::vector<std::function<OperatorPtr(OperatorPtr)>> joins;
+  joins.push_back([](OperatorPtr probe) {
+    return std::make_unique<HashJoinOp>(std::move(probe), BuildKeys({I(5)}),
+                                        KeyAt(0), KeyAt(0), nullptr,
+                                        JoinType::kLeftOuter);
+  });
+  joins.push_back([](OperatorPtr probe) {
+    std::vector<ExprPtr> left = KeyAt(0);
+    left.push_back(MakeSlotRef(1, TypeId::kInt64));
+    std::vector<ExprPtr> right = KeyAt(0);
+    right.push_back(MakeSlotRef(1, TypeId::kInt64));
+    return std::make_unique<HashJoinOp>(std::move(probe),
+                                        Rows({{I(5), I(0)}}, 2),
+                                        std::move(left), std::move(right),
+                                        nullptr, JoinType::kInner);
+  });
+  joins.push_back([](OperatorPtr probe) {
+    std::vector<ExprPtr> left;
+    left.push_back(MakeArithmetic(BinaryOp::kAdd,
+                                  MakeSlotRef(0, TypeId::kInt64),
+                                  MakeConstant(I(0))));
+    return std::make_unique<HashJoinOp>(std::move(probe), BuildKeys({I(5)}),
+                                        std::move(left), KeyAt(0), nullptr,
+                                        JoinType::kInner);
+  });
+  for (size_t j = 0; j < joins.size(); ++j) {
+    auto scan = std::make_unique<SeqScanOp>(table, std::vector<int>{0, 1},
+                                            nullptr);
+    SeqScanOp* probe = scan.get();
+    OperatorPtr join = joins[j](std::move(scan));
+    EXPECT_FALSE(Drain(join.get()).empty()) << "join " << j;
+    EXPECT_EQ(probe->metrics().rows_out, kProbeRows) << "join " << j;
+    EXPECT_EQ(probe->metrics().keyfilter_rejected, 0) << "join " << j;
+  }
+}
+
+TEST(KeyFilterTest, LiveOnlyFromBuildToClose) {
+  TablePtr table = ProbeTable();
+  auto scan = std::make_unique<SeqScanOp>(table, std::vector<int>{0},
+                                          nullptr);
+  SeqScanOp* probe = scan.get();
+  OperatorPtr join = KeyJoin(std::move(scan), 0, BuildKeys({I(5)}));
+  EXPECT_EQ(static_cast<int64_t>(Drain(join.get()).size()),
+            CountProbeKeys({I(5)}));
+  // Closed, the join's filter no longer applies to its probe side.
+  EXPECT_EQ(static_cast<int64_t>(Drain(probe).size()), kProbeRows);
+}
+
+TEST(KeyFilterTest, ReopenedJoinFiltersByItsNewBuild) {
+  TablePtr table = ProbeTable();
+  // Per outer row x, the inner join's build holds x and x + 50.
+  auto inner = [](OperatorPtr probe) {
+    std::vector<Row> keys;
+    for (int64_t k = 0; k < 100; ++k) keys.push_back({I(k)});
+    ExprPtr pick = MakeOr(
+        MakeComparison(BinaryOp::kEq, MakeSlotRef(0, TypeId::kInt64),
+                       MakeParamRef(0, TypeId::kInt64)),
+        MakeComparison(BinaryOp::kEq, MakeSlotRef(0, TypeId::kInt64),
+                       MakeArithmetic(BinaryOp::kAdd,
+                                      MakeParamRef(0, TypeId::kInt64),
+                                      MakeConstant(I(50)))));
+    return KeyJoin(std::move(probe), 0,
+                   std::make_unique<FilterOp>(Rows(std::move(keys), 1),
+                                              std::move(pick)));
+  };
+  const std::vector<Row> outer = {{I(3)}, {I(40)}, {I(3)}, {I(11)}};
+  auto scan = std::make_unique<SeqScanOp>(table, std::vector<int>{0, 2},
+                                          nullptr);
+  SeqScanOp* probe = scan.get();
+  LateralJoinOp lateral(Rows(outer, 1), inner(std::move(scan)), {{false, 0}},
+                        3);
+  SeqScanOp reference_scan(table, {0, 2}, nullptr);
+  LateralJoinOp reference(Rows(outer, 1),
+                          inner(Unfiltered(&reference_scan)), {{false, 0}},
+                          3);
+  ExecStats stats;
+  EXPECT_EQ(Render(Drain(&lateral, nullptr, &stats)),
+            Render(Drain(&reference)));
+  int64_t passing = 0;
+  for (const Row& row : outer) {
+    const int64_t x = row[0].int64_value();
+    passing += CountProbeKeys({I(x), I(x + 50)});
+  }
+  EXPECT_EQ(stats.subquery_invocations, 4);
+  EXPECT_EQ(probe->metrics().rows_in_self, 4 * kProbeRows);
+  EXPECT_EQ(probe->metrics().rows_out, passing);
+  EXPECT_EQ(probe->metrics().keyfilter_rejected, 4 * kProbeRows - passing);
+}
+
+TEST(KeyFilterTest, SpillingJoinOffersNone) {
+  TablePtr table = ProbeTable();
+  // 2,000 build keys, of which only 3 and 42 occur on the probe side.
+  std::vector<Value> keys = {I(3), I(42)};
+  for (int64_t k = 1000; k < 3000; ++k) keys.push_back(I(k));
+  auto run = [&](bool spill, SeqScanOp** probe, HashJoinOp** join_out) {
+    auto scan = std::make_unique<SeqScanOp>(table, std::vector<int>{0, 2},
+                                            nullptr);
+    *probe = scan.get();
+    auto join = std::make_unique<HashJoinOp>(
+        std::move(scan), BuildKeys(keys), KeyAt(0), KeyAt(0), nullptr,
+        JoinType::kInner);
+    *join_out = join.get();
+    TempFileManager temp(::testing::TempDir(), 0);
+    EXPECT_TRUE(temp.Open().ok());
+    ResourceGuard guard;
+    if (spill) guard.memory().set_budget(60000);
+    ExecStats stats;
+    ExecContext ctx;
+    ctx.stats = &stats;
+    ctx.guard = &guard;
+    ctx.temp = &temp;
+    auto rows = CollectRows(join.get(), &ctx);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    std::vector<std::string> out = rows.ok() ? Render(*rows)
+                                             : std::vector<std::string>{};
+    std::sort(out.begin(), out.end());
+    return std::make_pair(std::move(join), std::move(out));
+  };
+  SeqScanOp* in_memory_probe = nullptr;
+  SeqScanOp* spilled_probe = nullptr;
+  HashJoinOp* in_memory = nullptr;
+  HashJoinOp* spilled = nullptr;
+  auto a = run(false, &in_memory_probe, &in_memory);
+  auto b = run(true, &spilled_probe, &spilled);
+  EXPECT_EQ(in_memory->metrics().spill_partitions, 0);
+  EXPECT_GT(spilled->metrics().spill_partitions, 0);
+  EXPECT_EQ(a.second, b.second);
+  EXPECT_EQ(in_memory_probe->metrics().rows_out,
+            CountProbeKeys({I(3), I(42)}));
+  EXPECT_EQ(spilled_probe->metrics().rows_out, kProbeRows);
+  EXPECT_EQ(spilled_probe->metrics().keyfilter_rejected, 0);
+}
+
+// Operators that would change what is counted, shared or cut short if a
+// filter reached below them refuse the offer. Each case is run under a
+// one-key join, which offers a filter on its k column, and under its
+// two-key twin (the same key twice), which offers none: the answers and the
+// query's counters must agree, and no access path may reject a row.
+TEST(KeyFilterTest, NoFilterPassesOperatorsThatCountShareOrCut) {
+  TablePtr table = ProbeTable();
+  auto index = std::make_shared<HashIndex>(*table, std::vector<int>{1});
+  using Paths = std::vector<const Operator*>;  // the access paths below
+  auto scan = [&](Paths* paths) {  // [k, g]
+    auto op = std::make_unique<SeqScanOp>(table, std::vector<int>{0, 1},
+                                          nullptr);
+    paths->push_back(op.get());
+    return op;
+  };
+  auto g_lookup = [&](Paths* paths) {  // [k] of the rows in group :p0
+    std::vector<ExprPtr> key;
+    key.push_back(MakeParamRef(0, TypeId::kInt64));
+    auto op = std::make_unique<IndexLookupOp>(table, index, std::move(key),
+                                              std::vector<int>{0}, nullptr);
+    paths->push_back(op.get());
+    return op;
+  };
+  struct Case {
+    const char* name;
+    int k_column;  // the output column the join keys on
+    std::function<OperatorPtr(Paths*)> make;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"IndexJoin left", 0, [&](Paths* paths) {
+    return std::make_unique<IndexJoinOp>(scan(paths), table, index,
+                                         KeyAt(1), std::vector<int>{2},
+                                         nullptr, nullptr);
+  }});
+  cases.push_back({"Apply", 0, [&](Paths* paths) {
+    SubqueryPlan sub;
+    sub.plan = g_lookup(paths);
+    sub.params.push_back({false, 1});
+    sub.mode = SubqueryMode::kExists;
+    std::vector<SubqueryPlan> subs;
+    subs.push_back(std::move(sub));
+    return std::make_unique<ApplyOp>(scan(paths), std::move(subs));
+  }});
+  cases.push_back({"GroupProbeApply", 0, [&](Paths* paths) {
+    SubqueryPlan semantics;
+    semantics.mode = SubqueryMode::kExists;
+    std::vector<ExprPtr> probe;
+    probe.push_back(MakeSlotRef(0, TypeId::kInt64));
+    return std::make_unique<GroupProbeApplyOp>(
+        scan(paths), BuildKeys({I(5), I(6)}), std::vector<int>{0},
+        std::move(probe), std::move(semantics));
+  }});
+  cases.push_back({"LateralJoin inner", 1, [&](Paths* paths) {
+    return std::make_unique<LateralJoinOp>(
+        Rows({{I(1)}, {I(3)}}, 1), g_lookup(paths),
+        std::vector<ParamSource>{{false, 0}}, 1);
+  }});
+  cases.push_back({"LateralJoin input", 0, [&](Paths* paths) {
+    return std::make_unique<LateralJoinOp>(
+        scan(paths), BuildKeys({I(9)}), std::vector<ParamSource>{}, 1);
+  }});
+  cases.push_back({"CachedMaterialize", 0, [&](Paths* paths) {
+    auto shared = std::make_shared<SharedSubplan>();
+    shared->plan = scan(paths);
+    shared->width = 2;
+    return std::make_unique<CachedMaterializeOp>(shared);
+  }});
+  cases.push_back({"HashAggregate", 0, [&](Paths* paths) {
+    std::vector<AggSpec> aggs(1);
+    return std::make_unique<HashAggregateOp>(scan(paths), KeyAt(0),
+                                             std::move(aggs));
+  }});
+  cases.push_back({"Distinct", 0, [&](Paths* paths) {
+    return std::make_unique<DistinctOp>(scan(paths));
+  }});
+  cases.push_back({"Sort", 0, [&](Paths* paths) {
+    return std::make_unique<SortOp>(
+        scan(paths), std::vector<std::pair<int, bool>>{{1, true}});
+  }});
+  cases.push_back({"Limit", 0, [&](Paths* paths) {
+    return std::make_unique<LimitOp>(scan(paths), 2000);
+  }});
+  cases.push_back({"UnionAll", 0, [&](Paths* paths) {
+    std::vector<OperatorPtr> children;
+    children.push_back(scan(paths));
+    children.push_back(scan(paths));
+    return std::make_unique<UnionAllOp>(std::move(children));
+  }});
+
+  struct Run {
+    std::vector<std::string> rows;
+    ExecStats stats;
+  };
+  auto run = [](Operator* plan) {
+    Run out;
+    ResourceGuard guard;
+    ExecContext ctx;
+    ctx.stats = &out.stats;
+    ctx.guard = &guard;
+    auto rows = CollectRows(plan, &ctx);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (rows.ok()) out.rows = Render(*rows);
+    out.stats.rows_materialized = guard.rows_materialized();
+    return out;
+  };
+  const std::vector<Value> keys = {I(0), I(3), I(5), I(42)};
+  for (const Case& c : cases) {
+    const char* name = c.name;
+    Paths paths;
+    OperatorPtr input = c.make(&paths);
+    KeyFilter filter;
+    EXPECT_FALSE(input->OfferKeyFilter(c.k_column, &filter)) << name;
+    OperatorPtr offering = KeyJoin(std::move(input), c.k_column,
+                                   BuildKeys(keys));
+    const Run offered = run(offering.get());
+
+    Paths twin_paths;
+    std::vector<ExprPtr> left = KeyAt(c.k_column);
+    left.push_back(MakeSlotRef(c.k_column, TypeId::kInt64));
+    std::vector<ExprPtr> right = KeyAt(0);
+    right.push_back(MakeSlotRef(0, TypeId::kInt64));
+    auto twin_join = std::make_unique<HashJoinOp>(
+        c.make(&twin_paths), BuildKeys(keys), std::move(left),
+        std::move(right), nullptr, JoinType::kInner);
+    const Run twin = run(twin_join.get());
+
+    EXPECT_FALSE(offered.rows.empty()) << name;
+    EXPECT_EQ(offered.rows, twin.rows) << name;
+    EXPECT_EQ(offered.stats.rows_scanned, twin.stats.rows_scanned) << name;
+    EXPECT_EQ(offered.stats.index_lookups, twin.stats.index_lookups) << name;
+    EXPECT_EQ(offered.stats.subquery_invocations,
+              twin.stats.subquery_invocations)
+        << name;
+    EXPECT_EQ(offered.stats.rows_materialized, twin.stats.rows_materialized)
+        << name;
+    EXPECT_FALSE(paths.empty()) << name;
+    for (const Operator* path : paths) {
+      EXPECT_EQ(path->metrics().keyfilter_rejected, 0) << name;
+    }
+  }
 }
 
 // ---- aggregation ----

@@ -269,6 +269,42 @@ TEST(MetricsTest, FigureOperatorTimesNestInsideTheirParents) {
   check({"fig7", TpcdQuery1Variant()});
 }
 
+// ---- key filter rejections: rendered and serialized only when nonzero ----
+
+TEST(MetricsTest, KeyFilterRejectionsShowOnlyWhereTheyHappened) {
+  // emp's buildings: 10 x3, 20 x4, 40 x1; the build holds building 10.
+  auto make = [](JoinType type) {
+    std::vector<ExprPtr> left, right;
+    left.push_back(MakeSlotRef(0, TypeId::kInt64));
+    right.push_back(MakeSlotRef(0, TypeId::kInt64));
+    return std::make_unique<HashJoinOp>(
+        std::make_unique<SeqScanOp>(EmpTable(), std::vector<int>{2}, nullptr),
+        Rows({{I(10)}}, 1), std::move(left), std::move(right), nullptr,
+        type);
+  };
+  auto inner = make(JoinType::kInner);
+  EXPECT_EQ(Drain(inner.get()).size(), 3u);
+  const MetricsNode node = CollectMetricsTree(*inner);
+  ASSERT_EQ(node.children.size(), 2u);
+  const MetricsNode& scan = node.children[0];
+  EXPECT_EQ(scan.rows_in, 8);
+  EXPECT_EQ(scan.rows_out, 3);
+  EXPECT_EQ(scan.keyfilter_rejected, 5);
+  EXPECT_NE(RenderMetricsTree(node, false)
+                .find("(rows=3 in=8 keyfilter=5 loops=1)"),
+            std::string::npos);
+  EXPECT_NE(MetricsNodeToJson(node).find("\"keyfilter_rejected\":5"),
+            std::string::npos);
+
+  // A left outer join offers no filter: nothing to report.
+  auto outer = make(JoinType::kLeftOuter);
+  EXPECT_EQ(Drain(outer.get()).size(), 8u);
+  const MetricsNode plain = CollectMetricsTree(*outer);
+  EXPECT_EQ(RenderMetricsTree(plain, false).find("keyfilter"),
+            std::string::npos);
+  EXPECT_EQ(MetricsNodeToJson(plain).find("keyfilter"), std::string::npos);
+}
+
 // ---- Database surface: ExplainAnalyze and QueryResult::profile ----
 
 TEST(MetricsTest, ExplainAnalyzeAnnotatesEveryOperator) {
