@@ -34,8 +34,6 @@ int main(int argc, char** argv) {
   WriteAblations(w, TpcdDb());
   w.Key("parallel");
   WriteParallel(w);
-  w.Key("parallel_measured");
-  WriteParallelMeasured(w, TpcdDb());
   // Before Figure 7: the served runs and their single-session reference
   // must see the same (fully indexed) catalog regime.
   w.Key("server_throughput");

@@ -227,9 +227,9 @@ inline void WriteMeta(JsonWriter& w) {
   w.Key("meta").BeginObject();
   w.Key("schema_version").Int(1);
   w.Key("scale_factor").Double(ScaleFactor());
-  // Real cores available to the worker pool when this JSON was produced:
-  // dop > hardware_threads cannot yield wall-clock speedup, so the measured
-  // parallel numbers are only meaningful relative to this.
+  // Cores available when this JSON was produced: the served-throughput
+  // clients share them, so wall times and qps only compare between runs
+  // with the same count.
   w.Key("hardware_threads")
       .Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
   w.EndObject();

@@ -297,9 +297,9 @@ inline void WriteDedupPruneSweep(JsonWriter& w, Database& db) {
 // that completes must return exactly the unbounded run's row multiset, and
 // at least one rung per case must complete by actually spilling — the
 // graceful-degradation acceptance gate. A rung may instead surface a clean
-// kResourceExhausted (some charges — root result buffers, exchange
-// partition buffers — have no spill hook); it is then recorded with its
-// error and skipped by the gate.
+// kResourceExhausted (some charges — the root result buffer, sort buffers,
+// shared subplans — have no spill hook); it is then recorded with its error
+// and skipped by the gate.
 struct SpillCase {
   const char* id;
   const char* figure;
@@ -659,86 +659,6 @@ inline void WriteParallel(JsonWriter& w) {
     w.Key("mag");
     WriteParallelStats(w, mag);
     w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-}
-
-// ---- Section 6 wired to reality: measured dop speedups vs the simulator --
-
-// Runs the Figure 5 query under magic decorrelation on the *real* exchange
-// operators at dop in {1, 2, 4, 8}, timing the execution phase only (parse/
-// rewrite/plan are identical across dops), and reports each measured
-// speedup next to the simulator's prediction at the same fan-out. The
-// simulator models a shared-nothing cluster with one core per node; on a
-// machine with fewer hardware threads than dop the measured speedup honestly
-// saturates near the core count (meta.hardware_threads records the regime a
-// given JSON was produced in — on a 1-core container expect ~1.0x).
-inline void WriteParallelMeasured(JsonWriter& w, Database& db) {
-  std::fprintf(stderr, "[bench] section 6 measured parallel execution\n");
-  w.BeginObject();
-  w.Key("query").String("fig5: TPC-D Query 1 under Mag, real exchange ops");
-  w.Key("hardware_threads")
-      .Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
-  auto workload = MakeBuildingWorkload(/*num_outer=*/20000,
-                                       /*num_inner=*/200000,
-                                       /*num_buildings=*/500, /*seed=*/7);
-  double sim_base = 0.0;
-  if (workload.ok()) {
-    ParallelConfig config;
-    config.num_nodes = 1;
-    sim_base = SimulateMagicDecorrelation(*workload, config).elapsed;
-  }
-  double base_exec_ms = -1.0;
-  w.Key("points").BeginArray();
-  for (int dop : {1, 2, 4, 8}) {
-    QueryOptions options;
-    options.strategy = Strategy::kMagic;
-    options.fallback = false;
-    options.dop = dop;
-    double best_exec_ms = -1.0;
-    size_t rows = 0;
-    std::string error;
-    for (int i = 0; i < 3; ++i) {
-      auto result = db.Execute(TpcdQuery1(), options);
-      if (!result.ok()) {
-        error = result.status().ToString();
-        break;
-      }
-      const double exec_ms = result->profile.exec_nanos / 1e6;
-      if (best_exec_ms < 0 || exec_ms < best_exec_ms) best_exec_ms = exec_ms;
-      rows = result->rows.size();
-    }
-    w.BeginObject();
-    w.Key("dop").Int(dop);
-    if (!error.empty()) {
-      w.Key("ok").Bool(false);
-      w.Key("error").String(error);
-      w.EndObject();
-      continue;
-    }
-    if (dop == 1) base_exec_ms = best_exec_ms;
-    w.Key("ok").Bool(true);
-    w.Key("exec_ms").Double(best_exec_ms);
-    w.Key("rows").Int(static_cast<int64_t>(rows));
-    w.Key("measured_speedup")
-        .Double(base_exec_ms > 0 && best_exec_ms > 0
-                    ? base_exec_ms / best_exec_ms
-                    : 0.0);
-    if (dop == 1) {
-      w.Key("simulated_speedup").Double(1.0);
-    } else if (workload.ok()) {
-      ParallelConfig config;
-      config.num_nodes = dop;
-      const double sim = SimulateMagicDecorrelation(*workload, config).elapsed;
-      w.Key("simulated_speedup").Double(sim > 0 ? sim_base / sim : 0.0);
-    }
-    w.EndObject();
-    std::fprintf(stderr, "[bench]   dop=%d %s\n", dop,
-                 error.empty()
-                     ? StrFormat("%.2f ms exec, %zu rows", best_exec_ms,
-                                 rows).c_str()
-                     : error.c_str());
   }
   w.EndArray();
   w.EndObject();

@@ -15,10 +15,6 @@ int main(int argc, char** argv) {
   WriteMeta(w);
   w.Key("parallel");
   WriteParallel(w);
-  // Simulation meets reality: the same query on the real exchange operators
-  // at dop 1..8, measured against the simulator's predicted speedups.
-  w.Key("parallel_measured");
-  WriteParallelMeasured(w, TpcdDb());
   w.EndObject();
   return EmitDocument(argc, argv, std::move(w).str());
 }

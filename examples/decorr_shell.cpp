@@ -11,8 +11,6 @@
 //   \load empdept     load the paper's EMP/DEPT example
 //   \strategy X       ni | ni_cached | kim | dayal | ganski | mag | optmag |
 //                     auto (cost-based selection; EXPLAIN shows the pick)
-//   \dop N            degree of parallelism (1 = serial; >1 uses exchange
-//                     operators and the shared worker pool)
 //   \cache N          subquery memoization cache budget in bytes
 //                     (0 disables; plain NI never caches)
 //   \memory N         memory budget in bytes (0 = unlimited); trips surface
@@ -96,7 +94,6 @@ int main() {
   Server server;
   std::shared_ptr<Session> session = server.Connect("shell");
   Strategy strategy = Strategy::kMagic;
-  int dop = 1;
   long long cache_bytes = kDefaultSubqueryCacheBytes;
   long long memory_bytes = 0;
   bool spill = false;
@@ -141,14 +138,6 @@ int main() {
               "strategies: ni ni_cached kim dayal ganski mag optmag auto\n");
         } else {
           std::printf("strategy = %s\n", StrategyName(strategy));
-        }
-      } else if (cmd == "dop") {
-        int n = 0;
-        if (iss >> n && n >= 1) {
-          dop = n;
-          std::printf("dop = %d\n", dop);
-        } else {
-          std::printf("usage: \\dop N (N >= 1)\n");
         }
       } else if (cmd == "cache") {
         long long n = -1;
@@ -199,8 +188,7 @@ int main() {
         std::getline(iss, sql);
         QueryOptions options;
         options.strategy = strategy;
-        options.dop = dop;
-        options.subquery_cache_bytes = cache_bytes;
+            options.subquery_cache_bytes = cache_bytes;
         options.limits.memory_budget_bytes = memory_bytes;
         options.spill = spill;
         options.spill_bytes = spill_bytes;
@@ -216,8 +204,7 @@ int main() {
         std::getline(iss, sql);
         QueryOptions options;
         options.strategy = strategy;
-        options.dop = dop;
-        options.subquery_cache_bytes = cache_bytes;
+            options.subquery_cache_bytes = cache_bytes;
         options.capture_qgm = (cmd == "qgm");
         auto result = session->Explain(sql, options);
         if (!result.ok()) {
@@ -245,7 +232,6 @@ int main() {
     }
     QueryOptions options;
     options.strategy = strategy;
-    options.dop = dop;
     options.subquery_cache_bytes = cache_bytes;
     options.limits.memory_budget_bytes = memory_bytes;
     options.spill = spill;

@@ -11,8 +11,8 @@ halves:
      adding a fault point without registering it (or renaming one without
      updating the manifest) fails CI;
   2. chaos_test's SweepReachesEveryRegisteredSite: the recorded site set of
-     the dop-1 + dop-4 workload must cover the manifest — a registered site
-     the sweep can no longer reach fails the test.
+     the chaos workload must cover the manifest — a registered site the
+     sweep can no longer reach fails the test.
 
 Usage:
   python3 scripts/check_fault_sites.py            # lint

@@ -37,6 +37,10 @@ Status MemoryTracker::Charge(int64_t bytes) {
   return st;
 }
 
+MemoryTracker::~MemoryTracker() {
+  if (parent_ != nullptr) parent_->Release(used());
+}
+
 void MemoryTracker::Release(int64_t bytes) {
   const int64_t now =
       used_.fetch_sub(bytes, std::memory_order_relaxed) - bytes;

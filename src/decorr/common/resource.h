@@ -10,11 +10,13 @@
 // as StatusCode::kCancelled / kDeadlineExceeded / kResourceExhausted, which
 // the executor propagates without retry and without partial results.
 //
-// Thread safety: one guard is shared by every worker of a parallel query
-// (exchange operators hand the same guard to all their worker contexts), so
-// all counters — memory used/peak, the row count, the deadline tick — are
-// atomics. Configuration (budgets, deadline, token) is still single-writer:
-// set everything before execution starts.
+// Thread safety: a query runs on one thread, but its guard is not private
+// to that thread: a session's Cancel() trips the token from another
+// thread, and under the Server every query's MemoryTracker charges one
+// aggregate tracker that all concurrent sessions share. So all counters —
+// memory used/peak, the row count, the deadline tick — are atomics.
+// Configuration (budgets, deadline, token) is single-writer: set
+// everything before execution starts.
 #ifndef DECORR_COMMON_RESOURCE_H_
 #define DECORR_COMMON_RESOURCE_H_
 
@@ -36,10 +38,18 @@ namespace decorr {
 int64_t ApproxRowBytes(const Row& row);
 
 // Tracks bytes charged against an optional budget. Charge/Release/used/peak
-// are thread-safe (parallel workers all charge the same tracker);
-// set_budget is configuration and must happen before execution.
+// are thread-safe (the Server's aggregate tracker is charged by every
+// concurrent query); set_budget is configuration and must happen before
+// execution.
 class MemoryTracker {
  public:
+  MemoryTracker() = default;
+  // Returns whatever this tracker still holds to its parent (see
+  // set_parent).
+  ~MemoryTracker();
+  MemoryTracker(const MemoryTracker&) = delete;
+  MemoryTracker& operator=(const MemoryTracker&) = delete;
+
   // 0 = unlimited.
   void set_budget(int64_t bytes) { budget_ = bytes; }
   int64_t budget() const { return budget_; }
@@ -51,7 +61,11 @@ class MemoryTracker {
 
   // Chains this tracker under an aggregate parent: every Charge/Release is
   // mirrored there, so concurrent per-query trackers draw down one shared
-  // (server-wide) budget collectively. Configuration, single-writer: set
+  // (server-wide) budget collectively. A query's tracker dies with its
+  // query, and its destructor releases from the parent whatever the query
+  // never released itself (a SharedSubplan's rows, held for the rest of
+  // the query; the charges of an operator whose Open failed), so no charge
+  // outlives its query there. Configuration, single-writer: set
   // before execution starts. The parent must outlive this tracker.
   void set_parent(MemoryTracker* parent) { parent_ = parent; }
 

@@ -63,33 +63,6 @@ struct OperatorMetrics {
   int64_t spill_bytes_written = 0;
   int64_t spill_bytes_read = 0;
 
-  // Folds a worker clone's counters into this (coordinator-side) instance.
-  // Exchange operators run one operator clone per worker, each with its own
-  // single-threaded metrics, and merge them after the workers join — so the
-  // metrics tree reports one aggregated node per logical operator and the
-  // counters themselves never need to be atomic.
-  void Merge(const OperatorMetrics& other) {
-    open_calls += other.open_calls;
-    next_calls += other.next_calls;
-    close_calls += other.close_calls;
-    rows_out += other.rows_out;
-    rows_in_self += other.rows_in_self;
-    keyfilter_rejected += other.keyfilter_rejected;
-    open_nanos += other.open_nanos;
-    next_nanos += other.next_nanos;
-    close_nanos += other.close_nanos;
-    build_rows += other.build_rows;
-    index_probes += other.index_probes;
-    bytes_charged += other.bytes_charged;
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
-    cache_evictions += other.cache_evictions;
-    spill_partitions += other.spill_partitions;
-    spill_passes += other.spill_passes;
-    spill_bytes_written += other.spill_bytes_written;
-    spill_bytes_read += other.spill_bytes_read;
-  }
-
   int64_t TotalNanos() const { return open_nanos + next_nanos + close_nanos; }
 };
 

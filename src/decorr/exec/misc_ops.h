@@ -88,9 +88,10 @@ struct SharedSubplan {
   // Memory charged when the shared rows were computed; intentionally held
   // for the rest of the query (the cache lives that long).
   int64_t charged_bytes = 0;
-  // Two consumers may sit in different branches of a parallel exchange and
-  // Open concurrently; the first-Open-computes handshake runs under this
-  // lock (the cached rows are immutable once `computed`).
+  // The first-Open-computes handshake runs under this lock (the cached rows
+  // are immutable once `computed`). A query runs on one thread, so it is
+  // never contended; it keeps the handshake sound should consumers ever
+  // Open from different threads.
   std::mutex mu;
 };
 

@@ -1,6 +1,5 @@
 #include "decorr/exec/operator.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "decorr/common/fault.h"
@@ -65,21 +64,6 @@ bool Operator::OfferKeyFilter(int column, const KeyFilter* filter) {
   (void)column;
   (void)filter;
   return false;
-}
-
-void Operator::MergeMetricsFrom(const Operator& other) {
-  metrics_.Merge(other.metrics_);
-  PlanIntrospection mine, theirs;
-  Introspect(&mine);
-  other.Introspect(&theirs);
-  // Clones are structurally identical, so children pair up positionally.
-  // The const_cast is sound: Introspect hands out pointers into this
-  // operator's own (mutable) subtree.
-  const size_t n = std::min(mine.children.size(), theirs.children.size());
-  for (size_t i = 0; i < n; ++i) {
-    const_cast<Operator*>(mine.children[i].op)
-        ->MergeMetricsFrom(*theirs.children[i].op);
-  }
 }
 
 Result<std::vector<Row>> CollectRows(Operator* op, ExecContext* ctx,

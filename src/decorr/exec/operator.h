@@ -107,8 +107,8 @@ struct ExecContext {
   // be propagated into every nested context so nested Applies cache too.
   int64_t subquery_cache_bytes = 0;
   // Spill-to-disk scratch space (null = spilling off). Owned by the query
-  // runtime; shared by every nested and worker context of the same query so
-  // all spill files land in one per-query scratch dir under one disk budget.
+  // runtime; shared by every nested context of the same query so all spill
+  // files land in one per-query scratch dir under one disk budget.
   TempFileManager* temp = nullptr;
 
   // Cancellation/deadline poll; OK when no guard is attached.
@@ -157,13 +157,6 @@ class Operator {
 
   // Counters accumulated so far (across re-opens).
   const OperatorMetrics& metrics() const { return metrics_; }
-
-  // Folds `other`'s counters into this operator's, recursing into children
-  // matched positionally via Introspect(). `other` must be a structural
-  // clone of this operator (same shape) — exchange operators use this to
-  // aggregate per-worker clone pipelines into one representative subtree so
-  // the metrics snapshot shows a single merged node per logical operator.
-  void MergeMetricsFrom(const Operator& other);
 
  protected:
   virtual Status OpenImpl(ExecContext* ctx) = 0;

@@ -698,7 +698,6 @@ RowsScanOp::RowsScanOp(std::shared_ptr<const std::vector<Row>> rows, int width)
     : rows_(std::move(rows)), width_(width) {}
 
 Status RowsScanOp::OpenImpl(ExecContext* ctx) {
-  DECORR_FAULT_POINT("exec.rowsscan.open");
   ctx_ = ctx;
   cursor_ = 0;
   return Status::OK();

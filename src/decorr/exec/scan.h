@@ -50,7 +50,6 @@ struct RowSet {
 // suffix or substring tests, and the constant items of IN lists are read
 // into typed sets. Other shapes load only the columns the predicate reads
 // into a scratch row for the row evaluator. A null filter passes every row.
-// Const, so exchange workers share one instance.
 class StorageFilter {
  public:
   StorageFilter(const Table& table, const Expr* filter);
@@ -195,7 +194,8 @@ class IndexLookupOp : public Operator {
   ExecContext* ctx_ = nullptr;
 };
 
-// Scan over an in-memory row vector (materialized intermediate results).
+// Scan over an in-memory row vector. The planner never builds one; tests use
+// it to feed operators hand-written rows.
 class RowsScanOp : public Operator {
  public:
   RowsScanOp(std::shared_ptr<const std::vector<Row>> rows, int width);

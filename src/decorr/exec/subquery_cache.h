@@ -13,8 +13,8 @@
 // counted against the cache's own byte budget; inserting past the budget
 // evicts least-recently-used entries first. Entries hand out
 // shared_ptr<const vector<Row>> so an eviction can never invalidate rows a
-// caller is still iterating. One cache instance belongs to one operator
-// (per-worker in parallel plans) — no cross-thread sharing, no locks.
+// caller is still iterating. One cache instance belongs to one operator,
+// and a query runs on one thread — no cross-thread sharing, no locks.
 #ifndef DECORR_EXEC_SUBQUERY_CACHE_H_
 #define DECORR_EXEC_SUBQUERY_CACHE_H_
 

@@ -10,7 +10,6 @@
 #include "decorr/exec/aggregate.h"
 #include "decorr/exec/apply.h"
 #include "decorr/exec/check.h"
-#include "decorr/exec/exchange.h"
 #include "decorr/exec/filter_project.h"
 #include "decorr/exec/join.h"
 #include "decorr/exec/misc_ops.h"
@@ -238,44 +237,6 @@ class Planner::Impl {
   }
 
  private:
-  // True when `env` is the root parameter scope: plans built here execute
-  // exactly once, so exchange operators pay off. Inner plans (Apply/lateral
-  // subplans, group-probe bodies) carry a parent or outer-slot scope and are
-  // re-opened per outer row — those stay serial.
-  bool ParallelAt(const ParamEnv* env) const {
-    return options_.dop > 1 && env->parent == nullptr &&
-           env->outer_slots == nullptr;
-  }
-
-  // Hash-join factory: serial or partitioned-parallel depending on scope.
-  OperatorPtr MakeHashJoin(const ParamEnv* env, OperatorPtr left,
-                           OperatorPtr right, std::vector<ExprPtr> left_keys,
-                           std::vector<ExprPtr> right_keys, ExprPtr residual,
-                           JoinType join_type,
-                           std::vector<bool> null_safe_keys) {
-    if (ParallelAt(env)) {
-      return std::make_unique<ParallelHashJoinOp>(
-          std::move(left), std::move(right), std::move(left_keys),
-          std::move(right_keys), std::move(residual), join_type,
-          std::move(null_safe_keys), options_.dop);
-    }
-    return std::make_unique<HashJoinOp>(
-        std::move(left), std::move(right), std::move(left_keys),
-        std::move(right_keys), std::move(residual), join_type,
-        std::move(null_safe_keys));
-  }
-
-  OperatorPtr MakeScan(const ParamEnv* env, TablePtr table,
-                       std::vector<int> projection, ExprPtr filter) {
-    if (ParallelAt(env)) {
-      return std::make_unique<ParallelScanOp>(std::move(table),
-                                              std::move(projection),
-                                              std::move(filter), options_.dop);
-    }
-    return std::make_unique<SeqScanOp>(std::move(table), std::move(projection),
-                                       std::move(filter));
-  }
-
   // ---- column pruning ----
 
   // True when `pred`, a predicate of `box`, is evaluated by the access path
@@ -391,7 +352,8 @@ class Planner::Impl {
         for (size_t i = 0; i < projection.size(); ++i) {
           projection[i] = static_cast<int>(i);
         }
-        return MakeScan(env, box->table, std::move(projection), nullptr);
+        return OperatorPtr(std::make_unique<SeqScanOp>(
+            box->table, std::move(projection), nullptr));
       }
       case BoxKind::kSelect:
         return PlanSelect(box, env);
@@ -446,16 +408,8 @@ class Planner::Impl {
       aggs.push_back(std::move(spec));
     }
 
-    OperatorPtr agg_op;
-    if (ParallelAt(env) && !keys.empty()) {
-      // Global aggregates (no keys) stay serial: exactly one instance must
-      // produce the empty-input row.
-      agg_op = std::make_unique<ParallelHashAggregateOp>(
-          std::move(child), std::move(keys), std::move(aggs), options_.dop);
-    } else {
-      agg_op = std::make_unique<HashAggregateOp>(
-          std::move(child), std::move(keys), std::move(aggs));
-    }
+    OperatorPtr agg_op = std::make_unique<HashAggregateOp>(
+        std::move(child), std::move(keys), std::move(aggs));
 
     // Map box outputs onto the aggregate's (keys..., aggs...) layout.
     const int num_keys = static_cast<int>(box->group_by.size());
@@ -521,14 +475,7 @@ class Planner::Impl {
       DECORR_ASSIGN_OR_RETURN(OperatorPtr child, PlanBox(q->child, env));
       children.push_back(std::move(child));
     }
-    OperatorPtr out;
-    if (ParallelAt(env) && children.size() > 1) {
-      // Gather drains every branch on its own worker and emits the buffers
-      // in branch order — the same output order as UnionAll.
-      out = std::make_unique<GatherOp>(std::move(children));
-    } else {
-      out = std::make_unique<UnionAllOp>(std::move(children));
-    }
+    OperatorPtr out = std::make_unique<UnionAllOp>(std::move(children));
     if (!box->union_all) out = std::make_unique<DistinctOp>(std::move(out));
     return out;
   }
@@ -804,10 +751,10 @@ class Planner::Impl {
             OperatorPtr right,
             BuildAccessPath(box, info, preds, pred_used, env));
         if (!left_keys.empty()) {
-          current = MakeHashJoin(env, std::move(current), std::move(right),
-                                 std::move(left_keys), std::move(right_keys),
-                                 nullptr, JoinType::kInner,
-                                 std::move(null_safe_keys));
+          current = std::make_unique<HashJoinOp>(
+              std::move(current), std::move(right), std::move(left_keys),
+              std::move(right_keys), nullptr, JoinType::kInner,
+              std::move(null_safe_keys));
         } else {
           current = std::make_unique<NestedLoopJoinOp>(
               std::move(current), std::move(right), nullptr, JoinType::kInner);
@@ -954,10 +901,10 @@ class Planner::Impl {
           if (!left) {
             left = std::move(access);
           } else if (!left_keys.empty()) {
-            left = MakeHashJoin(env, std::move(left), std::move(access),
-                                std::move(left_keys), std::move(right_keys),
-                                nullptr, JoinType::kInner,
-                                std::move(null_safe_keys));
+            left = std::make_unique<HashJoinOp>(
+                std::move(left), std::move(access), std::move(left_keys),
+                std::move(right_keys), nullptr, JoinType::kInner,
+                std::move(null_safe_keys));
           } else {
             left = std::make_unique<NestedLoopJoinOp>(
                 std::move(left), std::move(access), nullptr, JoinType::kInner);
@@ -1057,10 +1004,10 @@ class Planner::Impl {
     if (!residual_parts.empty()) residual = MakeAnd(std::move(residual_parts));
     OperatorPtr join;
     if (!left_keys.empty()) {
-      join = MakeHashJoin(env, std::move(left), std::move(right),
-                          std::move(left_keys), std::move(right_keys),
-                          std::move(residual), JoinType::kLeftOuter,
-                          std::move(null_safe_keys));
+      join = std::make_unique<HashJoinOp>(
+          std::move(left), std::move(right), std::move(left_keys),
+          std::move(right_keys), std::move(residual), JoinType::kLeftOuter,
+          std::move(null_safe_keys));
     } else {
       join = std::make_unique<NestedLoopJoinOp>(std::move(left),
                                                 std::move(right),
@@ -1323,7 +1270,8 @@ class Planner::Impl {
       DECORR_ASSIGN_OR_RETURN(
           ExprPtr filter,
           TakeConjunction(local, preds, pred_used, table_slots.ctx));
-      return MakeScan(env, table, projection, std::move(filter));
+      return OperatorPtr(std::make_unique<SeqScanOp>(
+          table, std::move(projection), std::move(filter)));
     }
 
     // Non-base child (derived table / group / union): plan recursively,

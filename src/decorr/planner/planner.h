@@ -38,14 +38,6 @@ struct PlannerOptions {
   // runtime whenever subquery memoization is enabled; off keeps plans
   // byte-identical to the uncached ones.
   bool hoist_invariant_subplans = false;
-  // Degree of parallelism. With dop > 1 the planner substitutes exchange
-  // operators (ParallelScan / ParallelHashJoin / ParallelHashAggregate /
-  // Gather) for their serial counterparts — but only at correlated depth 0:
-  // Apply/lateral inner plans re-open once per outer row and stay serial.
-  // dop == 1 (the default) keeps every existing plan byte-identical. Set by
-  // the runtime from QueryOptions::dop on every run, like
-  // hoist_invariant_subplans.
-  int dop = 1;
   // Plant a runtime UniquenessCheckOp wherever rewrite/prune.cc dropped a
   // DISTINCT on the strength of a derived candidate key (Box::dedup_check),
   // so a wrong derivation fails the query loudly instead of silently

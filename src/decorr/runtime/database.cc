@@ -285,7 +285,6 @@ Result<QueryResult> Database::RunPrepared(PreparedQuery prepared,
           ? 0
           : options.subquery_cache_bytes;
   planner_options.hoist_invariant_subplans = cache_bytes > 0;
-  planner_options.dop = options.dop;
   // Declared before the plan: operators hold SpillFiles, so the plan must be
   // destroyed before the manager that owns their scratch directory.
   std::unique_ptr<TempFileManager> temp_mgr;

@@ -50,10 +50,9 @@ struct QueryOptions {
   Strategy strategy = Strategy::kNestedIteration;
   DecorrelationOptions decorr;   // knobs for magic decorrelation
   PlannerOptions planner;
-  // Degree of intra-query parallelism. > 1 makes the planner substitute
-  // exchange operators at correlated depth 0 (copied into
-  // PlannerOptions::dop for every run); 1 keeps plans byte-identical to the
-  // serial ones.
+  // Ignored: every query runs on one thread (DESIGN.md §9). Declared only
+  // because perfbench (src/tpcd_workloads.cc) still assigns it; the next
+  // change to the benchmark drops that assignment, and then this field.
   int dop = 1;
   // Per-operator byte budget for memoizing correlated subquery results on
   // their binding key (NI+C; DESIGN.md §10). 0 disables. Plain nested

@@ -56,17 +56,13 @@ std::string PlanFingerprint(const std::string& sql,
   // with an option spelling.
   return NormalizeSql(sql) +
          StrFormat("\x1f"
-                   "s=%s|dop=%d|prune=%d|cache=%lld|"
-                   "verify=%d|oj=%d|ex=%d|idx=%d|mat=%d|keys=%d",
-                   StrategyName(options.strategy), options.dop,
+                   "s=%s|prune=%d|cache=%lld|verify=%d|oj=%d|ex=%d",
+                   StrategyName(options.strategy),
                    options.prune_dedup ? 1 : 0,
                    (long long)options.subquery_cache_bytes,
                    options.verify ? 1 : 0,
                    options.decorr.use_outer_join ? 1 : 0,
-                   options.decorr.decorrelate_existentials ? 1 : 0,
-                   options.planner.use_indexes ? 1 : 0,
-                   options.planner.materialize_common_subexpressions ? 1 : 0,
-                   options.planner.check_derived_keys ? 1 : 0);
+                   options.decorr.decorrelate_existentials ? 1 : 0);
 }
 
 PlanCache::PlanCache(int64_t max_entries, int shards) {

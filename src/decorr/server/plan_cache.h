@@ -2,10 +2,13 @@
 //
 // Keyed by a normalized fingerprint: the SQL text (whitespace-collapsed,
 // lowercased outside string literals, trailing semicolons stripped) plus
-// every QueryOption that changes the prepared graph — strategy, dop,
-// prune/cache knobs, verification, planner and decorrelation flags.
-// Options that only shape execution-time limits (deadline, budgets, spill)
-// are deliberately excluded: they do not change what Prepare produces.
+// exactly the QueryOptions that Database::Prepare reads: strategy, the
+// decorrelation knobs, prune_dedup, subquery_cache_bytes (kAuto prices the
+// cache) and verify (capture_qgm, also read there, bypasses the cache).
+// Everything else is read only after Prepare — planner options, execution
+// limits, spill, profile — and every hit is planned and run with the
+// caller's own options, so keying on them would only turn hits into
+// misses.
 //
 // Entries store the bound + rewritten + costed PreparedQuery together with
 // the catalog statistics epoch that priced it. A lookup at a different epoch

@@ -22,10 +22,12 @@
 //   - The manager must outlive every SpillFile it created (in practice: the
 //     manager is declared before the physical plan in Database::RunOnce).
 //
-// Thread safety: Create() and the disk-budget counters are thread-safe so
-// parallel workers (dop > 1) can spill into private partition sets through
-// one shared manager. Individual SpillFile/SpillWriter/SpillReader objects
-// are single-threaded, like the operator instances that own them.
+// Thread safety: Open() names the scratch directory from a process-wide
+// atomic counter, so concurrent queries (the Server's sessions) never
+// share one. Each query owns its manager and runs on one thread; Create()
+// and the disk-budget counters are atomics all the same. Individual
+// SpillFile/SpillWriter/SpillReader objects are single-threaded, like the
+// operator instances that own them.
 #ifndef DECORR_STORAGE_TEMP_FILE_H_
 #define DECORR_STORAGE_TEMP_FILE_H_
 

@@ -23,10 +23,9 @@ namespace {
 
 // Spill-to-disk coverage: a fact/dim join, a grouped aggregate, and a
 // DISTINCT, each run once unlimited and once under half its measured peak
-// with spilling on. Serial on purpose (even when the surrounding workload
-// runs at dop > 1): serial spill completion is deterministic — spill_test's
-// budget ladders pin that every rung from 30% to 90% of peak completes by
-// spilling — so the chaos sweeps can assert a clean run succeeds and a
+// with spilling on. Spill completion is deterministic — spill_test's budget
+// ladders pin that every rung from 30% to 90% of peak completes by
+// spilling — so the chaos sweep can assert a clean run succeeds and a
 // faulted run surfaces the injected status verbatim. Half-peak budgets force
 // Grace partitioning in all three operators, putting the
 // exec.spill.*.partition and storage.tmpfile.* fault sites in reach.
@@ -90,7 +89,7 @@ Status RunSpillChaosSection(const std::string& scratch) {
 // DISTINCT/ORDER BY/LIMIT, UNION ALL, lateral derived tables, correlated
 // subqueries under every rewrite strategy, index maintenance, and CSV
 // import. Aborts at the first error so an injected fault surfaces verbatim.
-Status RunChaosWorkload(int dop = 1) {
+Status RunChaosWorkload() {
   Database db;
   DECORR_RETURN_IF_ERROR(db.CreateTable(TableSchema(
       "dept",
@@ -127,11 +126,10 @@ Status RunChaosWorkload(int dop = 1) {
                                     /*header=*/false));
   if (imported != 1) return Status::Internal("CSV import row count");
 
-  auto run = [&db, dop](const std::string& sql, Strategy strategy,
-                        bool decorrelate_existentials = false) -> Status {
+  auto run = [&db](const std::string& sql, Strategy strategy,
+                   bool decorrelate_existentials = false) -> Status {
     QueryOptions options;
     options.strategy = strategy;
-    options.dop = dop;
     options.fallback = false;  // an injected fault must surface, not degrade
     options.decorr.decorrelate_existentials = decorrelate_existentials;
     // Force the runtime uniqueness assertions on (they default off in
@@ -203,14 +201,12 @@ Status RunChaosWorkload(int dop = 1) {
       "SELECT d.name, e.name FROM dept d, emp e "
       "WHERE d.building < e.building",
       Strategy::kNestedIteration));
-  // Top-level UNION ALL: at dop > 1 this plans as a GatherOp, putting the
-  // gather-side fault sites in reach of the sweep.
+  // Top-level UNION ALL.
   DECORR_RETURN_IF_ERROR(run(
       "SELECT building FROM dept UNION ALL SELECT building FROM emp",
       Strategy::kNestedIteration));
-  // Bounded-memory spill runs (deliberately serial even at dop > 1 — see the
-  // section's comment) so the sweep reaches the temp-file and Grace-
-  // partitioning fault sites.
+  // Bounded-memory spill runs, so the sweep reaches the temp-file and
+  // Grace-partitioning fault sites.
   DECORR_RETURN_IF_ERROR(RunSpillChaosSection(/*scratch=*/""));
   // Serving-layer section: the same EMP/DEPT shape through a Server so the
   // sweep reaches the admission and plan-cache fault sites (server.admit,
@@ -247,7 +243,6 @@ Status RunChaosWorkload(int dop = 1) {
     std::shared_ptr<Session> session = server.Connect("chaos");
     QueryOptions options;
     options.strategy = Strategy::kMagic;
-    options.dop = dop;
     options.fallback = false;  // an injected fault must surface, not degrade
     options.planner.check_derived_keys = true;
     for (int pass = 0; pass < 2; ++pass) {
@@ -320,58 +315,16 @@ TEST_F(ChaosTest, SweepInjectsAtEverySiteAndPropagatesCleanly) {
   }
 }
 
-TEST_F(ChaosTest, ParallelSweepReachesWorkerSitesAtDopFour) {
-  // Same discovery-then-sweep protocol with the whole workload at dop = 4.
-  // Faults now fire on pool threads inside exchange workers; the injected
-  // Status must still surface verbatim — first error wins, every worker
-  // drains, nothing deadlocks or leaks (the TSan/ASan lanes run this).
-  FaultInjector& fi = FaultInjector::Global();
-  fi.EnableRecording();
-  Status clean = RunChaosWorkload(/*dop=*/4);
-  ASSERT_TRUE(clean.ok()) << clean.ToString();
-  const std::vector<std::string> sites = fi.Sites();
-  std::map<std::string, int64_t> hit_counts;
-  for (const std::string& site : sites) hit_counts[site] = fi.HitCount(site);
-  fi.Reset();
-
-  // The parallel plans must actually reach the worker-side fault sites.
-  for (const char* required :
-       {"exec.pscan.morsel", "exec.pjoin.worker", "exec.pagg.worker",
-        "exec.gather.worker"}) {
-    EXPECT_NE(std::find(sites.begin(), sites.end(), required), sites.end())
-        << required << " never hit at dop=4";
-  }
-
-  for (const std::string& site : sites) {
-    const Status injected = Status::Internal("chaos: injected at " + site);
-    for (int64_t skip : {int64_t{0}, hit_counts[site] / 2}) {
-      fi.Arm(site, injected, skip);
-      Status st = RunChaosWorkload(/*dop=*/4);
-      fi.Reset();
-      ASSERT_FALSE(st.ok())
-          << "fault at " << site << " (skip " << skip << ") was swallowed";
-      EXPECT_EQ(st.code(), StatusCode::kInternal)
-          << site << ": " << st.ToString();
-      EXPECT_EQ(st.message(), injected.message())
-          << site << " (skip " << skip << ")";
-      if (skip == hit_counts[site] / 2) break;  // skip 0 == count/2 for 1-hit
-    }
-  }
-}
-
 // Runtime half of the fault-site registry lint: tests/fault_sites.txt is
 // kept equal to the set of sites compiled into src/ by
 // scripts/check_fault_sites.py (CI runs it); this test proves the sweep can
-// actually reach every registered site — the dop-1 + dop-4 workload,
-// recorded together, must cover the manifest. A site listed here but never
-// hit is dead robustness coverage: the sweeps above would silently stop
-// injecting at it.
+// actually reach every registered site — the workload's recorded sites
+// must cover the manifest. A site listed here but never hit is dead
+// robustness coverage: the sweep above would silently stop injecting at it.
 TEST_F(ChaosTest, SweepReachesEveryRegisteredSite) {
   FaultInjector& fi = FaultInjector::Global();
   fi.EnableRecording();
-  Status st = RunChaosWorkload(/*dop=*/1);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  st = RunChaosWorkload(/*dop=*/4);  // worker-side sites need dop > 1
+  Status st = RunChaosWorkload();
   ASSERT_TRUE(st.ok()) << st.ToString();
   const std::vector<std::string> sites = fi.Sites();
   fi.Reset();

@@ -253,7 +253,6 @@ TEST(MetricsTest, FigureOperatorTimesNestInsideTheirParents) {
     for (Strategy s : strategies) {
       QueryOptions options;
       options.strategy = s;
-      options.dop = 1;
       auto result = db.ExplainAnalyze(fig.sql, options);
       ASSERT_TRUE(result.ok()) << fig.id << " " << StrategyName(s) << ": "
                                << result.status().ToString();

@@ -91,65 +91,10 @@ TEST(PropertyDiffTest, RandomizedSweepAllStrategiesMatchNestedIteration) {
   }
 }
 
-// Parallel differential sweep: the same 240 seeded queries, every strategy
-// (nested iteration included) at dop in {2, 4}, compared as sorted multisets
-// against the strategy's own dop=1 run. The baseline here is the serial plan
-// under the *same* strategy — not NI — so Kim's sanctioned COUNT bug cancels
-// out and the comparison isolates exactly what the exchange operators change.
-TEST(PropertyDiffTest, ParallelSweepRowIdenticalToSerialForEveryStrategy) {
-  constexpr uint64_t kDatabases = 8;
-  constexpr int kQueriesPerDatabase = 30;  // 240 total, same seeds as above
-  static const Strategy kStrategies[] = {
-      Strategy::kNestedIteration, Strategy::kKim,    Strategy::kDayal,
-      Strategy::kGanskiWong,      Strategy::kMagic,  Strategy::kOptMagic};
-  static const int kDops[] = {2, 4};
-  int queries_run = 0;
-  std::map<Strategy, int> compared;
-
-  for (uint64_t seed = 1; seed <= kDatabases; ++seed) {
-    Database db(MakeNullHeavyCatalog(seed));
-    Rng rng(seed * 7919);  // identical stream -> identical query text
-    DiffQueryGen gen(&rng);
-    for (int q = 0; q < kQueriesPerDatabase; ++q) {
-      const std::string sql = gen.RandomQuery();
-      ++queries_run;
-      for (Strategy s : kStrategies) {
-        QueryOptions serial;
-        serial.strategy = s;
-        serial.fallback = false;  // a declined rewrite must say so loudly
-        auto base = db.Execute(sql, serial);
-        if (base.status().code() == StatusCode::kNotImplemented) continue;
-        ASSERT_TRUE(base.ok())
-            << StrategyName(s) << " dop=1 failed (seed " << seed << " q" << q
-            << "): " << base.status().ToString() << "\n" << sql;
-        const std::vector<std::string> serial_rows = Canon(*base);
-        for (int dop : kDops) {
-          QueryOptions parallel = serial;
-          parallel.dop = dop;
-          auto result = db.Execute(sql, parallel);
-          ASSERT_TRUE(result.ok())
-              << StrategyName(s) << " dop=" << dop << " failed (seed " << seed
-              << " q" << q << "): " << result.status().ToString() << "\n"
-              << sql;
-          ++compared[s];
-          EXPECT_EQ(Canon(*result), serial_rows)
-              << StrategyName(s) << " dop=" << dop << " diverged (seed "
-              << seed << " q" << q << ")\n" << sql;
-        }
-      }
-    }
-  }
-  EXPECT_GE(queries_run, 200);
-  for (Strategy s : kStrategies) {
-    EXPECT_GT(compared[s], 0)
-        << StrategyName(s) << " never ran in parallel";
-  }
-}
-
 // Cache differential sweep: the same 240 seeded queries, every strategy
-// (NI+C included), with subquery memoization on vs off at dop {1, 4} —
-// multiset-identical, fallback off. The baseline is the strategy's own
-// cache-off serial run, so the comparison isolates exactly what the
+// (NI+C included), with subquery memoization on vs off — multiset-identical,
+// fallback off. The baseline is the strategy's own cache-off run, so the
+// comparison isolates exactly what the
 // BindingKeyCache changes (nothing, if it is correct). A tiny-budget pass
 // (1 KB) forces constant eviction through the same queries.
 TEST(PropertyDiffTest, CacheSweepRowIdenticalOnVsOffForEveryStrategy) {
@@ -182,31 +127,21 @@ TEST(PropertyDiffTest, CacheSweepRowIdenticalOnVsOffForEveryStrategy) {
             << StrategyName(s) << " cache-off failed (seed " << seed << " q"
             << q << "): " << base.status().ToString() << "\n" << sql;
         const std::vector<std::string> off_rows = Canon(*base);
-        // Cache on (default budget) at dop {1, 4}, plus a 1 KB budget that
-        // keeps the cache thrashing (insert/evict on nearly every binding).
-        struct Variant {
-          int64_t cache_bytes;
-          int dop;
-        };
-        static const Variant kVariants[] = {
-            {kDefaultSubqueryCacheBytes, 1},
-            {kDefaultSubqueryCacheBytes, 4},
-            {1024, 1}};
-        for (const Variant& v : kVariants) {
+        // Cache on at the default budget, plus a 1 KB budget that keeps the
+        // cache thrashing (insert/evict on nearly every binding).
+        for (int64_t cache_bytes : {kDefaultSubqueryCacheBytes, int64_t{1024}}) {
           QueryOptions on = off;
-          on.subquery_cache_bytes = v.cache_bytes;
-          on.dop = v.dop;
+          on.subquery_cache_bytes = cache_bytes;
           auto result = db.Execute(sql, on);
           ASSERT_TRUE(result.ok())
-              << StrategyName(s) << " cache-on dop=" << v.dop << " budget="
-              << v.cache_bytes << " failed (seed " << seed << " q" << q
+              << StrategyName(s) << " cache-on budget=" << cache_bytes
+              << " failed (seed " << seed << " q" << q
               << "): " << result.status().ToString() << "\n" << sql;
           ++compared[s];
           cached_hits += result->stats.subquery_cache_hits;
           EXPECT_EQ(Canon(*result), off_rows)
-              << StrategyName(s) << " cache-on dop=" << v.dop << " budget="
-              << v.cache_bytes << " diverged (seed " << seed << " q" << q
-              << ")\n" << sql;
+              << StrategyName(s) << " cache-on budget=" << cache_bytes
+              << " diverged (seed " << seed << " q" << q << ")\n" << sql;
           if (s == Strategy::kNestedIteration) {
             // Plain NI must never cache, whatever the option says.
             EXPECT_EQ(result->stats.subquery_cache_hits, 0) << sql;
@@ -226,13 +161,13 @@ TEST(PropertyDiffTest, CacheSweepRowIdenticalOnVsOffForEveryStrategy) {
 
 // Spill differential sweep (the graceful-degradation gate): the same 240
 // seeded queries, every strategy, with spilling on under half the measured
-// serial peak at dop {1, 4}, fallback off. The baseline is the strategy's
-// own spill-off unlimited serial run, so the comparison isolates exactly
-// what the spill machinery changes (nothing observable, if it is correct).
-// Some charges have no spill hook (root result buffers, the exchange's
-// materialized partition buffers), so a bounded run may legitimately
-// surface kResourceExhausted — accepted, but only that code, and never a
-// wrong answer. The sweep is vacuous unless some runs actually spilled and
+// peak, fallback off. The baseline is the strategy's own spill-off
+// unlimited run, so the comparison isolates exactly what the spill
+// machinery changes (nothing observable, if it is correct). Some charges
+// have no spill hook (the root result buffer, sort buffers, shared
+// subplans), so a bounded run
+// may legitimately surface kResourceExhausted — accepted, but only that
+// code, and never a wrong answer. The sweep is vacuous unless some runs actually spilled and
 // completed, and the scratch directory must stay empty after every query —
 // thousands of bounded runs, zero leaked temp files.
 TEST(PropertyDiffTest, SpillSweepRowIdenticalToUnlimitedForEveryStrategy) {
@@ -278,27 +213,23 @@ TEST(PropertyDiffTest, SpillSweepRowIdenticalToUnlimitedForEveryStrategy) {
         const std::vector<std::string> unlimited_rows = Canon(*base);
         const int64_t budget =
             std::max<int64_t>(1, base->stats.peak_memory_bytes / 2);
-        for (int dop : {1, 4}) {
-          QueryOptions bounded = unlimited;
-          bounded.dop = dop;
-          bounded.spill = true;
-          bounded.temp_dir = scratch;
-          bounded.limits.memory_budget_bytes = budget;
-          auto result = db.Execute(sql, bounded);
-          if (!result.ok()) {
-            // Only ever a clean budget trip — an injected-fault-free bounded
-            // run has no other legitimate failure mode.
-            ASSERT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-                << StrategyName(s) << " spill dop=" << dop << " (seed "
-                << seed << " q" << q << "): " << result.status().ToString()
-                << "\n" << sql;
-            ++budget_trips;
-            continue;
-          }
+        QueryOptions bounded = unlimited;
+        bounded.spill = true;
+        bounded.temp_dir = scratch;
+        bounded.limits.memory_budget_bytes = budget;
+        auto result = db.Execute(sql, bounded);
+        if (!result.ok()) {
+          // Only ever a clean budget trip — an injected-fault-free bounded
+          // run has no other legitimate failure mode.
+          ASSERT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+              << StrategyName(s) << " spill (seed " << seed << " q" << q
+              << "): " << result.status().ToString() << "\n" << sql;
+          ++budget_trips;
+        } else {
           ++compared[s];
           EXPECT_EQ(Canon(*result), unlimited_rows)
-              << StrategyName(s) << " spill dop=" << dop << " diverged (seed "
-              << seed << " q" << q << ")\n" << sql;
+              << StrategyName(s) << " spill diverged (seed " << seed << " q"
+              << q << ")\n" << sql;
           if (result->stats.spill_partitions > 0) ++spilled_and_completed;
         }
         ASSERT_EQ(scratch_entries(), 0)
@@ -323,8 +254,8 @@ TEST(PropertyDiffTest, SpillSweepRowIdenticalToUnlimitedForEveryStrategy) {
 
 // Dedup-pruning differential sweep (the ISSUE 6 acceptance gate): the same
 // 240 seeded queries, every rewrite strategy, with the property-derived
-// pruning pass on vs off at dop {1, 4}, fallback off. The baseline is the
-// strategy's own prune-off serial run, so the comparison isolates exactly
+// pruning pass on vs off, fallback off. The baseline is the strategy's own
+// prune-off run, so the comparison isolates exactly
 // what PruneRedundantDedup changes (nothing observable, if the derivations
 // are sound); the main sweep above already pins the prune-on default
 // against the NI ground truth. Runtime key assertions are forced on, so a
@@ -359,20 +290,16 @@ TEST(PropertyDiffTest, PruneSweepRowIdenticalOnVsOffForEveryStrategy) {
             << StrategyName(s) << " prune-off failed (seed " << seed << " q"
             << q << "): " << base.status().ToString() << "\n" << sql;
         const std::vector<std::string> off_rows = Canon(*base);
-        for (int dop : {1, 4}) {
-          QueryOptions on = off;
-          on.prune_dedup = true;
-          on.dop = dop;
-          auto result = db.Execute(sql, on);
-          ASSERT_TRUE(result.ok())
-              << StrategyName(s) << " prune-on dop=" << dop << " failed (seed "
-              << seed << " q" << q << "): " << result.status().ToString()
-              << "\n" << sql;
-          ++compared[s];
-          EXPECT_EQ(Canon(*result), off_rows)
-              << StrategyName(s) << " prune-on dop=" << dop
-              << " diverged (seed " << seed << " q" << q << ")\n" << sql;
-        }
+        QueryOptions on = off;
+        on.prune_dedup = true;
+        auto result = db.Execute(sql, on);
+        ASSERT_TRUE(result.ok())
+            << StrategyName(s) << " prune-on failed (seed " << seed << " q"
+            << q << "): " << result.status().ToString() << "\n" << sql;
+        ++compared[s];
+        EXPECT_EQ(Canon(*result), off_rows)
+            << StrategyName(s) << " prune-on diverged (seed " << seed << " q"
+            << q << ")\n" << sql;
         // EXPLAIN surfaces prunes as `dedup pruned:` notes; count them so
         // the sweep is provably non-vacuous (some plans must actually lose
         // a DISTINCT or a back-join).
@@ -416,8 +343,8 @@ constexpr double kPickSlackMs = 2.0;
 #endif
 
 // Auto differential sweep (the ISSUE 8 acceptance gate): the same 240
-// seeded queries under cost-based selection at dop {1, 4} with the subquery
-// cache on and off, fallback off, multiset-identical to the NI ground
+// seeded queries under cost-based selection with the subquery cache on and
+// off, fallback off, multiset-identical to the NI ground
 // truth. Correctness must hold whatever the cost model picks — including on
 // the COUNT-bug shapes, where the selector statically refuses Kim. A timing
 // leg then holds the pick competitive: in an optimized build the chosen
@@ -434,14 +361,6 @@ TEST(PropertyDiffTest, AutoSweepMatchesNestedIterationAndPicksCompetitively) {
       Strategy::kKim,             Strategy::kDayal,
       Strategy::kGanskiWong,      Strategy::kMagic,
       Strategy::kOptMagic};
-  struct Variant {
-    int dop;
-    int64_t cache_bytes;
-  };
-  static const Variant kVariants[] = {{1, kDefaultSubqueryCacheBytes},
-                                      {4, kDefaultSubqueryCacheBytes},
-                                      {1, 0},
-                                      {4, 0}};
   int queries_run = 0;
   int decorrelated_picks = 0;
   int timing_checks = 0;
@@ -487,23 +406,22 @@ TEST(PropertyDiffTest, AutoSweepMatchesNestedIterationAndPicksCompetitively) {
       const std::vector<std::string> ni_rows = Canon(*truth);
 
       // Correctness leg: auto must never decline (NI is always applicable)
-      // and must match NI rows under every variant.
+      // and must match NI rows with the cache on and off.
       std::string chosen;
-      for (const Variant& v : kVariants) {
+      for (int64_t cache_bytes : {kDefaultSubqueryCacheBytes, int64_t{0}}) {
         QueryOptions automatic;
         automatic.strategy = Strategy::kAuto;
         automatic.fallback = false;  // a selector failure must say so loudly
-        automatic.dop = v.dop;
-        automatic.subquery_cache_bytes = v.cache_bytes;
+        automatic.subquery_cache_bytes = cache_bytes;
         auto result = db.Execute(sql, automatic);
         ASSERT_TRUE(result.ok())
-            << "Auto dop=" << v.dop << " cache=" << v.cache_bytes
-            << " failed (seed " << seed << " q" << q << "): "
-            << result.status().ToString() << "\n" << sql;
+            << "Auto cache=" << cache_bytes << " failed (seed " << seed
+            << " q" << q << "): " << result.status().ToString() << "\n"
+            << sql;
         EXPECT_EQ(Canon(*result), ni_rows)
-            << "Auto dop=" << v.dop << " cache=" << v.cache_bytes
-            << " diverged (seed " << seed << " q" << q << ")\n" << sql;
-        if (v.dop == 1 && v.cache_bytes == kDefaultSubqueryCacheBytes) {
+            << "Auto cache=" << cache_bytes << " diverged (seed " << seed
+            << " q" << q << ")\n" << sql;
+        if (cache_bytes == kDefaultSubqueryCacheBytes) {
           const std::string prefix = "auto strategy: ";
           const size_t at = result->plan_text.find(prefix);
           ASSERT_NE(at, std::string::npos) << sql;

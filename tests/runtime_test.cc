@@ -201,5 +201,25 @@ TEST(DatabaseTest, ValidationGuardsRewrittenGraphs) {
   }
 }
 
+TEST(DatabaseTest, DopIsIgnored) {
+  // Every query runs on one thread: a dop of 4 must give exactly dop 1's
+  // plan and rows, in order, under every strategy.
+  Database db(MakeEmpDeptCatalog());
+  for (Strategy s : {Strategy::kNestedIteration, Strategy::kMagic,
+                     Strategy::kOptMagic, Strategy::kAuto}) {
+    QueryOptions serial;
+    serial.strategy = s;
+    QueryOptions four = serial;
+    four.dop = 4;
+    auto a = db.Execute(kPaperExampleQuery, serial);
+    auto b = db.Execute(kPaperExampleQuery, four);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(b->plan_text, a->plan_text) << StrategyName(s);
+    EXPECT_EQ(b->ToString(), a->ToString()) << StrategyName(s);
+    EXPECT_EQ(b->stats.rows_scanned, a->stats.rows_scanned) << StrategyName(s);
+  }
+}
+
 }  // namespace
 }  // namespace decorr

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "decorr/common/fault.h"
 #include "decorr/runtime/database.h"
 #include "decorr/server/server.h"
 #include "decorr/server/session.h"
@@ -285,15 +286,82 @@ TEST(ServerTest, PlanCacheCountersMatchHandComputedExpectations) {
   EXPECT_EQ(counters().hits, 3);
 
   // Different relevant options -> different fingerprint, not a hit.
-  QueryOptions dop2 = session->options();
-  dop2.dop = 2;
-  ASSERT_TRUE(session->Execute(q3, dop2).ok());
+  QueryOptions unpruned = session->options();
+  unpruned.prune_dedup = !unpruned.prune_dedup;
+  ASSERT_TRUE(session->Execute(q3, unpruned).ok());
   EXPECT_EQ(counters().hits, 3);
   EXPECT_EQ(counters().misses, 5);
 
   const std::string rendered = server.DescribePlanCache();
   EXPECT_NE(rendered.find("plan cache: 2 entries"), std::string::npos)
       << rendered;
+}
+
+TEST(ServerTest, PlannerOptionsShareOnePreparedQuery) {
+  // Prepare never reads the planner options, and every hit is planned with
+  // the caller's own: a run that differs only in one must hit, and still
+  // get that option's plan.
+  Server server({}, MakeEmpDeptCatalog());
+  auto session = server.Connect();
+  QueryOptions recompute;
+  recompute.strategy = Strategy::kMagic;
+  QueryOptions materialize = recompute;
+  materialize.planner.materialize_common_subexpressions = true;
+  auto cold = session->Explain(kPaperExampleQuery, recompute);
+  auto hit = session->Explain(kPaperExampleQuery, materialize);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_FALSE(cold->profile.plan_cache_hit);
+  EXPECT_TRUE(hit->profile.plan_cache_hit);
+  EXPECT_EQ(server.stats().plan_cache.hits, 1);
+  EXPECT_EQ(server.stats().plan_cache.entries, 1);
+  EXPECT_EQ(cold->plan_text.find("CachedMaterialize"), std::string::npos)
+      << cold->plan_text;
+  Database db(MakeEmpDeptCatalog());
+  auto uncached = db.Explain(kPaperExampleQuery, materialize);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  EXPECT_NE(uncached->plan_text.find("CachedMaterialize"), std::string::npos)
+      << uncached->plan_text;
+  EXPECT_EQ(hit->plan_text, uncached->plan_text);
+}
+
+TEST(ServerTest, FinishedQueriesHandTheirMemoryBackToTheServer) {
+  // OptMag's shared subplan holds its rows' charge until the query ends,
+  // and a failed Open leaves the charges of the operators opened before it;
+  // neither may stay on the server's aggregate tracker once the query is
+  // over, so repeated runs peak where the first one did.
+  QueryOptions optmag;
+  optmag.strategy = Strategy::kOptMagic;
+  {
+    Server server({}, MakeEmpDeptCatalog());
+    auto session = server.Connect();
+    ASSERT_TRUE(session->Execute(kPaperExampleQuery, optmag).ok());
+    const int64_t first_peak = server.stats().aggregate_memory_peak;
+    ASSERT_GT(first_peak, 0);
+    for (int run = 0; run < 9; ++run) {
+      auto r = session->Execute(kPaperExampleQuery, optmag);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+    EXPECT_EQ(server.stats().aggregate_memory_peak, first_peak);
+  }
+  QueryOptions mag;
+  mag.strategy = Strategy::kMagic;
+  mag.fallback = false;
+  Server server({}, MakeEmpDeptCatalog());
+  auto session = server.Connect();
+  ASSERT_TRUE(session->Execute(kPaperExampleQuery, mag).ok());
+  const int64_t first_peak = server.stats().aggregate_memory_peak;
+  ASSERT_GT(first_peak, 0);
+  FaultInjector::Global().Arm("exec.aggregate.open",
+                              Status::Internal("injected"));
+  auto failed = session->Execute(kPaperExampleQuery, mag);
+  FaultInjector::Global().Reset();
+  ASSERT_FALSE(failed.ok());
+  for (int run = 0; run < 3; ++run) {
+    auto r = session->Execute(kPaperExampleQuery, mag);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  EXPECT_EQ(server.stats().aggregate_memory_peak, first_peak);
 }
 
 TEST(ServerTest, FallbackResultsAreNeverCached) {

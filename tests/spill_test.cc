@@ -290,9 +290,8 @@ class SpillExecTest : public ::testing::Test {
     fs::remove_all(scratch_);
   }
 
-  QueryOptions SpillOptions(int64_t budget, int dop = 1) {
+  QueryOptions SpillOptions(int64_t budget) {
     QueryOptions o;
-    o.dop = dop;
     o.fallback = false;
     o.spill = true;
     o.temp_dir = scratch_;
@@ -302,14 +301,13 @@ class SpillExecTest : public ::testing::Test {
 
   // Runs `sql` unlimited, then walks a descending budget ladder below the
   // measured peak with spilling on. Some charges have no spill hook (the
-  // root result buffer, exchange partition buffers), so low rungs may
+  // root result buffer, sort buffers, shared subplans), so low rungs may
   // legitimately trip the budget; those must surface as a clean
   // kResourceExhausted with no temp files left behind. Every rung that
   // completes must reproduce the unlimited multiset, and at least one rung
   // must complete by actually spilling.
-  void ExpectSpillMatches(const std::string& sql, int dop = 1) {
+  void ExpectSpillMatches(const std::string& sql) {
     QueryOptions base;
-    base.dop = dop;
     base.fallback = false;
     auto unlimited = db_.Execute(sql, base);
     ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
@@ -318,7 +316,7 @@ class SpillExecTest : public ::testing::Test {
     bool spilled_and_completed = false;
     for (int pct : {90, 75, 60, 50, 40, 30}) {
       const int64_t budget = unlimited->stats.peak_memory_bytes * pct / 100;
-      auto run = db_.Execute(sql, SpillOptions(budget, dop));
+      auto run = db_.Execute(sql, SpillOptions(budget));
       if (!run.ok()) {
         ASSERT_EQ(run.status().code(), StatusCode::kResourceExhausted)
             << sql << " under budget " << budget << ": "
@@ -374,74 +372,6 @@ TEST_F(SpillExecTest, JoinWithVisibleOutputMatches) {
       "SELECT f.id, d.label FROM fact f, dim d WHERE f.grp = d.g");
 }
 
-TEST_F(SpillExecTest, ParallelWorkersSpillThroughSharedManager) {
-  // The parallel exchange materializes its inputs and outputs with no spill
-  // hook, so only budgets between that floor and the in-memory peak can
-  // complete by spilling. With four workers racing one budget, where the
-  // crossing charge lands varies run to run: in a worker's build, which
-  // spills, or in an exchange buffer, which fails the query cleanly. How
-  // many workers overlap also moves the measured peak. So walk a ladder
-  // wide enough for both a serial and a fully concurrent schedule: every
-  // rung must complete with the unlimited rows or fail with
-  // kResourceExhausted, leak no temp file, and some rung must complete by
-  // spilling in a worker.
-  const std::string sql =
-      "SELECT COUNT(*) FROM fact f, dim d WHERE f.grp = d.g AND d.g < 8";
-  QueryOptions base;
-  base.dop = 4;
-  base.fallback = false;
-  auto unlimited = db_.Execute(sql, base);
-  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
-  ASSERT_GT(unlimited->stats.peak_memory_bytes, 0);
-
-  bool workers_spilled = false;
-  bool spilled_and_completed = false;
-  for (int pct = 95; pct >= 50; pct -= 5) {
-    const int64_t budget = unlimited->stats.peak_memory_bytes * pct / 100;
-    FaultInjector::Global().Reset();
-    FaultInjector::Global().EnableRecording();
-    auto run = db_.Execute(sql, SpillOptions(budget, /*dop=*/4));
-    const int64_t worker_spills =
-        FaultInjector::Global().HitCount("exec.spill.join.partition");
-    FaultInjector::Global().Reset();
-    if (worker_spills > 0) workers_spilled = true;
-    EXPECT_EQ(CountScratchEntries(scratch_), 0)
-        << "temp files leaked (budget " << budget << ")";
-    if (!run.ok()) {
-      ASSERT_EQ(run.status().code(), StatusCode::kResourceExhausted)
-          << sql << " under budget " << budget << ": "
-          << run.status().ToString();
-      continue;
-    }
-    EXPECT_EQ(Multiset(run->rows), Multiset(unlimited->rows))
-        << sql << " under budget " << budget;
-    if (worker_spills > 0 && run->stats.spill_partitions > 0) {
-      spilled_and_completed = true;
-    }
-  }
-  EXPECT_TRUE(workers_spilled) << sql << ": no budget rung made a worker spill";
-  EXPECT_TRUE(spilled_and_completed)
-      << sql << ": no budget rung both spilled and completed at dop 4";
-
-  // Aggregates at dop > 1 degrade cleanly instead: the exchange's
-  // materialized input dominates their peak, so a bounded run either fits
-  // outright or surfaces kResourceExhausted — never a crash or a leak.
-  const std::string agg_sql =
-      "SELECT COUNT(*) FROM "
-      "(SELECT grp, SUM(val) FROM fact GROUP BY grp) AS t(g, s)";
-  auto agg_unlimited = db_.Execute(agg_sql, base);
-  ASSERT_TRUE(agg_unlimited.ok()) << agg_unlimited.status().ToString();
-  auto agg_run = db_.Execute(
-      agg_sql,
-      SpillOptions(agg_unlimited->stats.peak_memory_bytes / 2, /*dop=*/4));
-  if (agg_run.ok()) {
-    EXPECT_EQ(Multiset(agg_run->rows), Multiset(agg_unlimited->rows));
-  } else {
-    EXPECT_EQ(agg_run.status().code(), StatusCode::kResourceExhausted)
-        << agg_run.status().ToString();
-  }
-  EXPECT_EQ(CountScratchEntries(scratch_), 0);
-}
 
 TEST_F(SpillExecTest, RepartitionDepthCapSurfacesCleanly) {
   // Every build row shares one join key, so no amount of re-partitioning
