@@ -14,6 +14,39 @@ void KeyTable::Clear() {
   for (const Entry& e : entries_) heads_[e.hash & mask_] = kNotFound;
   keys_.clear();
   entries_.clear();
+  direct_.clear();
+}
+
+void KeyTable::FinishBuild() {
+  direct_.clear();
+  if (width_ != 1) return;
+  int64_t lo = kDirectLimit;
+  int64_t hi = -kDirectLimit;
+  size_t ints = 0;
+  uint32_t null_id = kNotFound;
+  for (uint32_t id = 0; id < keys_.size(); ++id) {
+    const Value& key = keys_[id];
+    if (key.is_null()) {
+      null_id = id;
+      continue;
+    }
+    if (key.type() != TypeId::kInt64) return;
+    const int64_t v = key.int64_value();
+    if (v < -kDirectLimit || v > kDirectLimit) return;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+    ++ints;
+  }
+  // Both ends lie within ±2^53, so the range cannot overflow.
+  if (ints == 0 || static_cast<uint64_t>(hi - lo) >= kDirectSpan * ints) {
+    return;
+  }
+  direct_.assign(static_cast<size_t>(hi - lo) + 1, kNotFound);
+  for (uint32_t id = 0; id < keys_.size(); ++id) {
+    if (!keys_[id].is_null()) direct_[keys_[id].int64_value() - lo] = id;
+  }
+  direct_min_ = lo;
+  direct_null_ = null_id;
 }
 
 uint32_t KeyTable::Append(const Value* key, size_t hash) {

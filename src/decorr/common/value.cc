@@ -7,34 +7,6 @@
 
 namespace decorr {
 
-Value Value::Bool(bool v) {
-  Value out;
-  out.type_ = TypeId::kBool;
-  out.i64_ = v ? 1 : 0;
-  return out;
-}
-
-Value Value::Int64(int64_t v) {
-  Value out;
-  out.type_ = TypeId::kInt64;
-  out.i64_ = v;
-  return out;
-}
-
-Value Value::Double(double v) {
-  Value out;
-  out.type_ = TypeId::kDouble;
-  out.dbl_ = v;
-  return out;
-}
-
-Value Value::String(std::string v) {
-  Value out;
-  out.type_ = TypeId::kString;
-  out.str_ = std::move(v);
-  return out;
-}
-
 int Value::Compare(const Value& other) const {
   if (is_null() || other.is_null()) {
     if (is_null() && other.is_null()) return 0;

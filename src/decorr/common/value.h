@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "decorr/common/types.h"
@@ -21,10 +22,30 @@ class Value {
   Value() : type_(TypeId::kNull), i64_(0) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v);
-  static Value Int64(int64_t v);
-  static Value Double(double v);
-  static Value String(std::string v);
+  static Value Bool(bool v) {
+    Value out;
+    out.type_ = TypeId::kBool;
+    out.i64_ = v ? 1 : 0;
+    return out;
+  }
+  static Value Int64(int64_t v) {
+    Value out;
+    out.type_ = TypeId::kInt64;
+    out.i64_ = v;
+    return out;
+  }
+  static Value Double(double v) {
+    Value out;
+    out.type_ = TypeId::kDouble;
+    out.dbl_ = v;
+    return out;
+  }
+  static Value String(std::string v) {
+    Value out;
+    out.type_ = TypeId::kString;
+    out.str_ = std::move(v);
+    return out;
+  }
 
   TypeId type() const { return type_; }
   bool is_null() const { return type_ == TypeId::kNull; }

@@ -288,6 +288,7 @@ Status GroupProbeApplyOp::OpenImpl(ExecContext* ctx) {
     if (inserted) group_rows_.emplace_back();
     group_rows_[id].push_back(std::move(row));
   }
+  groups_.FinishBuild();
   return input_->Open(ctx);
 }
 

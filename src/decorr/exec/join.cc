@@ -147,8 +147,10 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
   right_->Close();
   metrics_.bytes_charged += charged_bytes_;
   if (spilling_) return SpillProbeSide(ctx);
-  // The build is complete and in memory: probe rows without a key in it
-  // can be rejected where they are read.
+  // The build is complete and in memory: dense INT64 keys switch to direct
+  // addressing, and probe rows without a key in it can be rejected where
+  // they are read. (A spilled join's partitions stay chained.)
+  table_.FinishBuild();
   key_filter_.live = key_filter_.keys != nullptr;
   Status st = left_->Open(ctx);
   if (!st.ok()) key_filter_.live = false;
@@ -183,7 +185,7 @@ void HashJoinOp::StartProbe(const Value* key) {
   emitted_match_ = false;
   match_ = kNoRow;
   if (key == nullptr) return;
-  const uint32_t id = table_.Find(key, KeyTable::Hash(key, table_.width()));
+  const uint32_t id = table_.Find(key);
   if (id != KeyTable::kNotFound) match_ = key_first_[id];
 }
 

@@ -189,21 +189,29 @@ bool ApplyCmp(BinaryOp op, const T& a, const T& b) {
   }
 }
 
-// Keeps candidate i iff the column is non-NULL at rows[i] and test(row).
+// Keeps candidate i iff test(rows[i]).
 template <typename Test>
-void Narrow(const RowSet& rows, const Column& col, char* match, Test test) {
+void NarrowRows(const RowSet& rows, char* match, Test test) {
   if (rows.ids != nullptr) {
     for (size_t i = 0; i < rows.size; ++i) {
-      if (!match[i]) continue;
-      const size_t r = rows.ids[i];
-      match[i] = !col.IsNull(r) && test(r);
+      if (match[i]) match[i] = test(rows.ids[i]);
     }
   } else {
     for (size_t i = 0; i < rows.size; ++i) {
-      if (!match[i]) continue;
-      const size_t r = rows.begin + i;
-      match[i] = !col.IsNull(r) && test(r);
+      if (match[i]) match[i] = test(rows.begin + i);
     }
+  }
+}
+
+// Keeps candidate i iff the column is non-NULL at rows[i] and test(row); a
+// column without NULLs skips the null test.
+template <typename Test>
+void Narrow(const RowSet& rows, const Column& col, char* match, Test test) {
+  if (col.has_nulls()) {
+    NarrowRows(rows, match,
+               [&](size_t r) { return !col.IsNull(r) && test(r); });
+  } else {
+    NarrowRows(rows, match, test);
   }
 }
 
@@ -443,24 +451,42 @@ bool SameNumber(double a, double b) { return !(a < b) && !(a > b); }
 template <typename Has>
 void RejectMisses(const RowSet& rows, const Column& col, bool null_passes,
                   Has has, char* match) {
+  const bool nulls = col.has_nulls();
   for (size_t i = 0; i < rows.size; ++i) {
     if (match[i] != 1) continue;
     const size_t r = rows[i];
-    if (col.IsNull(r) ? !null_passes : !has(r)) match[i] = kKeyRejected;
+    if (nulls && col.IsNull(r) ? !null_passes : !has(r)) {
+      match[i] = kKeyRejected;
+    }
   }
 }
 
 // Applies one key filter to `rows`: a value passes iff it is a key of the
-// build table, found with KeyTable's hash and equality (Value::Hash and
-// Value::Equals of the value) computed on the typed cell.
+// build table, found with KeyTable's equality (Value::Equals of the value)
+// computed on the typed cell — by offset in a direct table, else by
+// Value::Hash and a bucket walk.
 void ApplyKeyFilter(const KeyFilter& filter, const Column& col,
                     const RowSet& rows, char* match) {
   const KeyTable& keys = *filter.keys;
   const Value null_key;
   const bool null_passes =
-      filter.null_safe &&
-      keys.Find(&null_key, KeyTable::Hash(&null_key, 1)) !=
-          KeyTable::kNotFound;
+      filter.null_safe && keys.Find(&null_key) != KeyTable::kNotFound;
+  if (keys.direct()) {
+    switch (col.type()) {
+      case TypeId::kInt64:
+        RejectMisses(rows, col, null_passes, [&](size_t r) {
+          return keys.FindDirect(col.Int64At(r)) != KeyTable::kNotFound;
+        }, match);
+        return;
+      case TypeId::kDouble:
+        RejectMisses(rows, col, null_passes, [&](size_t r) {
+          return keys.FindDirect(col.DoubleAt(r)) != KeyTable::kNotFound;
+        }, match);
+        return;
+      default:
+        break;  // the chains below find no STRING or BOOL either
+    }
+  }
   auto found = [&](size_t hash, auto equals) {
     return keys.FindOne(hash, equals) != KeyTable::kNotFound;
   };

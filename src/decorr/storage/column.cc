@@ -6,7 +6,10 @@ namespace decorr {
 
 void Column::Append(const Value& v) {
   if (v.is_null()) {
+    // The first NULL creates the map: every earlier row is non-NULL.
+    if (nulls_.empty()) nulls_.resize(size_, 0);
     nulls_.push_back(1);
+    ++size_;
     switch (type_) {
       case TypeId::kBool:
       case TypeId::kInt64:
@@ -23,7 +26,8 @@ void Column::Append(const Value& v) {
     }
     return;
   }
-  nulls_.push_back(0);
+  if (has_nulls()) nulls_.push_back(0);
+  ++size_;
   switch (type_) {
     case TypeId::kBool:
       DECORR_CHECK(v.type() == TypeId::kBool);
@@ -43,22 +47,6 @@ void Column::Append(const Value& v) {
       break;
     default:
       DECORR_CHECK_MSG(false, "column of NULL type cannot store values");
-  }
-}
-
-Value Column::GetValue(size_t row) const {
-  if (nulls_[row]) return Value::Null();
-  switch (type_) {
-    case TypeId::kBool:
-      return Value::Bool(i64_[row] != 0);
-    case TypeId::kInt64:
-      return Value::Int64(i64_[row]);
-    case TypeId::kDouble:
-      return Value::Double(dbl_[row]);
-    case TypeId::kString:
-      return Value::String(str_[row]);
-    default:
-      return Value::Null();
   }
 }
 

@@ -28,6 +28,7 @@ HashIndex::HashIndex(const Table& table, std::vector<int> key_columns)
     ++counts[id];
     row_key[r] = id;
   }
+  keys_.FinishBuild();
   // Pass 2: scatter the row ids in ascending order into their key's slice.
   offsets_.assign(counts.size() + 1, 0);
   for (size_t k = 0; k < counts.size(); ++k) {

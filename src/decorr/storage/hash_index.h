@@ -9,7 +9,9 @@
 // Layout (CSR): a KeyTable maps each distinct key to an id, and one array
 // holds every indexed row id grouped by key — key id k's rows are
 // ids_[offsets_[k], offsets_[k + 1]), ascending — so a lookup is one probe
-// and returns a span into that array.
+// and returns a span into that array. The KeyTable is finished once built,
+// so a one-column index over dense INT64 keys finds a key's id by its
+// offset (KeyTable::FinishBuild).
 #ifndef DECORR_STORAGE_HASH_INDEX_H_
 #define DECORR_STORAGE_HASH_INDEX_H_
 
@@ -39,6 +41,8 @@ class HashIndex {
   std::span<const uint32_t> Lookup(const Row& key) const;
 
   size_t num_distinct_keys() const { return keys_.size(); }
+  // Lookups address keys directly (KeyTable::direct()).
+  bool direct() const { return keys_.direct(); }
 
   std::string ToString() const;
 

@@ -362,7 +362,7 @@ TEST_F(ChaosTest, SpillFaultsLeaveNoTempFilesBehind) {
   // destructor-driven (SpillFile unlink + TempFileManager remove_all), so
   // no error path may skip it.
   namespace fs = std::filesystem;
-  const std::string scratch = ::testing::TempDir() + "/chaos_spill_scratch";
+  const std::string scratch = ProcessScratchDir("chaos_spill_scratch");
   fs::remove_all(scratch);
   ASSERT_TRUE(fs::create_directories(scratch));
   auto count_entries = [&scratch] {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -435,6 +436,132 @@ TEST(KeyTableTest, ZeroWidthKeysAreOneGroup) {
   EXPECT_EQ(Put(&table, {}), 0u);
   EXPECT_EQ(Put(&table, {}), 0u);
   EXPECT_EQ(table.size(), 1u);
+}
+
+// Direct addressing (FinishBuild) must give exactly the chained answers:
+// the same ids for every probe Value::Equals matches, the same misses for
+// every other. Each key set is inserted in one random order into two
+// tables, only one of them finished.
+TEST(KeyTableTest, DirectAddressingGivesTheChainedIdsAndMisses) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kExact = int64_t{1} << 53;
+  Rng rng(1801);
+  auto range = [](int64_t lo, int64_t n) {
+    std::vector<int64_t> keys;
+    for (int64_t i = 0; i < n; ++i) keys.push_back(lo + i);
+    return keys;
+  };
+  auto sample = [&](int64_t lo, int64_t hi, int n) {
+    std::set<int64_t> keys;
+    while (static_cast<int>(keys.size()) < n) keys.insert(rng.Uniform(lo, hi));
+    return std::vector<int64_t>(keys.begin(), keys.end());
+  };
+  struct Case {
+    const char* name;
+    std::vector<int64_t> keys;
+    bool null_key;
+    bool direct;
+  };
+  const std::vector<Case> cases = {
+      {"dense", range(1, 2000), false, true},
+      {"dense with NULL", range(1, 2000), true, true},
+      {"sparse", sample(-300, 3000, 500), false, true},
+      {"negative", sample(-5000, -4000, 400), true, true},
+      {"one key", {42}, false, true},
+      {"edge of exact doubles", range(kExact - 299, 300), false, true},
+      {"just beyond exact doubles", range(kExact + 1, 300), false, false},
+      {"too sparse", sample(0, 100000, 500), false, false},
+      {"dense beyond exact doubles", range(kMax - 299, 300), false, false},
+      {"dense at INT64_MIN", range(kMin, 300), true, false},
+      {"INT64_MIN..INT64_MAX", {kMin, -1, 0, 1, kMax}, false, false},
+  };
+  for (const Case& c : cases) {
+    std::vector<Value> keys;
+    for (int64_t k : c.keys) keys.push_back(Value::Int64(k));
+    if (c.null_key) keys.push_back(Value::Null());
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.Uniform(0, static_cast<int64_t>(i) - 1)]);
+    }
+    KeyTable chained(1);
+    KeyTable direct(1);
+    for (const Value& key : keys) {
+      Put(&chained, {key});
+      Put(&direct, {key});
+    }
+    direct.FinishBuild();
+    EXPECT_EQ(direct.direct(), c.direct) << c.name;
+    EXPECT_FALSE(chained.direct()) << c.name;
+
+    std::vector<Value> probes = {
+        Value::Null(), Value::Bool(true), Value::Bool(false),
+        Value::String("1"), Value::Int64(kMin), Value::Int64(kMax),
+        Value::Double(0.0), Value::Double(-0.0), Value::Double(0.5),
+        Value::Double(static_cast<double>(kExact)),
+        Value::Double(static_cast<double>(kExact) + 2.0),
+        Value::Double(static_cast<double>(kMax)),
+        Value::Double(static_cast<double>(kMin)), Value::Double(1e300),
+        Value::Double(-std::numeric_limits<double>::infinity())};
+    for (int64_t k : c.keys) {
+      for (int64_t d : {-1, 0, 1}) {
+        // Wrapping sums probe the far end of the key space.
+        const int64_t v = static_cast<int64_t>(static_cast<uint64_t>(k) +
+                                               static_cast<uint64_t>(d));
+        probes.push_back(Value::Int64(v));
+        probes.push_back(Value::Double(static_cast<double>(v)));
+      }
+      probes.push_back(Value::Double(static_cast<double>(k) + 0.5));
+      probes.push_back(Value::Double(static_cast<double>(k) - 0.25));
+    }
+    for (int i = 0; i < 200; ++i) {
+      probes.push_back(Value::Int64(static_cast<int64_t>(rng.Next())));
+    }
+    int found = 0;
+    for (const Value& probe : probes) {
+      const uint32_t want = chained.Find(Row{probe});
+      ASSERT_EQ(direct.Find(Row{probe}), want)
+          << c.name << ": probe " << probe.ToString();
+      if (want != KeyTable::kNotFound) ++found;
+    }
+    EXPECT_GE(found, static_cast<int>(c.keys.size())) << c.name;
+    // Ids and the keys behind them are unchanged.
+    ASSERT_EQ(direct.size(), chained.size()) << c.name;
+    for (uint32_t id = 0; id < direct.size(); ++id) {
+      EXPECT_TRUE(direct.key(id)->Equals(*chained.key(id))) << c.name;
+    }
+    // Clear() ends direct addressing; the table refills as a chained one.
+    direct.Clear();
+    EXPECT_FALSE(direct.direct()) << c.name;
+    EXPECT_EQ(direct.Find(Row{keys[0]}), KeyTable::kNotFound) << c.name;
+    EXPECT_EQ(Put(&direct, {Value::Int64(7)}), 0u) << c.name;
+    EXPECT_EQ(direct.Find(Row{Value::Int64(7)}), 0u) << c.name;
+  }
+}
+
+TEST(KeyTableTest, OnlyOneColumnInt64TablesGoDirect) {
+  KeyTable doubles(1);
+  Put(&doubles, {Value::Int64(1)});
+  Put(&doubles, {Value::Double(2.0)});
+  doubles.FinishBuild();
+  EXPECT_FALSE(doubles.direct());
+  EXPECT_EQ(doubles.Find(Row{Value::Int64(2)}), 1u);
+
+  KeyTable strings(1);
+  Put(&strings, {Value::String("a")});
+  strings.FinishBuild();
+  EXPECT_FALSE(strings.direct());
+
+  KeyTable nulls_only(1);
+  Put(&nulls_only, {Value::Null()});
+  nulls_only.FinishBuild();
+  EXPECT_FALSE(nulls_only.direct());
+  EXPECT_EQ(nulls_only.Find(Row{Value::Null()}), 0u);
+
+  KeyTable wide(2);
+  Put(&wide, {Value::Int64(1), Value::Int64(2)});
+  wide.FinishBuild();
+  EXPECT_FALSE(wide.direct());
+  EXPECT_EQ(wide.Find({Value::Int64(1), Value::Int64(2)}), 0u);
 }
 
 // ---- Rng ----

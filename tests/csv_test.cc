@@ -72,6 +72,49 @@ TEST_F(CsvImportTest, ImportWithHeader) {
   EXPECT_EQ(result->rows[0][0].string_value(), "bob");
 }
 
+// A column's first NULL may arrive after thousands of non-NULL rows, from a
+// later import or late in one file: it is NULL to IsNull and to a scan's
+// in-place filters, which would otherwise read the stored 0.0 or "".
+TEST_F(CsvImportTest, FirstNullAfterNonNullRowsIsNull) {
+  std::string first;
+  for (int k = 0; k < 2000; ++k) {
+    first += std::to_string(k) + ",n" + std::to_string(k % 10) + "," +
+             std::to_string(k % 10) + ".0\n";
+  }
+  ASSERT_TRUE(ImportCsv(&db_, "t", first, false).ok());
+  const TablePtr table = *db_.catalog().GetTable("t");
+  EXPECT_FALSE(table->column(1).has_nulls());
+  EXPECT_FALSE(table->column(2).has_nulls());
+  // Within one file: 500 more non-NULL rows, then every third row NULL.
+  std::string second;
+  for (int k = 2000; k < 3000; ++k) {
+    const bool null = k >= 2500 && k % 3 == 0;
+    second += std::to_string(k) + "," +
+              (null ? "" : "n" + std::to_string(k % 10)) + "," +
+              (null ? "" : std::to_string(k % 10) + ".0") + "\n";
+  }
+  ASSERT_TRUE(ImportCsv(&db_, "t", second, false).ok());
+  int64_t nulls = 0;
+  int64_t zeros = 0;  // non-NULL score 0.0; a NULL cell stores 0.0 too
+  for (int k = 0; k < 3000; ++k) {
+    const bool null = k >= 2500 && k % 3 == 0;
+    EXPECT_EQ(table->column(1).IsNull(k), null) << k;
+    EXPECT_EQ(table->column(2).IsNull(k), null) << k;
+    nulls += null;
+    zeros += !null && k % 10 == 0;
+  }
+  auto count = [&](const std::string& sql) -> int64_t {
+    auto result = db_.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    return result.ok() ? static_cast<int64_t>(result->rows.size()) : -1;
+  };
+  EXPECT_EQ(count("SELECT k FROM t WHERE name IS NULL"), nulls);
+  EXPECT_EQ(count("SELECT k FROM t WHERE score IS NOT NULL"), 3000 - nulls);
+  EXPECT_EQ(count("SELECT k FROM t WHERE score = 0"), zeros);
+  EXPECT_EQ(count("SELECT k FROM t WHERE score < 0.5"), zeros);
+  EXPECT_EQ(count("SELECT k FROM t WHERE name IN ('', 'n0')"), zeros);
+}
+
 TEST_F(CsvImportTest, EmptyUnquotedIsNullQuotedIsEmptyString) {
   ASSERT_TRUE(ImportCsv(&db_, "t", "1,,2.0\n2,\"\",\n", false).ok());
   auto result = db_.Execute("SELECT k FROM t WHERE name IS NULL");

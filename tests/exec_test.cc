@@ -1090,6 +1090,230 @@ TEST(KeyFilterTest, NoFilterPassesOperatorsThatCountShareOrCut) {
   }
 }
 
+// ---- direct-addressed builds and late NULLs ----
+
+// A probe table whose first NULLs arrive after 2,000 non-NULL rows: k
+// (INT64) = r % 10 and d (DOUBLE) = k, or k + 0.5 when r % 4 == 1, both
+// NULL when r >= 2000 and r % 3 == 0; s (STRING) = "s<k>", NULL likewise.
+// A NULL cell's stored payload is 0, 0.0 or "", so a scan that skipped a
+// column's null map would take NULL rows for those values.
+constexpr int64_t kLateRows = 3000;
+
+bool LateNull(int64_t r) { return r >= 2000 && r % 3 == 0; }
+Value LateK(int64_t r) { return LateNull(r) ? N() : I(r % 10); }
+Value LateD(int64_t r) {
+  return LateNull(r) ? N() : D(r % 10 + (r % 4 == 1 ? 0.5 : 0.0));
+}
+
+TablePtr LateNullTable() {
+  TableSchema schema("late", {{"k", TypeId::kInt64, true},
+                              {"d", TypeId::kDouble, true},
+                              {"s", TypeId::kString, true}});
+  auto table = std::make_shared<Table>(schema);
+  for (int64_t r = 0; r < kLateRows; ++r) {
+    const Value s = LateNull(r) ? N() : S("s" + std::to_string(r % 10));
+    (void)table->AppendRow({LateK(r), LateD(r), s});
+  }
+  return table;
+}
+
+// Rows r for which pred(r) holds, counted from the generator, not the table.
+int64_t CountLate(const std::function<bool(int64_t)>& pred) {
+  int64_t n = 0;
+  for (int64_t r = 0; r < kLateRows; ++r) n += pred(r) ? 1 : 0;
+  return n;
+}
+
+// Probe cells equal (Value::Equals) to one of `keys`; a NULL cell counts
+// only if `null_passes`.
+int64_t CountLateKeys(const std::function<Value(int64_t)>& cell,
+                      const std::vector<Value>& keys, bool null_passes) {
+  return CountLate([&](int64_t r) {
+    const Value v = cell(r);
+    if (v.is_null()) return null_passes;
+    for (const Value& key : keys) {
+      if (!key.is_null() && key.Equals(v)) return true;
+    }
+    return false;
+  });
+}
+
+// The build keys of `keys` as a finished KeyTable: true when the join's
+// build table is direct.
+bool DirectBuild(const std::vector<Value>& keys) {
+  KeyTable table(1);
+  bool inserted = false;
+  for (const Value& key : keys) table.Insert({key}, &inserted);
+  table.FinishBuild();
+  return table.direct();
+}
+
+TEST(StorageFilterTest, FirstNullAfterNonNullRowsIsNullInPlace) {
+  TablePtr table = LateNullTable();
+  ASSERT_TRUE(table->column(0).has_nulls());
+  const ExprPtr k = MakeSlotRef(0, TypeId::kInt64, "k");
+  const ExprPtr d = MakeSlotRef(1, TypeId::kDouble, "d");
+  const ExprPtr s = MakeSlotRef(2, TypeId::kString, "s");
+  struct Case {
+    ExprPtr filter;
+    int64_t rows;
+  };
+  const int64_t nulls = CountLate(LateNull);
+  std::vector<Case> cases;
+  cases.push_back({MakeIsNull(k->Clone(), false), nulls});
+  cases.push_back({MakeIsNull(d->Clone(), true), kLateRows - nulls});
+  cases.push_back({MakeComparison(BinaryOp::kNullEq, k->Clone(),
+                                  MakeConstant(N())),
+                   nulls});
+  cases.push_back({MakeComparison(BinaryOp::kEq, k->Clone(),
+                                  MakeConstant(I(0))),
+                   CountLate([](int64_t r) {
+                     return !LateNull(r) && r % 10 == 0;
+                   })});
+  cases.push_back({MakeComparison(BinaryOp::kLt, d->Clone(),
+                                  MakeConstant(D(1.0))),
+                   CountLate([](int64_t r) {
+                     return !LateNull(r) && r % 10 == 0 && r % 4 != 1;
+                   })});
+  cases.push_back({Items(s->Clone(), {S(""), S("s1")}, false),
+                   CountLate([](int64_t r) {
+                     return !LateNull(r) && r % 10 == 1;
+                   })});
+  cases.push_back({MakeLike(s->Clone(), MakeConstant(S("%")), false),
+                   kLateRows - nulls});
+  for (const Case& c : cases) {
+    ASSERT_TRUE(InferTypes(c.filter.get()).ok());
+    const std::string text = c.filter->ToString();
+    SeqScanOp scan(table, {0}, c.filter->Clone());
+    EXPECT_EQ(static_cast<int64_t>(Drain(&scan).size()), c.rows) << text;
+    // Over a match list (row ids in descending order) too.
+    std::vector<uint32_t> ids;
+    for (int64_t r = kLateRows - 1; r >= 0; --r) {
+      ids.push_back(static_cast<uint32_t>(r));
+    }
+    std::vector<char> match;
+    StorageFilter(*table, c.filter.get()).Eval(nullptr, RowSet::List(ids),
+                                               &match);
+    EXPECT_EQ(std::count(match.begin(), match.end(), 1), c.rows) << text;
+  }
+}
+
+// Key filters over INT64 build keys (a direct table) keep exactly the rows
+// a chained table kept, and count the same rejections: on a DOUBLE column
+// (integral cells pass, k + 0.5 cells do not), on a column whose NULLs
+// arrive late, and under a null-safe key whose build holds NULL.
+TEST(KeyFilterTest, DirectBuildKeepsTheChainedRowsAndRejections) {
+  TablePtr table = LateNullTable();
+  struct Case {
+    int column;  // probe column: 0 = k, 1 = d
+    std::vector<Value> keys;
+    bool null_safe;
+  };
+  const Case cases[] = {
+      {1, {I(0), I(1), I(2), I(3)}, false},
+      {1, {I(0), I(1), I(2), I(3), N()}, true},
+      {1, {I(9), N()}, false},
+      {0, {I(0), I(1)}, false},
+      {0, {I(0), I(4), N()}, true},
+      {0, {I(0), I(4)}, true},
+  };
+  for (const Case& c : cases) {
+    ASSERT_TRUE(DirectBuild(c.keys));
+    const std::function<Value(int64_t)> cell =
+        c.column == 0 ? std::function<Value(int64_t)>(LateK) : LateD;
+    bool build_null = false;
+    for (const Value& key : c.keys) build_null |= key.is_null();
+    const int64_t passing =
+        CountLateKeys(cell, c.keys, c.null_safe && build_null);
+
+    auto scan = std::make_unique<SeqScanOp>(table, std::vector<int>{0, 1},
+                                            nullptr);
+    SeqScanOp* probe = scan.get();
+    OperatorPtr join =
+        KeyJoin(std::move(scan), c.column, BuildKeys(c.keys), c.null_safe);
+    SeqScanOp reference_scan(table, {0, 1}, nullptr);
+    OperatorPtr reference = KeyJoin(Unfiltered(&reference_scan), c.column,
+                                    BuildKeys(c.keys), c.null_safe);
+    const std::vector<std::string> rows = Render(Drain(join.get()));
+    EXPECT_EQ(rows, Render(Drain(reference.get())));
+    EXPECT_EQ(static_cast<int64_t>(rows.size()), passing);
+    EXPECT_EQ(probe->metrics().rows_out, passing)
+        << "column " << c.column << " null_safe " << c.null_safe;
+    EXPECT_EQ(probe->metrics().keyfilter_rejected, kLateRows - passing)
+        << "column " << c.column << " null_safe " << c.null_safe;
+  }
+}
+
+// A hash join re-opened with another build, as under Apply, probes that
+// build only. A dense in-memory build is addressed directly; a build that
+// spills is probed partition by partition through the chains. Each order
+// of the two must give each build's own matches.
+TEST(HashJoinTest, ReopenedJoinNeverProbesThePreviousBuildsMap) {
+  // Build rows [k, 10 k] for k in 0..99 and 1000..2999; an open keeps
+  // those with param 0 <= k < param 1. Probe keys are 0..2999.
+  std::vector<Row> build;
+  std::vector<Row> probe;
+  for (int64_t k = 0; k < 3000; ++k) {
+    if (k < 100 || k >= 1000) build.push_back({I(k), I(10 * k)});
+    probe.push_back({I(k)});
+  }
+  ExprPtr pick = MakeAnd(
+      MakeComparison(BinaryOp::kGe, MakeSlotRef(0, TypeId::kInt64),
+                     MakeParamRef(0, TypeId::kInt64)),
+      MakeComparison(BinaryOp::kLt, MakeSlotRef(0, TypeId::kInt64),
+                     MakeParamRef(1, TypeId::kInt64)));
+  HashJoinOp join(Rows(probe, 1),
+                  std::make_unique<FilterOp>(Rows(build, 2), std::move(pick)),
+                  KeyAt(0), KeyAt(0), nullptr, JoinType::kInner);
+  auto run = [&](int64_t lo, int64_t hi, bool spill) {
+    TempFileManager temp(::testing::TempDir(), 0);
+    EXPECT_TRUE(temp.Open().ok());
+    ResourceGuard guard;
+    // The large build needs about 400 KB, each of its partitions 50 KB.
+    if (spill) guard.memory().set_budget(150000);
+    ExecStats stats;
+    ExecContext ctx;
+    ctx.stats = &stats;
+    ctx.guard = &guard;
+    ctx.temp = &temp;
+    const Row params = {I(lo), I(hi)};
+    ctx.params = &params;
+    const int64_t partitions = join.metrics().spill_partitions;
+    // Drained by hand: CollectRows would charge the output to the budget.
+    std::vector<std::string> out;
+    Status st = join.Open(&ctx);
+    for (bool eof = false; st.ok();) {
+      Row row;
+      st = join.Next(&row, &eof);
+      if (!st.ok() || eof) break;
+      out.push_back(RowToString(row));
+    }
+    join.Close();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(join.metrics().spill_partitions > partitions, spill)
+        << "keys " << lo << ".." << hi;
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  auto expected = [](int64_t lo, int64_t hi) {
+    std::vector<std::string> out;
+    for (int64_t k = lo; k < hi; ++k) {
+      out.push_back(RowToString({I(k), I(k), I(10 * k)}));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<Value> small_keys;
+  for (int64_t k = 0; k < 100; ++k) small_keys.push_back(I(k));
+  ASSERT_TRUE(DirectBuild(small_keys));
+  const std::vector<std::string> small = expected(0, 100);
+  const std::vector<std::string> large = expected(1000, 3000);
+  EXPECT_EQ(run(0, 100, false), small);  // in memory, direct
+  EXPECT_EQ(run(1000, 3000, true), large);  // spilled, after a direct build
+  EXPECT_EQ(run(0, 100, false), small);  // direct, after a spilled build
+  EXPECT_EQ(run(1000, 3000, true), large);
+}
+
 // ---- aggregation ----
 
 TEST(AggregateTest, GroupedCounts) {

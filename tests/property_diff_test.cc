@@ -177,8 +177,7 @@ TEST(PropertyDiffTest, SpillSweepRowIdenticalToUnlimitedForEveryStrategy) {
   static const Strategy kStrategies[] = {
       Strategy::kNestedIteration, Strategy::kKim,    Strategy::kDayal,
       Strategy::kGanskiWong,      Strategy::kMagic,  Strategy::kOptMagic};
-  const std::string scratch =
-      ::testing::TempDir() + "/property_spill_scratch";
+  const std::string scratch = ProcessScratchDir("property_spill_scratch");
   fs::remove_all(scratch);
   ASSERT_TRUE(fs::create_directories(scratch));
   auto scratch_entries = [&scratch] {

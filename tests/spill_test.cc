@@ -55,7 +55,7 @@ int CountScratchEntries(const std::string& dir) {
 class SpillStorageTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/spill_storage_test";
+    dir_ = ProcessScratchDir("spill_storage_test");
     fs::create_directories(dir_);
     FaultInjector::Global().Reset();
   }
@@ -257,7 +257,7 @@ TEST_F(SpillStorageTest, MissingTempDirFailsAtOpen) {
 class SpillExecTest : public ::testing::Test {
  protected:
   SpillExecTest() {
-    scratch_ = ::testing::TempDir() + "/spill_exec_test";
+    scratch_ = ProcessScratchDir("spill_exec_test");
     fs::create_directories(scratch_);
     TableSchema fact("fact",
                      {{"id", TypeId::kInt64, false},

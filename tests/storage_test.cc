@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "decorr/catalog/catalog.h"
 #include "decorr/catalog/schema.h"
 #include "decorr/catalog/statistics.h"
+#include "decorr/runtime/database.h"
 #include "decorr/storage/hash_index.h"
 #include "decorr/storage/table.h"
 #include "tests/test_util.h"
@@ -76,6 +79,32 @@ TEST(ColumnTest, RawAccessors) {
   EXPECT_EQ(col.Int64At(0), 10);
 }
 
+// A column keeps no null map until its first NULL, which may arrive after
+// any number of non-NULL rows.
+TEST(ColumnTest, FirstNullAfterNonNullRowsIsNull) {
+  for (TypeId type : {TypeId::kInt64, TypeId::kDouble, TypeId::kString,
+                      TypeId::kBool}) {
+    const Value cell = type == TypeId::kInt64    ? I(7)
+                       : type == TypeId::kDouble ? D(7.5)
+                       : type == TypeId::kString ? S("seven")
+                                                 : Value::Bool(true);
+    Column col(type);
+    for (int i = 0; i < 2500; ++i) col.Append(cell);
+    EXPECT_FALSE(col.has_nulls());
+    EXPECT_FALSE(col.IsNull(2499));
+    col.Append(N());
+    col.Append(cell);
+    col.Append(N());
+    ASSERT_EQ(col.size(), 2503u);
+    EXPECT_TRUE(col.has_nulls());
+    for (size_t r = 0; r < col.size(); ++r) {
+      EXPECT_EQ(col.IsNull(r), r == 2500 || r == 2502) << TypeName(type) << r;
+      EXPECT_EQ(col.GetValue(r).is_null(), r == 2500 || r == 2502);
+    }
+    EXPECT_TRUE(col.GetValue(2501).Equals(cell));
+  }
+}
+
 // ---- HashIndex ----
 
 TEST(HashIndexTest, SingleColumnLookup) {
@@ -128,6 +157,66 @@ TEST(HashIndexTest, IdsComeBackAscendingPerKey) {
   EXPECT_EQ(index.Lookup({D(5.0)}).size(), index.Lookup({I(5)}).size());
   // A key of the wrong arity matches nothing.
   EXPECT_TRUE(index.Lookup({I(5), I(5)}).empty());
+}
+
+// Row ids whose column `col` equals `key` (never for a NULL key), ascending:
+// what the chained index answered.
+std::vector<uint32_t> ScanFor(const Table& t, int col, const Value& key) {
+  std::vector<uint32_t> ids;
+  if (key.is_null() || key.type() == TypeId::kBool ||
+      key.type() == TypeId::kString) {
+    return ids;  // never equal to an INT64 cell
+  }
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    const Value cell = t.GetValue(r, col);
+    if (!cell.is_null() && cell.Equals(key)) {
+      ids.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  return ids;
+}
+
+// A one-column index over dense INT64 keys looks them up by offset; its
+// answers are the chained index's, also after Database::Insert rebuilds it
+// over a wider key range or over a NULL key.
+TEST(HashIndexTest, DirectLookupsGiveTheChainedAnswers) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable(TableSchema("t", {{"k", TypeId::kInt64, true},
+                                                {"v", TypeId::kInt64, false}}))
+                  .ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 600; ++i) {
+    rows.push_back({I((i * 37) % 200), I(i)});  // keys 0..199
+  }
+  ASSERT_TRUE(db.Insert("t", rows).ok());
+  ASSERT_TRUE(db.CreateIndex("t", "t_k", {"k"}).ok());
+  const TablePtr table = *db.catalog().GetTable("t");
+  auto index = [&] { return db.catalog().FindIndexCoveredBy("t", {0}); };
+  auto check = [&](const char* stage) {
+    // A NULL probe must not find key 0 (a NULL cell's stored payload).
+    std::vector<Value> probes = {N(),       Value::Bool(false), S("150"),
+                                 D(150.0),  D(150.5),           D(-0.0),
+                                 D(1e19),   I(1000000),
+                                 I(std::numeric_limits<int64_t>::min())};
+    for (int64_t k = -5; k < 205; ++k) probes.push_back(I(k));
+    const std::shared_ptr<HashIndex> idx = index();
+    for (const Value& probe : probes) {
+      const auto ids = idx->Lookup({probe});
+      EXPECT_EQ(std::vector<uint32_t>(ids.begin(), ids.end()),
+                ScanFor(*table, 0, probe))
+          << stage << ": probe " << probe.ToString();
+    }
+  };
+  EXPECT_TRUE(index()->direct());
+  check("dense");
+  // A NULL key is not indexed; the range stays dense.
+  ASSERT_TRUE(db.Insert("t", {{N(), I(600)}, {I(0), I(601)}}).ok());
+  EXPECT_TRUE(index()->direct());
+  check("NULL key");
+  // One far key widens the range past kDirectSpan times the key count.
+  ASSERT_TRUE(db.Insert("t", {{I(1000000), I(602)}}).ok());
+  EXPECT_FALSE(index()->direct());
+  check("widened");
 }
 
 TEST(HashIndexTest, MultiColumnKey) {

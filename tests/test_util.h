@@ -3,6 +3,9 @@
 #ifndef DECORR_TESTS_TEST_UTIL_H_
 #define DECORR_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +20,13 @@ inline Value I(int64_t v) { return Value::Int64(v); }
 inline Value D(double v) { return Value::Double(v); }
 inline Value S(std::string v) { return Value::String(std::move(v)); }
 inline Value N() { return Value::Null(); }
+
+// A directory path under ::testing::TempDir() named `name` plus this
+// process's id, so two runs of one test binary at once (say, from two build
+// trees) never create, sweep or remove each other's.
+inline std::string ProcessScratchDir(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "-" + std::to_string(::getpid());
+}
 
 // The paper's running example (Section 2): departments in buildings;
 // employees assigned to buildings. Crafted so that:
