@@ -1,7 +1,6 @@
 #include "decorr/catalog/statistics.h"
 
-#include <unordered_set>
-
+#include "decorr/common/key_table.h"
 #include "decorr/common/string_util.h"
 #include "decorr/storage/table.h"
 
@@ -30,31 +29,24 @@ std::string TableStats::ToString() const {
   return out;
 }
 
-namespace {
-struct ValueHashFn {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-struct ValueEqFn {
-  bool operator()(const Value& a, const Value& b) const { return a.Equals(b); }
-};
-}  // namespace
-
 TableStats ComputeStats(const Table& table) {
   TableStats stats;
   stats.row_count = table.num_rows();
   stats.columns.resize(table.num_columns());
+  KeyTable distinct(1);  // reused: Clear() keeps its capacity
   for (int c = 0; c < table.num_columns(); ++c) {
     ColumnStats& cs = stats.columns[c];
-    std::unordered_set<Value, ValueHashFn, ValueEqFn> distinct;
+    distinct.Clear();
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      Value v = table.GetValue(r, c);
+      const Value v = table.GetValue(r, c);
       if (v.is_null()) {
         ++cs.null_count;
         continue;
       }
       if (cs.min.is_null() || v.Compare(cs.min) < 0) cs.min = v;
       if (cs.max.is_null() || v.Compare(cs.max) > 0) cs.max = v;
-      distinct.insert(std::move(v));
+      bool inserted = false;
+      distinct.Insert(&v, &inserted);
     }
     cs.distinct_count = distinct.size();
   }

@@ -1,7 +1,9 @@
 // KeyTable: the one hash table under the executor's hash operators (hash
-// join, hash aggregation, DISTINCT, group-probe Apply, the uniqueness
-// check) and the hash index. A hash join's table also serves as the
-// runtime key filter on its probe side (exec/scan.h, KeyFilter).
+// join, hash aggregation — which also runs DISTINCT and UNION, and keeps
+// one per DISTINCT aggregate — group-probe Apply, the uniqueness check),
+// the hash index and ANALYZE's distinct counts. A hash join's table also
+// serves as the runtime key filter on its probe side (exec/scan.h,
+// KeyFilter).
 //
 // It maps each distinct key — a fixed-width tuple of Values — to a dense id
 // (0, 1, 2, ... in first-insertion order); callers keep their payload (build
@@ -121,13 +123,17 @@ class KeyTable {
     return kNotFound;
   }
 
-  // The id of `key`, copying it in as the next id when it is new (and then
-  // setting *inserted). Not between FinishBuild() and Clear().
-  uint32_t Insert(const Row& key, bool* inserted) {
-    const size_t hash = Hash(key.data(), width_);
-    const uint32_t id = Find(key.data(), hash);
+  // The id of the width() values at `key`, copying them in as the next id
+  // when they are new (and then setting *inserted). Not between
+  // FinishBuild() and Clear().
+  uint32_t Insert(const Value* key, bool* inserted) {
+    const size_t hash = Hash(key, width_);
+    const uint32_t id = Find(key, hash);
     *inserted = id == kNotFound;
-    return *inserted ? Append(key.data(), hash) : id;
+    return *inserted ? Append(key, hash) : id;
+  }
+  uint32_t Insert(const Row& key, bool* inserted) {
+    return Insert(key.data(), inserted);
   }
   // Copies in a key that Find() did not find, as the next id.
   uint32_t Append(const Value* key, size_t hash);

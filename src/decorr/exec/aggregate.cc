@@ -1,6 +1,7 @@
 #include "decorr/exec/aggregate.h"
 
 #include "decorr/common/fault.h"
+#include "decorr/common/logging.h"
 #include "decorr/common/string_util.h"
 #include "decorr/expr/eval.h"
 
@@ -12,7 +13,35 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child,
     : child_(std::move(child)),
       group_keys_(std::move(group_keys)),
       aggs_(std::move(aggs)),
-      groups_(group_keys_.size()) {}
+      groups_(group_keys_.size()) {
+  distinct_ = aggs_.empty() && !group_keys_.empty() &&
+              group_keys_.size() ==
+                  static_cast<size_t>(child_->output_width());
+  for (size_t i = 0; distinct_ && i < group_keys_.size(); ++i) {
+    distinct_ = group_keys_[i]->kind == ExprKind::kColumnRef &&
+                group_keys_[i]->slot == static_cast<int>(i);
+  }
+}
+
+OperatorPtr MakeDistinct(OperatorPtr child) {
+  const int width = child->output_width();
+  DECORR_CHECK(width > 0);
+  std::vector<ExprPtr> keys;
+  for (int i = 0; i < width; ++i) {
+    keys.push_back(MakeSlotRef(i, TypeId::kNull));
+  }
+  return std::make_unique<HashAggregateOp>(std::move(child), std::move(keys),
+                                           std::vector<AggSpec>{});
+}
+
+bool HashAggregateOp::FirstDistinct(const Value& v, AggState* state) {
+  if (state->distinct_seen == nullptr) {
+    state->distinct_seen = std::make_unique<KeyTable>(1);
+  }
+  bool inserted = false;
+  state->distinct_seen->Insert(&v, &inserted);
+  return inserted;
+}
 
 void HashAggregateOp::AccumulateValue(const AggSpec& spec, const Value& v,
                                       AggState* state) {
@@ -50,9 +79,7 @@ void HashAggregateOp::Accumulate(const Row& in,
     }
     Value v = Eval(*spec.arg, ectx);
     if (v.is_null()) continue;  // aggregates ignore NULL inputs
-    if (spec.distinct) {
-      if (!state.distinct_seen.emplace(v.ToString(), v).second) continue;
-    }
+    if (spec.distinct && !FirstDistinct(v, &state)) continue;
     AccumulateValue(spec, v, &state);
   }
 }
@@ -245,9 +272,10 @@ Row HashAggregateOp::EncodePartial(
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggState& s = states[i];
     if (aggs_[i].distinct) {
-      rec.push_back(
-          Value::Int64(static_cast<int64_t>(s.distinct_seen.size())));
-      for (const auto& [unused, v] : s.distinct_seen) rec.push_back(v);
+      const KeyTable* seen = s.distinct_seen.get();
+      const size_t n = seen == nullptr ? 0 : seen->size();
+      rec.push_back(Value::Int64(static_cast<int64_t>(n)));
+      for (uint32_t id = 0; id < n; ++id) rec.push_back(*seen->key(id));
     } else {
       rec.push_back(Value::Int64(s.count));
       rec.push_back(Value::Double(s.sum));
@@ -273,9 +301,7 @@ Status HashAggregateOp::MergePartialInto(
       if (pos + static_cast<size_t>(n) > rec.size()) return malformed();
       for (int64_t j = 0; j < n; ++j) {
         const Value& v = rec[pos++];
-        if (s.distinct_seen.emplace(v.ToString(), v).second) {
-          AccumulateValue(aggs_[i], v, &s);
-        }
+        if (FirstDistinct(v, &s)) AccumulateValue(aggs_[i], v, &s);
       }
     } else {
       if (pos + 5 > rec.size()) return malformed();
@@ -446,6 +472,9 @@ Status HashAggregateOp::RepartitionAgg(SpillPart* part, SpillReader* reader,
 }
 
 std::string HashAggregateOp::ToString(int indent) const {
+  if (distinct_) {
+    return Indent(indent) + "Distinct\n" + child_->ToString(indent + 1);
+  }
   std::string out = Indent(indent) + "HashAggregate keys=[";
   for (size_t i = 0; i < group_keys_.size(); ++i) {
     if (i > 0) out += ", ";
@@ -459,346 +488,6 @@ std::string HashAggregateOp::ToString(int indent) const {
   }
   return out + "]\n" + child_->ToString(indent + 1);
 }
-
-DistinctOp::DistinctOp(OperatorPtr child)
-    : child_(std::move(child)), seen_(child_->output_width()) {}
-
-Status DistinctOp::OpenImpl(ExecContext* ctx) {
-  DECORR_FAULT_POINT("exec.distinct.open");
-  ctx_ = ctx;
-  seen_.Clear();
-  charged_bytes_ = 0;
-  ResetSpillState();
-  return child_->Open(ctx);
-}
-
-Status DistinctOp::See(const Row& row, bool* first) {
-  if (row.size() != seen_.width()) {
-    return Status::Internal(StrFormat("Distinct: %zu-column row from a "
-                                      "%zu-column input",
-                                      row.size(), seen_.width()));
-  }
-  seen_.Insert(row, first);
-  return Status::OK();
-}
-
-Status DistinctOp::NextImpl(Row* out, bool* eof) {
-  DECORR_FAULT_POINT("exec.distinct.next");
-  // Phase 1: stream the child. In-memory dedup until the budget trips; after
-  // that every child row is routed to its partition's pending file.
-  while (!child_done_) {
-    Row row;
-    bool ceof = false;
-    DECORR_RETURN_IF_ERROR(child_->Next(&row, &ceof));
-    if (ceof) {
-      child_done_ = true;
-      if (!spilling_) {
-        *eof = true;
-        return Status::OK();
-      }
-      int64_t written = 0;
-      for (auto& p : spill_out_) {
-        DECORR_RETURN_IF_ERROR(p.seen.writer->Finish());
-        DECORR_RETURN_IF_ERROR(p.pending.writer->Finish());
-        written += p.seen.writer->bytes_written();
-        written += p.pending.writer->bytes_written();
-      }
-      AddSpillWritten(written);
-      spill_work_ = std::move(spill_out_);
-      spill_out_.clear();
-      break;
-    }
-    DECORR_RETURN_IF_ERROR(ctx_->Check());
-    if (spilling_) {
-      const size_t idx =
-          SpillPartitionHash(row, /*depth=*/0) % spill_out_.size();
-      DECORR_RETURN_IF_ERROR(spill_out_[idx].pending.writer->WriteRow(row));
-      continue;
-    }
-    bool first = false;
-    DECORR_RETURN_IF_ERROR(See(row, &first));
-    if (!first) continue;
-    ++metrics_.build_rows;
-    if (ctx_->guard) {
-      const int64_t bytes = ApproxRowBytes(row);
-      metrics_.bytes_charged += bytes;
-      DECORR_RETURN_IF_ERROR(ctx_->guard->ChargeRows(1));
-      if (ctx_->temp != nullptr) {
-        bool spilled = false;
-        DECORR_RETURN_IF_ERROR(ctx_->guard->ChargeMemoryOrSpill(
-            bytes, [this] { return BeginSpillDistinct(); }, &spilled));
-        // Either way the row is a first occurrence: charged in memory, or
-        // flushed to its partition's seen file by BeginSpillDistinct (it was
-        // inserted into seen_ before the charge). Emit it.
-        if (!spilled) charged_bytes_ += bytes;
-      } else {
-        charged_bytes_ += bytes;
-        DECORR_RETURN_IF_ERROR(ctx_->guard->ChargeMemory(bytes));
-      }
-    }
-    *out = std::move(row);
-    *eof = false;
-    return Status::OK();
-  }
-
-  // Phase 2: drain partitions. Load a partition's seen file into memory,
-  // then scan its pending file, emitting first occurrences.
-  while (true) {
-    if (pending_reader_ != nullptr) {
-      Row row;
-      bool reof = false;
-      DECORR_RETURN_IF_ERROR(pending_reader_->ReadRow(&row, &reof));
-      if (reof) {
-        AddSpillRead(pending_reader_->bytes_read());
-        pending_reader_.reset();
-        current_part_ = SpillPart{};  // unlinks the partition's files
-        seen_.Clear();
-        if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(part_charged_);
-        part_charged_ = 0;
-        continue;
-      }
-      bool first = false;
-      DECORR_RETURN_IF_ERROR(See(row, &first));
-      if (!first) continue;
-      ++metrics_.build_rows;
-      if (ctx_->guard) {
-        const int64_t bytes = ApproxRowBytes(row);
-        DECORR_RETURN_IF_ERROR(ctx_->guard->ChargeRows(1));
-        bool spilled = false;
-        DECORR_RETURN_IF_ERROR(ctx_->guard->ChargeMemoryOrSpill(
-            bytes,
-            [&] {
-              return RepartitionDistinct(&current_part_, nullptr,
-                                         pending_reader_.get());
-            },
-            &spilled));
-        if (spilled) {
-          // The row went to a sub-partition's seen file with the rest of
-          // seen_, so it will not be re-emitted; tear down the parent
-          // partition and emit it now.
-          AddSpillRead(pending_reader_->bytes_read());
-          pending_reader_.reset();
-          current_part_ = SpillPart{};
-          seen_.Clear();
-          ctx_->guard->ReleaseMemory(part_charged_);
-          part_charged_ = 0;
-          *out = std::move(row);
-          *eof = false;
-          return Status::OK();
-        }
-        part_charged_ += bytes;
-      }
-      *out = std::move(row);
-      *eof = false;
-      return Status::OK();
-    }
-    if (spill_work_.empty()) {
-      *eof = true;
-      return Status::OK();
-    }
-    DECORR_RETURN_IF_ERROR(ctx_->Check());
-    DECORR_RETURN_IF_ERROR(LoadNextDistinctPartition());
-  }
-}
-
-void DistinctOp::CloseImpl() {
-  child_->Close();
-  seen_.Clear();
-  if (ctx_ != nullptr && ctx_->guard != nullptr) {
-    ctx_->guard->ReleaseMemory(charged_bytes_ + part_charged_);
-  }
-  charged_bytes_ = 0;
-  ResetSpillState();
-}
-
-Status DistinctOp::BeginSpillDistinct() {
-  DECORR_FAULT_POINT("exec.spill.distinct.partition");
-  DECORR_ASSIGN_OR_RETURN(
-      std::vector<SpillBucket> seen_buckets,
-      CreateSpillBuckets(ctx_->temp, "distinct-seen", kSpillFanout));
-  DECORR_ASSIGN_OR_RETURN(
-      std::vector<SpillBucket> pend_buckets,
-      CreateSpillBuckets(ctx_->temp, "distinct-pend", kSpillFanout));
-  spill_out_.resize(kSpillFanout);
-  for (int i = 0; i < kSpillFanout; ++i) {
-    spill_out_[i].seen = std::move(seen_buckets[i]);
-    spill_out_[i].pending = std::move(pend_buckets[i]);
-    spill_out_[i].depth = 0;
-  }
-  spilling_ = true;
-  // Everything in seen_ has been emitted already (including the row whose
-  // charge tripped) — record that fact in the partition seen files.
-  for (uint32_t id = 0; id < seen_.size(); ++id) {
-    const Row row = seen_.KeyRow(id);
-    const size_t idx = SpillPartitionHash(row, /*depth=*/0) % kSpillFanout;
-    DECORR_RETURN_IF_ERROR(spill_out_[idx].seen.writer->WriteRow(row));
-  }
-  seen_.Clear();
-  if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(charged_bytes_);
-  charged_bytes_ = 0;
-  metrics_.spill_partitions += kSpillFanout;
-  ++metrics_.spill_passes;
-  if (ctx_->stats != nullptr) {
-    ctx_->stats->spill_partitions += kSpillFanout;
-    ++ctx_->stats->spill_passes;
-  }
-  return Status::OK();
-}
-
-Status DistinctOp::LoadNextDistinctPartition() {
-  seen_.Clear();
-  SpillPart part = std::move(spill_work_.back());
-  spill_work_.pop_back();
-  SpillReader seen_reader(part.seen.file.get());
-  bool repartitioned = false;
-  while (true) {
-    Row row;
-    bool reof = false;
-    DECORR_RETURN_IF_ERROR(seen_reader.ReadRow(&row, &reof));
-    if (reof) break;
-    bool first = false;
-    DECORR_RETURN_IF_ERROR(See(row, &first));
-    if (!first) continue;
-    if (ctx_->guard != nullptr) {
-      // No row charge: seen rows were charged when first emitted.
-      const int64_t bytes = ApproxRowBytes(row);
-      bool spilled = false;
-      DECORR_RETURN_IF_ERROR(ctx_->guard->ChargeMemoryOrSpill(
-          bytes,
-          [&] { return RepartitionDistinct(&part, &seen_reader, nullptr); },
-          &spilled));
-      if (spilled) {
-        repartitioned = true;
-        break;
-      }
-      part_charged_ += bytes;
-    }
-  }
-  AddSpillRead(seen_reader.bytes_read());
-  if (repartitioned) {
-    seen_.Clear();
-    if (ctx_->guard != nullptr) ctx_->guard->ReleaseMemory(part_charged_);
-    part_charged_ = 0;
-    return Status::OK();  // parent partition unlinked as `part` goes out
-  }
-  current_part_ = std::move(part);
-  pending_reader_ =
-      std::make_unique<SpillReader>(current_part_.pending.file.get());
-  return Status::OK();
-}
-
-Status DistinctOp::RepartitionDistinct(SpillPart* part,
-                                       SpillReader* seen_rest,
-                                       SpillReader* pending_rest) {
-  DECORR_FAULT_POINT("exec.spill.distinct.partition");
-  const int depth = part->depth + 1;
-  if (depth > kSpillMaxDepth) {
-    return Status::ResourceExhausted(StrFormat(
-        "distinct spill exceeded max repartition depth %d under the memory "
-        "budget",
-        kSpillMaxDepth));
-  }
-  DECORR_ASSIGN_OR_RETURN(
-      std::vector<SpillBucket> seen_buckets,
-      CreateSpillBuckets(ctx_->temp, "distinct-seen", kSpillFanout));
-  DECORR_ASSIGN_OR_RETURN(
-      std::vector<SpillBucket> pend_buckets,
-      CreateSpillBuckets(ctx_->temp, "distinct-pend", kSpillFanout));
-  std::vector<SpillPart> subs(kSpillFanout);
-  for (int i = 0; i < kSpillFanout; ++i) {
-    subs[i].seen = std::move(seen_buckets[i]);
-    subs[i].pending = std::move(pend_buckets[i]);
-    subs[i].depth = depth;
-  }
-  const auto write_seen = [&](const Row& row) -> Status {
-    const size_t idx = SpillPartitionHash(row, depth) % kSpillFanout;
-    return subs[idx].seen.writer->WriteRow(row);
-  };
-  const auto write_pend = [&](const Row& row) -> Status {
-    const size_t idx = SpillPartitionHash(row, depth) % kSpillFanout;
-    return subs[idx].pending.writer->WriteRow(row);
-  };
-  // The in-memory seen set (which already contains the row whose charge
-  // tripped), then whatever part of the parent's files is still unread.
-  for (uint32_t id = 0; id < seen_.size(); ++id) {
-    DECORR_RETURN_IF_ERROR(write_seen(seen_.KeyRow(id)));
-  }
-  if (seen_rest != nullptr) {
-    while (true) {
-      Row row;
-      bool reof = false;
-      DECORR_RETURN_IF_ERROR(seen_rest->ReadRow(&row, &reof));
-      if (reof) break;
-      DECORR_RETURN_IF_ERROR(write_seen(row));
-    }
-  }
-  if (pending_rest != nullptr) {
-    while (true) {
-      Row row;
-      bool reof = false;
-      DECORR_RETURN_IF_ERROR(pending_rest->ReadRow(&row, &reof));
-      if (reof) break;
-      DECORR_RETURN_IF_ERROR(write_pend(row));
-    }
-  } else {
-    // Called while loading the seen file — the pending file is untouched;
-    // re-bucket all of it.
-    SpillReader pr(part->pending.file.get());
-    while (true) {
-      Row row;
-      bool reof = false;
-      DECORR_RETURN_IF_ERROR(pr.ReadRow(&row, &reof));
-      if (reof) break;
-      DECORR_RETURN_IF_ERROR(write_pend(row));
-    }
-    AddSpillRead(pr.bytes_read());
-  }
-  int64_t written = 0;
-  for (auto& s : subs) {
-    DECORR_RETURN_IF_ERROR(s.seen.writer->Finish());
-    DECORR_RETURN_IF_ERROR(s.pending.writer->Finish());
-    written += s.seen.writer->bytes_written();
-    written += s.pending.writer->bytes_written();
-  }
-  AddSpillWritten(written);
-  for (auto& s : subs) spill_work_.push_back(std::move(s));
-  metrics_.spill_partitions += kSpillFanout;
-  ++metrics_.spill_passes;
-  if (ctx_->stats != nullptr) {
-    ctx_->stats->spill_partitions += kSpillFanout;
-    ++ctx_->stats->spill_passes;
-  }
-  return Status::OK();
-}
-
-void DistinctOp::AddSpillWritten(int64_t bytes) {
-  metrics_.spill_bytes_written += bytes;
-  if (ctx_ != nullptr && ctx_->stats != nullptr) {
-    ctx_->stats->spill_bytes_written += bytes;
-  }
-}
-
-void DistinctOp::AddSpillRead(int64_t bytes) {
-  metrics_.spill_bytes_read += bytes;
-  if (ctx_ != nullptr && ctx_->stats != nullptr) {
-    ctx_->stats->spill_bytes_read += bytes;
-  }
-}
-
-void DistinctOp::ResetSpillState() {
-  spilling_ = false;
-  child_done_ = false;
-  spill_out_.clear();
-  spill_work_.clear();
-  pending_reader_.reset();
-  current_part_ = SpillPart{};
-  part_charged_ = 0;
-}
-
-std::string DistinctOp::ToString(int indent) const {
-  return Indent(indent) + "Distinct\n" + child_->ToString(indent + 1);
-}
-
 
 void HashAggregateOp::Introspect(PlanIntrospection* out) const {
   const int w = child_->output_width();
@@ -814,11 +503,6 @@ void HashAggregateOp::Introspect(PlanIntrospection* out) const {
           {aggs_[i].arg.get(), w, StrFormat("aggregate %zu argument", i)});
     }
   }
-}
-
-void DistinctOp::Introspect(PlanIntrospection* out) const {
-  out->children.push_back(
-      {child_.get(), PlanIntrospection::kInheritParams, "input"});
 }
 
 }  // namespace decorr

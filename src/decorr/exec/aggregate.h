@@ -2,7 +2,6 @@
 #ifndef DECORR_EXEC_AGGREGATE_H_
 #define DECORR_EXEC_AGGREGATE_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -31,7 +30,10 @@ class HashAggregateOp : public Operator {
   HashAggregateOp(OperatorPtr child, std::vector<ExprPtr> group_keys,
                   std::vector<AggSpec> aggs);
 
-  std::string name() const override { return "HashAggregate"; }
+  // "Distinct" when this is MakeDistinct's shape.
+  std::string name() const override {
+    return distinct_ ? "Distinct" : "HashAggregate";
+  }
   std::string ToString(int indent) const override;
   int output_width() const override {
     return static_cast<int>(group_keys_.size() + aggs_.size());
@@ -50,13 +52,15 @@ class HashAggregateOp : public Operator {
     int64_t isum = 0;
     Value min;
     Value max;
-    // DISTINCT dedup keyed by the rendered value; the Value itself is kept
-    // so spilled partial states can replay the set at merge time (the only
-    // way to avoid double-counting a value seen in two flush generations).
-    std::map<std::string, Value> distinct_seen;
+    // A DISTINCT aggregate's values so far (width 1, created on the first
+    // one). Spilled partial states carry the set so that the merge replays
+    // it: a value seen in two flush generations then counts once.
+    std::unique_ptr<KeyTable> distinct_seen;
   };
 
   void Accumulate(const Row& in, std::vector<AggState>* states);
+  // Adds non-null `v` to a DISTINCT aggregate's set; false if it was there.
+  static bool FirstDistinct(const Value& v, AggState* state);
   // Post-dedup accumulation of one non-null input value; shared by the
   // normal path and the spill-merge replay of distinct sets.
   static void AccumulateValue(const AggSpec& spec, const Value& v,
@@ -69,6 +73,7 @@ class HashAggregateOp : public Operator {
   OperatorPtr child_;
   std::vector<ExprPtr> group_keys_;
   std::vector<AggSpec> aggs_;
+  bool distinct_ = false;  // no aggregates; keys are the input's columns
 
   ExecContext* ctx_ = nullptr;
   std::vector<Row> result_rows_;
@@ -109,59 +114,11 @@ class HashAggregateOp : public Operator {
   void ResetSpillState();
 };
 
-// DISTINCT over full rows (order-preserving on first occurrence).
-class DistinctOp : public Operator {
- public:
-  explicit DistinctOp(OperatorPtr child);
-
-  std::string name() const override { return "Distinct"; }
-  std::string ToString(int indent) const override;
-  int output_width() const override { return child_->output_width(); }
-  void Introspect(PlanIntrospection* out) const override;
-
- protected:
-  Status OpenImpl(ExecContext* ctx) override;
-  Status NextImpl(Row* out, bool* eof) override;
-  void CloseImpl() override;
-
- private:
-  OperatorPtr child_;
-  ExecContext* ctx_ = nullptr;
-  KeyTable seen_;  // keys are whole rows
-  int64_t charged_bytes_ = 0;
-
-  // Inserts `row` into seen_; *first is true when it was not there yet.
-  Status See(const Row& row, bool* first);
-
-  // --- Grace spill state. Each partition keeps two files: "seen" (rows
-  // already emitted — loaded first to suppress re-emission) and "pending"
-  // (rows whose first-occurrence status is still unknown). First-occurrence
-  // order is not preserved once spilling starts; DISTINCT output order is
-  // unspecified, and all differential sweeps compare multisets.
-  struct SpillPart {
-    SpillBucket seen;
-    SpillBucket pending;
-    int depth = 0;
-  };
-  bool spilling_ = false;
-  bool child_done_ = false;
-  std::vector<SpillPart> spill_out_;
-  std::vector<SpillPart> spill_work_;
-  SpillPart current_part_;
-  std::unique_ptr<SpillReader> pending_reader_;
-  int64_t part_charged_ = 0;
-
-  Status BeginSpillDistinct();
-  Status LoadNextDistinctPartition();
-  // Repartitions the in-memory seen set plus the unread remainders of the
-  // given readers (either may be null; a null pending_rest re-streams the
-  // partition's whole pending file).
-  Status RepartitionDistinct(SpillPart* part, SpillReader* seen_rest,
-                             SpillReader* pending_rest);
-  void AddSpillWritten(int64_t bytes);
-  void AddSpillRead(int64_t bytes);
-  void ResetSpillState();
-};
+// DISTINCT over full rows: a HashAggregateOp keyed on every input column,
+// in order, with no aggregates. It shares GROUP BY's table, memory charge,
+// first-occurrence order and spill, and prints as "Distinct". `child` has at
+// least one column (every DISTINCT box and UNION branch outputs one).
+OperatorPtr MakeDistinct(OperatorPtr child);
 
 }  // namespace decorr
 

@@ -10,7 +10,7 @@
 
 namespace decorr {
 
-// Concatenates children (UNION ALL; wrap in DistinctOp for UNION).
+// Concatenates children (UNION ALL; MakeDistinct over it is UNION).
 class UnionAllOp : public Operator {
  public:
   explicit UnionAllOp(std::vector<OperatorPtr> children);

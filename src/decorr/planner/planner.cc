@@ -209,8 +209,12 @@ void ExtractSubqueryMarkers(Expr* expr, Box* box,
 
 class Planner::Impl {
  public:
-  Impl(const Catalog& catalog, const PlannerOptions& options)
-      : catalog_(catalog), options_(options), estimator_(catalog) {}
+  Impl(const Catalog& catalog, const PlannerOptions& options,
+       bool hoist_invariant_subplans)
+      : catalog_(catalog),
+        options_(options),
+        hoist_invariant_subplans_(hoist_invariant_subplans),
+        estimator_(catalog) {}
 
   Result<PhysicalPlan> PlanRoot(QueryGraph* graph) {
     graph_ = graph;
@@ -476,7 +480,7 @@ class Planner::Impl {
       children.push_back(std::move(child));
     }
     OperatorPtr out = std::make_unique<UnionAllOp>(std::move(children));
-    if (!box->union_all) out = std::make_unique<DistinctOp>(std::move(out));
+    if (!box->union_all) out = MakeDistinct(std::move(out));
     return out;
   }
 
@@ -784,7 +788,7 @@ class Planner::Impl {
     current = std::make_unique<ProjectOp>(std::move(current),
                                           std::move(projections));
     if (box->distinct) {
-      current = std::make_unique<DistinctOp>(std::move(current));
+      current = MakeDistinct(std::move(current));
     } else if (box->dedup_check && options_.check_derived_keys) {
       // A DISTINCT was pruned here on the strength of a derived key; assert
       // the key at runtime so a wrong derivation fails loudly.
@@ -1034,7 +1038,7 @@ class Planner::Impl {
     current = std::make_unique<ProjectOp>(std::move(current),
                                           std::move(projections));
     if (box->distinct) {
-      current = std::make_unique<DistinctOp>(std::move(current));
+      current = MakeDistinct(std::move(current));
     } else if (box->dedup_check && options_.check_derived_keys) {
       // A DISTINCT was pruned here on the strength of a derived key; assert
       // the key at runtime so a wrong derivation fails loudly.
@@ -1297,7 +1301,7 @@ class Planner::Impl {
   // one materialized result (persisting even across re-opens of the
   // enclosing operator, unlike the executor's per-Open invariant caching).
   OperatorPtr MaybeHoistInvariant(OperatorPtr inner, int width) {
-    if (!options_.hoist_invariant_subplans) return inner;
+    if (!hoist_invariant_subplans_) return inner;
     auto shared = std::make_shared<SharedSubplan>();
     shared->plan = std::move(inner);
     shared->width = width;
@@ -1474,6 +1478,7 @@ class Planner::Impl {
 
   const Catalog& catalog_;
   const PlannerOptions& options_;
+  const bool hoist_invariant_subplans_;
   CardEstimator estimator_;
   QueryGraph* graph_ = nullptr;
   std::map<int, std::shared_ptr<SharedSubplan>> shared_;
@@ -1484,11 +1489,14 @@ class Planner::Impl {
 
 // ----------------------------------------------------------------------------
 
-Planner::Planner(const Catalog& catalog, PlannerOptions options)
-    : catalog_(catalog), options_(options) {}
+Planner::Planner(const Catalog& catalog, PlannerOptions options,
+                 bool hoist_invariant_subplans)
+    : catalog_(catalog),
+      options_(options),
+      hoist_invariant_subplans_(hoist_invariant_subplans) {}
 
 Result<PhysicalPlan> Planner::PlanGraph(QueryGraph* graph) {
-  Impl impl(catalog_, options_);
+  Impl impl(catalog_, options_, hoist_invariant_subplans_);
   return impl.PlanRoot(graph);
 }
 

@@ -32,12 +32,6 @@ struct PlannerOptions {
   // Materialize uncorrelated boxes used by more than one quantifier instead
   // of re-planning (recomputing) them per use.
   bool materialize_common_subexpressions = false;
-  // Hoist fully-uncorrelated Apply/lateral inner subplans into the
-  // SharedSubplan compute-once path, so re-opening the inner per outer row
-  // iterates a materialized result instead of recomputing. Set by the
-  // runtime whenever subquery memoization is enabled; off keeps plans
-  // byte-identical to the uncached ones.
-  bool hoist_invariant_subplans = false;
   // Plant a runtime UniquenessCheckOp wherever rewrite/prune.cc dropped a
   // DISTINCT on the strength of a derived candidate key (Box::dedup_check),
   // so a wrong derivation fails the query loudly instead of silently
@@ -66,7 +60,13 @@ struct PhysicalPlan {
 
 class Planner {
  public:
-  Planner(const Catalog& catalog, PlannerOptions options = {});
+  // `hoist_invariant_subplans` moves fully-uncorrelated Apply/lateral inner
+  // subplans into the SharedSubplan compute-once path, so re-opening the
+  // inner per outer row iterates a materialized result instead of
+  // recomputing. The runtime sets it whenever subquery memoization is on;
+  // off keeps plans byte-identical to the uncached ones.
+  Planner(const Catalog& catalog, PlannerOptions options = {},
+          bool hoist_invariant_subplans = false);
 
   // Plans the graph's root box.
   Result<PhysicalPlan> PlanGraph(QueryGraph* graph);
@@ -78,6 +78,7 @@ class Planner {
   class Impl;
   const Catalog& catalog_;
   PlannerOptions options_;
+  bool hoist_invariant_subplans_;
 };
 
 }  // namespace decorr

@@ -284,11 +284,11 @@ Result<QueryResult> Database::RunPrepared(PreparedQuery prepared,
       prepared.effective == Strategy::kNestedIteration
           ? 0
           : options.subquery_cache_bytes;
-  planner_options.hoist_invariant_subplans = cache_bytes > 0;
   // Declared before the plan: operators hold SpillFiles, so the plan must be
   // destroyed before the manager that owns their scratch directory.
   std::unique_ptr<TempFileManager> temp_mgr;
-  Planner planner(*catalog_, planner_options);
+  Planner planner(*catalog_, planner_options,
+                  /*hoist_invariant_subplans=*/cache_bytes > 0);
   DECORR_ASSIGN_OR_RETURN(PhysicalPlan plan,
                           planner.PlanQuery(*prepared.bound));
   if (options.verify) {

@@ -27,8 +27,9 @@ namespace {
 // ladders pin that every rung from 30% to 90% of peak completes by
 // spilling — so the chaos sweep can assert a clean run succeeds and a
 // faulted run surfaces the injected status verbatim. Half-peak budgets force
-// Grace partitioning in all three operators, putting the
-// exec.spill.*.partition and storage.tmpfile.* fault sites in reach.
+// Grace partitioning in both spilling operators (the DISTINCT runs as a
+// hash aggregate), putting the exec.spill.*.partition and storage.tmpfile.*
+// fault sites in reach.
 // `scratch` empty means the system temp dir; the leak-check test passes its
 // own directory so it can count leftover entries.
 Status RunSpillChaosSection(const std::string& scratch) {
@@ -281,12 +282,11 @@ TEST_F(ChaosTest, SweepInjectsAtEverySiteAndPropagatesCleanly) {
   for (const char* required :
        {"exec.subqcache.lookup", "exec.subqcache.insert",
         "rewrite.prune.dedup", "exec.uniqcheck",
-        // The spill section must reach Grace partitioning in all three
+        // The spill section must reach Grace partitioning in both
         // spilling operators plus every layer of the temp-file stack.
         "exec.spill.join.partition", "exec.spill.agg.partition",
-        "exec.spill.distinct.partition", "storage.tmpfile.create",
-        "storage.tmpfile.write", "storage.tmpfile.read",
-        "storage.tmpfile.corrupt",
+        "storage.tmpfile.create", "storage.tmpfile.write",
+        "storage.tmpfile.read", "storage.tmpfile.corrupt",
         // The serving-layer section must reach admission and both plan-cache
         // paths, or server faults are never proven to propagate.
         "server.admit", "server.plancache.lookup",
@@ -387,9 +387,8 @@ TEST_F(ChaosTest, SpillFaultsLeaveNoTempFilesBehind) {
 
   for (const char* site :
        {"exec.spill.join.partition", "exec.spill.agg.partition",
-        "exec.spill.distinct.partition", "storage.tmpfile.create",
-        "storage.tmpfile.write", "storage.tmpfile.read",
-        "storage.tmpfile.corrupt"}) {
+        "storage.tmpfile.create", "storage.tmpfile.write",
+        "storage.tmpfile.read", "storage.tmpfile.corrupt"}) {
     ASSERT_GT(hit_counts[site], 0)
         << site << " not reached by the spill section";
     const Status injected = Status::Internal(std::string("chaos: ") + site);

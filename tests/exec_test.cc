@@ -1021,7 +1021,7 @@ TEST(KeyFilterTest, NoFilterPassesOperatorsThatCountShareOrCut) {
                                              std::move(aggs));
   }});
   cases.push_back({"Distinct", 0, [&](Paths* paths) {
-    return std::make_unique<DistinctOp>(scan(paths));
+    return MakeDistinct(scan(paths));
   }});
   cases.push_back({"Sort", 0, [&](Paths* paths) {
     return std::make_unique<SortOp>(
@@ -1443,24 +1443,55 @@ TEST(AggregateTest, NullGroupKeysFormOneGroup) {
   EXPECT_TRUE(rows[0][1].Equals(I(2)));  // the NULL group
 }
 
+// DISTINCT values are compared as Values: DOUBLEs that agree in their
+// first six significant digits (all %g renders) are still distinct.
+TEST(AggregateTest, DistinctAggregatesCompareValuesNotTheirRendering) {
+  std::vector<AggSpec> aggs;
+  for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg}) {
+    AggSpec spec;
+    spec.kind = kind;
+    spec.arg = MakeSlotRef(0, TypeId::kDouble);
+    spec.distinct = true;
+    spec.result_type =
+        kind == AggKind::kCount ? TypeId::kInt64 : TypeId::kDouble;
+    aggs.push_back(std::move(spec));
+  }
+  HashAggregateOp agg(Rows({{D(12345.67)},
+                            {D(12345.68)},
+                            {N()},
+                            {D(12345.69)},
+                            {D(0.1234561)},
+                            {D(12345.68)},
+                            {D(0.1234562)}},
+                           1),
+                      {}, std::move(aggs));
+  auto rows = Drain(&agg);
+  ASSERT_EQ(rows.size(), 1u);
+  const double sum = 12345.67 + 12345.68 + 12345.69 + 0.1234561 + 0.1234562;
+  EXPECT_TRUE(rows[0][0].Equals(I(5))) << rows[0][0].ToString();
+  EXPECT_NEAR(rows[0][1].double_value(), sum, 1e-9);
+  EXPECT_NEAR(rows[0][2].double_value(), sum / 5, 1e-9);
+}
+
 TEST(DistinctTest, RemovesDuplicatesKeepsFirst) {
-  DistinctOp distinct(Rows({{I(1)}, {I(2)}, {I(1)}, {N()}, {N()}}, 1));
-  auto rows = Drain(&distinct);
+  OperatorPtr distinct =
+      MakeDistinct(Rows({{I(1)}, {I(2)}, {I(1)}, {N()}, {N()}}, 1));
+  auto rows = Drain(distinct.get());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(rows[2][0].is_null());
 }
 
 TEST(DistinctTest, EmitsInFirstOccurrenceOrder) {
-  DistinctOp distinct(Rows({{I(4), S("d")},
-                            {I(2), S("b")},
-                            {I(4), S("d")},
-                            {D(2.0), S("b")},  // equals (2, 'b')
-                            {N(), S("n")},
-                            {I(4), S("e")},
-                            {N(), S("n")},
-                            {I(1), S("a")}},
-                           2));
-  auto rows = Drain(&distinct);
+  OperatorPtr distinct = MakeDistinct(Rows({{I(4), S("d")},
+                                            {I(2), S("b")},
+                                            {I(4), S("d")},
+                                            {D(2.0), S("b")},  // = (2, 'b')
+                                            {N(), S("n")},
+                                            {I(4), S("e")},
+                                            {N(), S("n")},
+                                            {I(1), S("a")}},
+                                           2));
+  auto rows = Drain(distinct.get());
   const std::vector<Row> want = {{I(4), S("d")},
                                  {I(2), S("b")},
                                  {N(), S("n")},
@@ -1472,6 +1503,27 @@ TEST(DistinctTest, EmitsInFirstOccurrenceOrder) {
   }
   // The first occurrence wins: the INT64 row, not the DOUBLE duplicate.
   EXPECT_EQ(rows[1][0].type(), TypeId::kInt64);
+}
+
+// EXPLAIN and the per-operator metrics name MakeDistinct's aggregate
+// "Distinct"; a GROUP BY of another shape stays "HashAggregate".
+TEST(DistinctTest, OnlyMakeDistinctsShapePrintsAsDistinct) {
+  OperatorPtr distinct = MakeDistinct(Rows({}, 2));
+  EXPECT_EQ(distinct->name(), "Distinct");
+  EXPECT_EQ(distinct->ToString(0).rfind("Distinct\n", 0), 0u);
+
+  // A subset of the columns, the columns out of order, or an aggregate.
+  auto agg_name = [](std::vector<int> slots, size_t num_aggs) {
+    std::vector<ExprPtr> keys;
+    for (int slot : slots) keys.push_back(MakeSlotRef(slot, TypeId::kInt64));
+    HashAggregateOp agg(Rows({}, 2), std::move(keys),
+                        std::vector<AggSpec>(num_aggs));
+    return agg.name();
+  };
+  EXPECT_EQ(agg_name({0, 1}, 0), "Distinct");
+  EXPECT_EQ(agg_name({0}, 0), "HashAggregate");
+  EXPECT_EQ(agg_name({1, 0}, 0), "HashAggregate");
+  EXPECT_EQ(agg_name({0, 1}, 1), "HashAggregate");
 }
 
 // ---- union / sort / limit / materialize ----

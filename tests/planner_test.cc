@@ -93,7 +93,7 @@ TEST_F(PlannerTest, OrderByLimitLowersToSortLimit) {
   EXPECT_NE(plan.find("Limit 3"), std::string::npos);
 }
 
-TEST_F(PlannerTest, DistinctLowersToDistinctOp) {
+TEST_F(PlannerTest, DistinctLowersToAggregateWithoutAggregates) {
   std::string plan = PlanOf("SELECT DISTINCT building FROM emp");
   EXPECT_NE(plan.find("Distinct"), std::string::npos);
 }

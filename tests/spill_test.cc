@@ -363,6 +363,19 @@ TEST_F(SpillExecTest, DistinctSpillsAndMatches) {
       "SELECT COUNT(*) FROM (SELECT DISTINCT tag FROM fact) AS t(x)");
 }
 
+// DISTINCT aggregates spill their value sets; the partition merge replays
+// them, so a value seen in two flush generations counts once. A group's val
+// never repeats (grp = id % 96, val = id % 13), but its tag and grp repeat
+// in every row, so every flush generation that holds the group holds them.
+TEST_F(SpillExecTest, DistinctAggregatesSpillAndMatch) {
+  ExpectSpillMatches(
+      "SELECT grp, COUNT(DISTINCT val), SUM(DISTINCT val) FROM fact "
+      "GROUP BY grp");
+  ExpectSpillMatches(
+      "SELECT grp, COUNT(DISTINCT tag), SUM(DISTINCT grp) FROM fact "
+      "GROUP BY grp");
+}
+
 TEST_F(SpillExecTest, GroupedAggregateWithVisibleOutputMatches) {
   ExpectSpillMatches("SELECT grp, COUNT(*), SUM(val) FROM fact GROUP BY grp");
 }
