@@ -15,6 +15,14 @@ int64_t ApproxRowBytes(const Row& row) {
   return bytes;
 }
 
+int64_t ApproxValueBytes(const Value& value) {
+  int64_t bytes = static_cast<int64_t>(sizeof(Value));
+  if (value.type() == TypeId::kString) {
+    bytes += static_cast<int64_t>(value.string_value().capacity());
+  }
+  return bytes;
+}
+
 Status MemoryTracker::Charge(int64_t bytes) {
   const int64_t now =
       used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;

@@ -36,6 +36,9 @@ namespace decorr {
 // per-value storage, string payloads). Used to charge MemoryTrackers;
 // deliberately an estimate — budgets bound order of magnitude, not bytes.
 int64_t ApproxRowBytes(const Row& row);
+// The same estimate for one value held outside a row (its copy plus any
+// string payload), e.g. in a DISTINCT aggregate's set.
+int64_t ApproxValueBytes(const Value& value);
 
 // Tracks bytes charged against an optional budget. Charge/Release/used/peak
 // are thread-safe (the Server's aggregate tracker is charged by every

@@ -34,12 +34,14 @@ OperatorPtr MakeDistinct(OperatorPtr child) {
                                            std::vector<AggSpec>{});
 }
 
-bool HashAggregateOp::FirstDistinct(const Value& v, AggState* state) {
+bool HashAggregateOp::FirstDistinct(const Value& v, AggState* state,
+                                    int64_t* bytes) {
   if (state->distinct_seen == nullptr) {
     state->distinct_seen = std::make_unique<KeyTable>(1);
   }
   bool inserted = false;
   state->distinct_seen->Insert(&v, &inserted);
+  if (inserted) *bytes += ApproxValueBytes(v);
   return inserted;
 }
 
@@ -65,8 +67,9 @@ void HashAggregateOp::AccumulateValue(const AggSpec& spec, const Value& v,
   }
 }
 
-void HashAggregateOp::Accumulate(const Row& in,
-                                 std::vector<AggState>* states) {
+int64_t HashAggregateOp::Accumulate(const Row& in,
+                                    std::vector<AggState>* states) {
+  int64_t distinct_bytes = 0;
   EvalContext ectx;
   ectx.row = &in;
   ectx.params = ctx_->params;
@@ -79,9 +82,12 @@ void HashAggregateOp::Accumulate(const Row& in,
     }
     Value v = Eval(*spec.arg, ectx);
     if (v.is_null()) continue;  // aggregates ignore NULL inputs
-    if (spec.distinct && !FirstDistinct(v, &state)) continue;
+    if (spec.distinct && !FirstDistinct(v, &state, &distinct_bytes)) {
+      continue;
+    }
     AccumulateValue(spec, v, &state);
   }
+  return distinct_bytes;
 }
 
 Value HashAggregateOp::Finalize(const AggSpec& spec,
@@ -169,7 +175,24 @@ Status HashAggregateOp::OpenImpl(ExecContext* ctx) {
       id = groups_.Append(key_.data(), hash);
       build_states_.emplace_back(aggs_.size());
     }
-    Accumulate(in_, &build_states_[id]);
+    const int64_t distinct_bytes = Accumulate(in_, &build_states_[id]);
+    if (distinct_bytes > 0 && ctx->guard) {
+      // New DISTINCT values are group state too. With spilling on, a trip
+      // flushes them to disk with their group, leaving nothing to charge.
+      if (ctx->temp != nullptr) {
+        bool spilled = false;
+        st = ctx->guard->ChargeMemoryOrSpill(
+            distinct_bytes, [this] { return FlushGroups(); }, &spilled);
+        if (st.ok() && !spilled) charged_bytes_ += distinct_bytes;
+      } else {
+        charged_bytes_ += distinct_bytes;
+        st = ctx->guard->ChargeMemory(distinct_bytes);
+      }
+      if (!st.ok()) {
+        child_->Close();
+        return st;
+      }
+    }
   }
   child_->Close();
 
@@ -287,8 +310,9 @@ Row HashAggregateOp::EncodePartial(
   return rec;
 }
 
-Status HashAggregateOp::MergePartialInto(
-    const Row& rec, std::vector<AggState>* states) const {
+Status HashAggregateOp::MergePartialInto(const Row& rec,
+                                         std::vector<AggState>* states,
+                                         int64_t* distinct_bytes) const {
   size_t pos = group_keys_.size();
   const auto malformed = [] {
     return Status::IoError("spill partial-aggregate record malformed");
@@ -301,7 +325,9 @@ Status HashAggregateOp::MergePartialInto(
       if (pos + static_cast<size_t>(n) > rec.size()) return malformed();
       for (int64_t j = 0; j < n; ++j) {
         const Value& v = rec[pos++];
-        if (FirstDistinct(v, &s)) AccumulateValue(aggs_[i], v, &s);
+        if (FirstDistinct(v, &s, distinct_bytes)) {
+          AccumulateValue(aggs_[i], v, &s);
+        }
       }
     } else {
       if (pos + 5 > rec.size()) return malformed();
@@ -388,7 +414,7 @@ Status HashAggregateOp::LoadNextAggPartition() {
             static_cast<int64_t>(aggs_.size() * sizeof(AggState));
         bool spilled = false;
         Status st = ctx_->guard->ChargeMemoryOrSpill(
-            bytes, [&] { return RepartitionAgg(&part, &reader, rec); },
+            bytes, [&] { return RepartitionAgg(&part, &reader, &rec); },
             &spilled);
         if (!st.ok()) return st;
         if (spilled) {
@@ -400,7 +426,22 @@ Status HashAggregateOp::LoadNextAggPartition() {
       id = groups_.Append(rec.data(), hash);
       build_states_.emplace_back(aggs_.size());
     }
-    DECORR_RETURN_IF_ERROR(MergePartialInto(rec, &build_states_[id]));
+    int64_t distinct_bytes = 0;
+    DECORR_RETURN_IF_ERROR(
+        MergePartialInto(rec, &build_states_[id], &distinct_bytes));
+    if (distinct_bytes > 0 && ctx_->guard != nullptr) {
+      // `rec` is merged already, so a repartition must not write it again.
+      bool spilled = false;
+      DECORR_RETURN_IF_ERROR(ctx_->guard->ChargeMemoryOrSpill(
+          distinct_bytes,
+          [&] { return RepartitionAgg(&part, &reader, /*cur_rec=*/nullptr); },
+          &spilled));
+      if (spilled) {
+        repartitioned = true;
+        break;
+      }
+      part_charged_ += distinct_bytes;
+    }
   }
   AddSpillRead(reader.bytes_read());
   if (repartitioned) {
@@ -415,7 +456,7 @@ Status HashAggregateOp::LoadNextAggPartition() {
 }
 
 Status HashAggregateOp::RepartitionAgg(SpillPart* part, SpillReader* reader,
-                                       const Row& cur_rec) {
+                                       const Row* cur_rec) {
   DECORR_FAULT_POINT("exec.spill.agg.partition");
   const int depth = part->depth + 1;
   if (depth > kSpillMaxDepth) {
@@ -444,7 +485,7 @@ Status HashAggregateOp::RepartitionAgg(SpillPart* part, SpillReader* reader,
     DECORR_RETURN_IF_ERROR(
         write_rec(EncodePartial(groups_.KeyRow(g), build_states_[g])));
   }
-  DECORR_RETURN_IF_ERROR(write_rec(cur_rec));
+  if (cur_rec != nullptr) DECORR_RETURN_IF_ERROR(write_rec(*cur_rec));
   while (true) {
     Row rec;
     bool reof = false;

@@ -58,9 +58,12 @@ class HashAggregateOp : public Operator {
     std::unique_ptr<KeyTable> distinct_seen;
   };
 
-  void Accumulate(const Row& in, std::vector<AggState>* states);
-  // Adds non-null `v` to a DISTINCT aggregate's set; false if it was there.
-  static bool FirstDistinct(const Value& v, AggState* state);
+  // Returns the bytes newly added to DISTINCT aggregates' sets, which the
+  // caller charges like a new group's.
+  int64_t Accumulate(const Row& in, std::vector<AggState>* states);
+  // Adds non-null `v` to a DISTINCT aggregate's set and its size to
+  // `*bytes`; false if it was there.
+  static bool FirstDistinct(const Value& v, AggState* state, int64_t* bytes);
   // Post-dedup accumulation of one non-null input value; shared by the
   // normal path and the spill-merge replay of distinct sets.
   static void AccumulateValue(const AggSpec& spec, const Value& v,
@@ -77,7 +80,9 @@ class HashAggregateOp : public Operator {
 
   ExecContext* ctx_ = nullptr;
   std::vector<Row> result_rows_;
-  int64_t charged_bytes_ = 0;  // group-state memory charged to the guard
+  // Group-state memory charged to the guard: group keys, aggregate states
+  // and the values DISTINCT aggregates collect.
+  int64_t charged_bytes_ = 0;
   size_t cursor_ = 0;
 
   // In-memory group table: group id -> key in groups_, states in
@@ -104,11 +109,15 @@ class HashAggregateOp : public Operator {
   Status FlushGroups();
   Row EncodePartial(const Row& key, const std::vector<AggState>& states)
       const;
-  Status MergePartialInto(const Row& rec, std::vector<AggState>* states)
-      const;
+  // Adds the bytes newly added to DISTINCT sets to `*distinct_bytes`.
+  Status MergePartialInto(const Row& rec, std::vector<AggState>* states,
+                          int64_t* distinct_bytes) const;
   Status LoadNextAggPartition();
+  // Splits the rest of `part` one level deeper: the groups merged so far,
+  // then `cur_rec` unless null (a record already merged), then the unread
+  // records.
   Status RepartitionAgg(SpillPart* part, SpillReader* reader,
-                        const Row& cur_rec);
+                        const Row* cur_rec);
   void AddSpillWritten(int64_t bytes);
   void AddSpillRead(int64_t bytes);
   void ResetSpillState();

@@ -1,14 +1,17 @@
 #include "decorr/planner/cost.h"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <utility>
 
-#include "decorr/binder/binder.h"
+#include "decorr/analysis/rewrite_verify.h"
 #include "decorr/common/fault.h"
 #include "decorr/common/string_util.h"
 #include "decorr/planner/estimate.h"
 #include "decorr/qgm/analysis.h"
+#include "decorr/qgm/validate.h"
 #include "decorr/rewrite/prune.h"
 
 namespace decorr {
@@ -449,25 +452,60 @@ Result<double> EstimateGraphCost(QueryGraph* graph, const Catalog& catalog,
   return model.GraphCost();
 }
 
-Result<AutoChoice> ChooseStrategy(const AstQuery& ast, const Catalog& catalog,
-                                  const DecorrelationOptions& decorr,
-                                  bool prune_dedup,
-                                  int64_t subquery_cache_bytes) {
+Status RewriteForStrategy(QueryGraph* graph, Strategy strategy,
+                          const Catalog& catalog,
+                          const RewriteSettings& settings) {
+  std::optional<RewriteVerifier> verifier;
+  RewriteStepFn on_step;
+  if (settings.verify) {
+    verifier.emplace(graph, strategy);
+    DECORR_RETURN_IF_ERROR(verifier->Begin());
+    on_step = verifier->AsCallback();
+  }
+  // Long rewrites honor cancellation and the deadline between rule
+  // applications.
+  if (settings.guard != nullptr) {
+    on_step = [guard = settings.guard, inner = std::move(on_step)](
+                  const std::string& rule) -> Status {
+      DECORR_RETURN_IF_ERROR(guard->Check());
+      return inner ? inner(rule) : Status::OK();
+    };
+  }
+  DECORR_RETURN_IF_ERROR(
+      ApplyStrategy(graph, strategy, catalog, settings.decorr, on_step));
+  // Dedup pruning runs after decorrelation, over the final graph. Plain NI
+  // stays untouched for the same reason it never caches: it is the
+  // paper-faithful baseline every other strategy is measured against.
+  if (settings.prune_dedup && strategy != Strategy::kNestedIteration) {
+    DECORR_RETURN_IF_ERROR(PruneRedundantDedup(graph, on_step));
+  }
+  DECORR_RETURN_IF_ERROR(Validate(graph));
+  if (verifier) DECORR_RETURN_IF_ERROR(verifier->Finish());
+  return Status::OK();
+}
+
+Result<AutoSelection> SelectStrategy(const AstQuery& ast,
+                                     std::unique_ptr<BoundQuery> pristine,
+                                     const Catalog& catalog,
+                                     const RewriteSettings& settings,
+                                     int64_t subquery_cache_bytes) {
   DECORR_FAULT_POINT("rewrite.auto.select");
-  DECORR_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> pristine,
-                          Bind(ast, catalog));
   DECORR_ASSIGN_OR_RETURN(QueryEstimate est,
                           EstimateQueryBlocks(pristine->graph.get(), catalog));
   const bool count_agg = HasCountAggregate(pristine->graph.get());
 
-  AutoChoice choice;
+  AutoSelection selection;
+  AutoChoice& choice = selection.choice;
   const Strategy order[] = {
       Strategy::kNestedIteration, Strategy::kNestedIterationCached,
       Strategy::kKim,             Strategy::kDayal,
       Strategy::kGanskiWong,      Strategy::kMagic,
       Strategy::kOptMagic,
   };
-  for (Strategy s : order) {
+  // Each applicable rewrite's trial graph, indexed like `order`.
+  std::unique_ptr<BoundQuery> trials[std::size(order)];
+  for (size_t i = 0; i < std::size(order); ++i) {
+    const Strategy s = order[i];
     CandidateCost cand;
     cand.strategy = s;
     if (s == Strategy::kNestedIterationCached && subquery_cache_bytes <= 0) {
@@ -494,11 +532,26 @@ Result<AutoChoice> ChooseStrategy(const AstQuery& ast, const Catalog& catalog,
       choice.candidates.push_back(std::move(cand));
       continue;
     }
+    if (s == Strategy::kOptMagic) {
+      // Mag and OptMag are one rewrite (MagicDecorrelate); OptMag differs
+      // only in the planner materializing the supplementary table once, so
+      // it prices Mag's trial graph under its own cost rule.
+      const CandidateCost& mag = choice.candidates[i - 1];
+      cand.reason = mag.reason;
+      if (mag.applicable) {
+        DECORR_ASSIGN_OR_RETURN(
+            cand.cost, EstimateGraphCost(trials[i - 1]->graph.get(), catalog,
+                                         s, subquery_cache_bytes));
+        cand.applicable = true;
+      }
+      choice.candidates.push_back(std::move(cand));
+      continue;
+    }
     // Trial-rewrite a fresh binding so the method's own applicability check
     // runs, and price the post-rewrite (post-prune) shape.
     DECORR_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> trial,
                             Bind(ast, catalog));
-    Status st = ApplyStrategy(trial->graph.get(), s, catalog, decorr);
+    Status st = RewriteForStrategy(trial->graph.get(), s, catalog, settings);
     if (!st.ok()) {
       if (st.code() == StatusCode::kNotImplemented) {
         cand.reason = st.message();
@@ -507,14 +560,12 @@ Result<AutoChoice> ChooseStrategy(const AstQuery& ast, const Catalog& catalog,
       }
       return st;  // injected faults and real failures surface verbatim
     }
-    if (prune_dedup) {
-      DECORR_RETURN_IF_ERROR(PruneRedundantDedup(trial->graph.get()));
-    }
     DECORR_ASSIGN_OR_RETURN(
         cand.cost, EstimateGraphCost(trial->graph.get(), catalog, s,
                                      subquery_cache_bytes));
     cand.applicable = true;
     choice.candidates.push_back(std::move(cand));
+    trials[i] = std::move(trial);
   }
 
   // Two-pass selection: find the cheapest estimate, then let the most
@@ -537,6 +588,16 @@ Result<AutoChoice> ChooseStrategy(const AstQuery& ast, const Catalog& catalog,
   }
   choice.chosen = best->strategy;
   choice.chosen_cost = best->cost;
+  if (choice.chosen == Strategy::kNestedIteration ||
+      choice.chosen == Strategy::kNestedIterationCached) {
+    DECORR_RETURN_IF_ERROR(RewriteForStrategy(
+        pristine->graph.get(), choice.chosen, catalog, settings));
+    selection.bound = std::move(pristine);
+  } else {
+    size_t at = static_cast<size_t>(best - choice.candidates.data());
+    if (choice.chosen == Strategy::kOptMagic) --at;  // Mag's trial graph
+    selection.bound = std::move(trials[at]);
+  }
 
   choice.notes.push_back(StrFormat("auto strategy: %s (est cost %.4g)",
                                    StrategyName(choice.chosen),
@@ -560,7 +621,23 @@ Result<AutoChoice> ChooseStrategy(const AstQuery& ast, const Catalog& catalog,
         BlockCostUnder(b, choice.chosen), b.invocations,
         b.rows_per_invocation, b.distinct_bindings, b.cache_hit_rate));
   }
-  return choice;
+  return selection;
+}
+
+Result<AutoChoice> ChooseStrategy(const AstQuery& ast, const Catalog& catalog,
+                                  const DecorrelationOptions& decorr,
+                                  bool prune_dedup,
+                                  int64_t subquery_cache_bytes) {
+  DECORR_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> pristine,
+                          Bind(ast, catalog));
+  RewriteSettings settings;
+  settings.decorr = decorr;
+  settings.prune_dedup = prune_dedup;
+  DECORR_ASSIGN_OR_RETURN(
+      AutoSelection selection,
+      SelectStrategy(ast, std::move(pristine), catalog, settings,
+                     subquery_cache_bytes));
+  return std::move(selection.choice);
 }
 
 }  // namespace decorr

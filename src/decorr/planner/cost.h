@@ -10,20 +10,26 @@
 //     bound against actually executed counts, so estimator regressions fail
 //     loudly instead of silently flipping plan choices.
 //
-//   * ChooseStrategy — prices every strategy: NI and NI+C on the pristine
-//     graph, each rewrite method on a fresh trial binding that actually ran
-//     ApplyStrategy (so the paper's applicability limits apply themselves)
-//     and dedup pruning (so post-prune shapes are what gets priced), then
-//     picks the cheapest with deterministic tie-breaking toward the simpler
-//     strategy.
+//   * SelectStrategy — prices every strategy: NI and NI+C on the pristine
+//     graph, and each distinct rewrite once, on its own trial binding that
+//     RewriteForStrategy actually rewrote (so the paper's applicability
+//     limits apply themselves) and pruned (so post-prune shapes are what
+//     gets priced). Mag and OptMag are one rewrite, so one magic trial is
+//     priced under both. It picks the cheapest with deterministic
+//     tie-breaking toward the simpler strategy and hands back the chosen
+//     candidate's graph, which Database::Prepare keeps instead of rewriting
+//     again. ChooseStrategy is the same selection without the graph.
 #ifndef DECORR_PLANNER_COST_H_
 #define DECORR_PLANNER_COST_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "decorr/binder/binder.h"
 #include "decorr/catalog/catalog.h"
+#include "decorr/common/resource.h"
 #include "decorr/common/status.h"
 #include "decorr/parser/ast.h"
 #include "decorr/qgm/qgm.h"
@@ -85,10 +91,46 @@ struct AutoChoice {
   std::vector<std::string> notes;
 };
 
-// Resolves Strategy::kAuto for the query `ast`. Trial rewrites that decline
-// with NotImplemented mark the candidate inapplicable; any other failure
-// (including injected faults) propagates verbatim so chaos tests observe it.
-// `subquery_cache_bytes == 0` disqualifies NI+C (caching is off).
+// How a bound graph is rewritten for a strategy.
+struct RewriteSettings {
+  DecorrelationOptions decorr;
+  bool prune_dedup = true;  // run PruneRedundantDedup after the rewrite
+  bool verify = false;      // re-check invariants with a RewriteVerifier
+  ResourceGuard* guard = nullptr;  // polled between rule applications
+};
+
+// The one rewrite routine behind every prepared query and every kAuto trial:
+// ApplyStrategy, then dedup pruning (skipped under plain NI, the
+// paper-faithful baseline), then Validate. Between rule applications the
+// step hook polls `settings.guard` (when set) and, when `settings.verify`
+// is on, runs one RewriteVerifier over `graph` from Begin to Finish.
+Status RewriteForStrategy(QueryGraph* graph, Strategy strategy,
+                          const Catalog& catalog,
+                          const RewriteSettings& settings);
+
+// kAuto's answer plus the graph it chose: `bound` is the chosen candidate's
+// binding, rewritten by RewriteForStrategy for `choice.chosen`.
+struct AutoSelection {
+  AutoChoice choice;
+  std::unique_ptr<BoundQuery> bound;
+};
+
+// Resolves Strategy::kAuto for the query `ast`. `pristine` is a fresh
+// binding of `ast`; NI and NI+C are priced on it, and it becomes the kept
+// graph when one of them wins. Every other strategy is priced on a trial
+// binding of its own, rewritten once under `settings`. Trial rewrites that
+// decline with NotImplemented mark the candidate inapplicable; any other
+// failure (including injected faults, guard trips and verifier findings)
+// propagates verbatim so chaos tests observe it. `subquery_cache_bytes == 0`
+// disqualifies NI+C (caching is off).
+Result<AutoSelection> SelectStrategy(const AstQuery& ast,
+                                     std::unique_ptr<BoundQuery> pristine,
+                                     const Catalog& catalog,
+                                     const RewriteSettings& settings,
+                                     int64_t subquery_cache_bytes);
+
+// SelectStrategy on a fresh binding of `ast`, with no guard and no
+// verifier, keeping only the answer.
 Result<AutoChoice> ChooseStrategy(const AstQuery& ast, const Catalog& catalog,
                                   const DecorrelationOptions& decorr,
                                   bool prune_dedup,

@@ -1,18 +1,14 @@
 #include "decorr/runtime/database.h"
 
 #include <chrono>
-#include <optional>
 
 #include "decorr/analysis/plan_verify.h"
-#include "decorr/analysis/rewrite_verify.h"
 #include "decorr/binder/binder.h"
 #include "decorr/common/fault.h"
 #include "decorr/common/string_util.h"
 #include "decorr/parser/parser.h"
 #include "decorr/planner/cost.h"
 #include "decorr/qgm/print.h"
-#include "decorr/qgm/validate.h"
-#include "decorr/rewrite/prune.h"
 #include "decorr/storage/temp_file.h"
 
 namespace decorr {
@@ -179,9 +175,17 @@ Result<PreparedQuery> Database::Prepare(const std::string& sql,
   DECORR_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound,
                           Bind(*ast, *catalog_));
   lap(&out.bind_nanos);
-  // Resolve Auto to a concrete strategy before anything downstream: the
-  // rewrite verifier, ApplyStrategy and the cache/prune carve-outs all key
-  // off the *effective* strategy.
+  if (options.capture_qgm) {
+    out.qgm_before = PrintQgm(bound->graph.get());
+  }
+  RewriteSettings rewrite;
+  rewrite.decorr = options.decorr;
+  rewrite.prune_dedup = options.prune_dedup;
+  rewrite.verify = options.verify;
+  rewrite.guard = guard;
+  // kAuto resolves to a concrete strategy and keeps the graph its selector
+  // already rewrote for it; the rewrite verifier, the cache and prune
+  // carve-outs and the planner all key off the *effective* strategy.
   Strategy effective = options.strategy;
   if (options.strategy == Strategy::kAuto) {
     // The estimates are only as good as the statistics: recompute any that
@@ -201,49 +205,22 @@ Result<PreparedQuery> Database::Prepare(const std::string& sql,
       }
     }
     DECORR_ASSIGN_OR_RETURN(
-        AutoChoice choice,
-        ChooseStrategy(*ast, *catalog_, options.decorr, options.prune_dedup,
+        AutoSelection selection,
+        SelectStrategy(*ast, std::move(bound), *catalog_, rewrite,
                        options.subquery_cache_bytes));
-    effective = choice.chosen;
-    out.auto_notes = std::move(choice.notes);
+    effective = selection.choice.chosen;
+    bound = std::move(selection.bound);
+    out.auto_notes = std::move(selection.choice.notes);
     out.auto_notes.insert(out.auto_notes.end(), stats_notes.begin(),
                           stats_notes.end());
     out.auto_notes.push_back(
         StrFormat("auto stats epoch: %llu",
                   static_cast<unsigned long long>(catalog_->stats_epoch())));
-    lap(&out.rewrite_nanos);
+  } else {
+    DECORR_RETURN_IF_ERROR(
+        RewriteForStrategy(bound->graph.get(), effective, *catalog_, rewrite));
   }
   out.effective = effective;
-  if (options.capture_qgm) {
-    out.qgm_before = PrintQgm(bound->graph.get());
-  }
-  std::optional<RewriteVerifier> verifier;
-  RewriteStepFn on_step;
-  if (options.verify) {
-    verifier.emplace(bound->graph.get(), effective);
-    DECORR_RETURN_IF_ERROR(verifier->Begin());
-    on_step = verifier->AsCallback();
-  }
-  // Long rewrites honor cancellation and the deadline between rule
-  // applications.
-  on_step = [guard, inner = std::move(on_step)](
-                const std::string& rule) -> Status {
-    DECORR_RETURN_IF_ERROR(guard->Check());
-    return inner ? inner(rule) : Status::OK();
-  };
-  DECORR_RETURN_IF_ERROR(ApplyStrategy(bound->graph.get(), effective,
-                                       *catalog_, options.decorr, on_step));
-  // Dedup pruning runs after decorrelation, over the final graph. Plain NI
-  // stays untouched for the same reason it never caches: it is the
-  // paper-faithful baseline every other strategy is measured against.
-  if (options.prune_dedup && effective != Strategy::kNestedIteration) {
-    DECORR_RETURN_IF_ERROR(
-        PruneRedundantDedup(bound->graph.get(), on_step));
-  }
-  DECORR_RETURN_IF_ERROR(Validate(bound->graph.get()));
-  if (verifier) {
-    DECORR_RETURN_IF_ERROR(verifier->Finish());
-  }
   if (options.capture_qgm) {
     out.qgm_after = PrintQgm(bound->graph.get());
   }
@@ -267,6 +244,7 @@ Result<QueryResult> Database::RunPrepared(PreparedQuery prepared,
   result.profile.plan_cache_hit = plan_cache_hit;
   result.qgm_before = std::move(prepared.qgm_before);
   result.qgm_after = std::move(prepared.qgm_after);
+  result.effective_strategy = prepared.effective;
   int64_t mark = NowNanos();
   auto lap = [&mark](int64_t* phase_nanos) {
     const int64_t now = NowNanos();

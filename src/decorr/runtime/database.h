@@ -136,6 +136,9 @@ struct QueryResult {
   std::string qgm_before;       // filled when capture_qgm is set
   std::string qgm_after;
   std::string fallback_reason;  // why the NI fallback ran (empty: it didn't)
+  // The concrete strategy that ran: the requested one, kAuto's pick, or NI
+  // when the fallback ran.
+  Strategy effective_strategy = Strategy::kNestedIteration;
   // Phase timings (always) and the per-operator metrics tree (when
   // QueryOptions::profile / ExplainAnalyze); JSON-serializable via ToJson().
   QueryProfile profile;
@@ -189,12 +192,13 @@ class Database {
   Result<QueryResult> ExplainAnalyze(const std::string& sql,
                                      QueryOptions options = {});
 
-  // Front-end only: parse, bind, resolve kAuto (refreshing stale statistics
-  // first unless `refresh_stale_stats` is off — the server pre-refreshes
-  // under its exclusive lock so this stays read-only under concurrency),
-  // apply the strategy rewrite, prune, validate. The result can be handed to
-  // RunPrepared — or cached and cloned per run. `guard` is polled between
-  // rewrite steps.
+  // Front-end only: parse, bind, then rewrite, prune and validate
+  // (RewriteForStrategy). kAuto first refreshes stale statistics unless
+  // `refresh_stale_stats` is off (the server pre-refreshes under its
+  // exclusive lock so this stays read-only under concurrency), and keeps
+  // the graph its selector rewrote for the pick (SelectStrategy). The
+  // result can be handed to RunPrepared — or cached and cloned per run.
+  // `guard` is polled between rewrite steps, trial rewrites included.
   Result<PreparedQuery> Prepare(const std::string& sql,
                                 const QueryOptions& options,
                                 ResourceGuard* guard,

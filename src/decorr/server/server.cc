@@ -213,6 +213,7 @@ Result<QueryResult> Server::RunAdmitted(const std::string& sql,
       options.strategy != Strategy::kNestedIteration &&
       NiFallbackEligible(result.status())) {
     const Status failure = result.status();
+    ni_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     QueryOptions ni = options;
     ni.strategy = Strategy::kNestedIteration;
     auto retry = [&]() -> Result<QueryResult> {
@@ -247,6 +248,7 @@ ServerStats Server::stats() const {
       rejected_while_queued_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
+  s.ni_fallbacks = ni_fallbacks_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(admit_mu_);
     s.active_queries = active_;

@@ -59,6 +59,10 @@ struct ServerStats {
   int64_t rejected_while_queued = 0;  // deadline/cancel tripped in the queue
   int64_t completed = 0;
   int64_t failed = 0;
+  // Queries whose rewrite failed before execution and were re-run under
+  // nested iteration (QueryOptions::fallback); counted whether or not the
+  // re-run then succeeded.
+  int64_t ni_fallbacks = 0;
   int active_queries = 0;
   int queued_queries = 0;
   int64_t aggregate_memory_peak = 0;
@@ -145,6 +149,7 @@ class Server {
   std::atomic<int64_t> rejected_while_queued_{0};
   std::atomic<int64_t> completed_{0};
   std::atomic<int64_t> failed_{0};
+  std::atomic<int64_t> ni_fallbacks_{0};
 
   mutable std::mutex sessions_mu_;
   std::vector<std::weak_ptr<Session>> sessions_;

@@ -489,6 +489,7 @@ TEST_F(ChaosTest, RewriteFaultsRecoverViaFallback) {
     fi.Reset();
     ASSERT_TRUE(r.ok()) << site << ": " << r.status().ToString();
     EXPECT_FALSE(r->fallback_reason.empty()) << site;
+    EXPECT_EQ(r->effective_strategy, Strategy::kNestedIteration) << site;
     std::vector<std::string> names;
     for (const Row& row : r->rows) names.push_back(row[0].string_value());
     std::sort(names.begin(), names.end());
@@ -511,6 +512,7 @@ TEST_F(ChaosTest, AutoSelectionFaultsFallBackToNestedIteration) {
     fi.Reset();
     ASSERT_TRUE(r.ok()) << site << ": " << r.status().ToString();
     EXPECT_FALSE(r->fallback_reason.empty()) << site;
+    EXPECT_EQ(r->effective_strategy, Strategy::kNestedIteration) << site;
     EXPECT_NE(r->fallback_reason.find("Auto"), std::string::npos)
         << site << ": " << r->fallback_reason;
     EXPECT_NE(r->fallback_reason.find("fell back to nested iteration"),

@@ -4,17 +4,23 @@
 // seeded schema, so estimator regressions fail loudly instead of silently
 // flipping plan choices. Also the stats-staleness regression tests: an auto
 // pick on stale statistics refreshes them first and EXPLAIN flags the epoch.
+// And kAuto on the TPC-D figure queries: one Prepare runs the magic rewrite
+// once, and keeps the graph a Prepare under its pick builds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "decorr/binder/binder.h"
+#include "decorr/common/fault.h"
 #include "decorr/planner/cost.h"
 #include "decorr/runtime/database.h"
+#include "decorr/tpcd/queries.h"
+#include "decorr/tpcd/tpcd.h"
 #include "tests/test_util.h"
 
 namespace decorr {
@@ -301,6 +307,87 @@ TEST(StatsStalenessTest, AutoRefreshesStaleStatsAndFlagsEpoch) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->plan_text.find("auto stats refreshed:"),
             std::string::npos);
+}
+
+// kAuto on the paper's TPC-D figure queries at SF 0.01, indexed: the same
+// database the EXPLAIN goldens use.
+class AutoSelectionTest : public ::testing::Test {
+ protected:
+  static Database& Db() {
+    static Database* db = [] {
+      auto* loaded = new Database(std::make_shared<Catalog>());
+      TpcdConfig config;
+      config.scale_factor = 0.01;
+      config.create_indexes = true;
+      EXPECT_TRUE(LoadTpcd(loaded, config).ok());
+      return loaded;
+    }();
+    return *db;
+  }
+};
+
+// kAuto runs each distinct rewrite once per Prepare: Mag and OptMag are one
+// magic rewrite priced on one trial graph, and Prepare keeps the chosen
+// trial's graph instead of rewriting it again. Recording with nothing armed
+// counts how often the magic rewrite starts, whichever strategy wins.
+TEST_F(AutoSelectionTest, PrepareRunsTheMagicRewriteOnce) {
+  struct Case {
+    const char* name;
+    std::string sql;
+    Strategy pick;
+  };
+  const Case cases[] = {{"Query 3", TpcdQuery3(), Strategy::kMagic},
+                        {"Query 1", TpcdQuery1(), Strategy::kNestedIteration}};
+  QueryOptions automatic;
+  automatic.strategy = Strategy::kAuto;
+  FaultInjector& fi = FaultInjector::Global();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    fi.Reset();
+    fi.EnableRecording();
+    ResourceGuard guard;
+    auto prepared = Db().Prepare(c.sql, automatic, &guard);
+    const int64_t magic_rewrites = fi.HitCount("rewrite.magic");
+    fi.Reset();
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    EXPECT_EQ(prepared->effective, c.pick);
+    EXPECT_EQ(magic_rewrites, 1);
+  }
+}
+
+// The graph kAuto keeps is the one a Prepare under its pick builds, for a
+// trial pick (Mag, OptMag) and for the pristine graph (NI, NI+C) alike.
+// property_diff_test's AutoKeepsTheGraphOfItsPick checks the same over the
+// random corpus, whose picks are all trial graphs.
+TEST_F(AutoSelectionTest, KeptGraphIsTheOneAPrepareOfThePickBuilds) {
+  const std::string queries[] = {TpcdQuery1(), TpcdQuery1Variant(),
+                                 TpcdQuery2(), TpcdQuery3()};
+  std::set<Strategy> picks;
+  for (const std::string& sql : queries) {
+    for (const bool prune : {true, false}) {
+      QueryOptions automatic;
+      automatic.strategy = Strategy::kAuto;
+      automatic.fallback = false;
+      automatic.capture_qgm = true;
+      automatic.prune_dedup = prune;
+      ResourceGuard guard;
+      auto kept = Db().Prepare(sql, automatic, &guard);
+      ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+      picks.insert(kept->effective);
+      QueryOptions direct = automatic;
+      direct.strategy = kept->effective;
+      auto rewritten = Db().Prepare(sql, direct, &guard);
+      ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+      EXPECT_EQ(kept->qgm_before, rewritten->qgm_before);
+      EXPECT_EQ(kept->qgm_after, rewritten->qgm_after)
+          << StrategyName(kept->effective) << " prune=" << prune << "\n"
+          << sql;
+    }
+  }
+  EXPECT_EQ(picks, (std::set<Strategy>{Strategy::kNestedIteration,
+                                       Strategy::kNestedIterationCached,
+                                       Strategy::kMagic,
+                                       Strategy::kOptMagic}));
 }
 
 }  // namespace

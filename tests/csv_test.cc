@@ -251,9 +251,15 @@ TEST(CaseTest, EvaluationOrderAndElse) {
   for (const Row& row : result->rows) {
     const std::string& name = row[0].string_value();
     const std::string& size = row[1].string_value();
-    if (name == "physics") EXPECT_EQ(size, "tiny");
-    if (name == "math") EXPECT_EQ(size, "small");
-    if (name == "bio") EXPECT_EQ(size, "large");
+    if (name == "physics") {
+      EXPECT_EQ(size, "tiny");
+    }
+    if (name == "math") {
+      EXPECT_EQ(size, "small");
+    }
+    if (name == "bio") {
+      EXPECT_EQ(size, "large");
+    }
   }
 }
 

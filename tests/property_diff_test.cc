@@ -18,6 +18,7 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -406,7 +407,7 @@ TEST(PropertyDiffTest, AutoSweepMatchesNestedIterationAndPicksCompetitively) {
 
       // Correctness leg: auto must never decline (NI is always applicable)
       // and must match NI rows with the cache on and off.
-      std::string chosen;
+      Strategy chosen = Strategy::kAuto;
       for (int64_t cache_bytes : {kDefaultSubqueryCacheBytes, int64_t{0}}) {
         QueryOptions automatic;
         automatic.strategy = Strategy::kAuto;
@@ -421,17 +422,12 @@ TEST(PropertyDiffTest, AutoSweepMatchesNestedIterationAndPicksCompetitively) {
             << "Auto cache=" << cache_bytes << " diverged (seed " << seed
             << " q" << q << ")\n" << sql;
         if (cache_bytes == kDefaultSubqueryCacheBytes) {
-          const std::string prefix = "auto strategy: ";
-          const size_t at = result->plan_text.find(prefix);
-          ASSERT_NE(at, std::string::npos) << sql;
-          const size_t from = at + prefix.size();
-          chosen = result->plan_text.substr(
-              from, result->plan_text.find(' ', from) - from);
+          chosen = result->effective_strategy;
         }
       }
-      ASSERT_FALSE(chosen.empty()) << sql;
-      ++chosen_counts[chosen];
-      if (chosen != "NI") ++decorrelated_picks;
+      ASSERT_NE(chosen, Strategy::kAuto) << sql;
+      ++chosen_counts[StrategyName(chosen)];
+      if (chosen != Strategy::kNestedIteration) ++decorrelated_picks;
 
       // Timing leg (serial, default cache — the variant the pick above was
       // made under): the chosen strategy must be within the bound of the
@@ -448,14 +444,14 @@ TEST(PropertyDiffTest, AutoSweepMatchesNestedIterationAndPicksCompetitively) {
         const double ms = best_of_3_ms(db, sql, options);
         if (ms < 0) continue;
         if (best_ms < 0 || ms < best_ms) best_ms = ms;
-        if (chosen == StrategyName(s)) chosen_ms = ms;
+        if (chosen == s) chosen_ms = ms;
       }
       ASSERT_GE(best_ms, 0.0) << sql;
       ASSERT_GE(chosen_ms, 0.0)
-          << "auto chose " << chosen
+          << "auto chose " << StrategyName(chosen)
           << ", which is not a correct hand-pickable strategy here\n" << sql;
       EXPECT_LE(chosen_ms, kPickRatio * best_ms + kPickSlackMs)
-          << "auto pick " << chosen << " = " << chosen_ms
+          << "auto pick " << StrategyName(chosen) << " = " << chosen_ms
           << " ms vs best hand-picked " << best_ms << " ms (seed " << seed
           << " q" << q << ")\n" << sql;
       ++timing_checks;
@@ -467,6 +463,68 @@ TEST(PropertyDiffTest, AutoSweepMatchesNestedIterationAndPicksCompetitively) {
   EXPECT_GT(decorrelated_picks, 0);
   for (const auto& [name, count] : chosen_counts) {
     ::testing::Test::RecordProperty("auto_chose_" + name, count);
+  }
+}
+
+// kAuto keeps the graph its selector rewrote for the pick instead of
+// rewriting again. Over the same 240 queries, that graph must be the one a
+// Prepare under the picked strategy builds: the same QGM before and after
+// the rewrite, and the same EXPLAIN once the selector's `auto ` note lines
+// are dropped. Debug builds verify every trial on the way.
+TEST(PropertyDiffTest, AutoKeepsTheGraphOfItsPick) {
+  constexpr uint64_t kDatabases = 8;
+  constexpr int kQueriesPerDatabase = 30;  // 240 total, same seeds as above
+  auto drop_auto_notes = [](const std::string& plan_text) {
+    std::istringstream lines(plan_text);
+    std::string kept;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("auto ", 0) != 0) kept += line + "\n";
+    }
+    return kept;
+  };
+  std::map<Strategy, int> picks;
+  for (uint64_t seed = 1; seed <= kDatabases; ++seed) {
+    Database db(MakeNullHeavyCatalog(seed));
+    Rng rng(seed * 7919);  // identical stream -> identical query text
+    DiffQueryGen gen(&rng);
+    for (int q = 0; q < kQueriesPerDatabase; ++q) {
+      const std::string sql = gen.RandomQuery();
+      QueryOptions automatic;
+      automatic.strategy = Strategy::kAuto;
+      automatic.fallback = false;
+      automatic.capture_qgm = true;
+      ResourceGuard guard;
+      auto kept = db.Prepare(sql, automatic, &guard);
+      ASSERT_TRUE(kept.ok()) << kept.status().ToString() << "\n" << sql;
+      ++picks[kept->effective];
+      QueryOptions direct = automatic;
+      direct.strategy = kept->effective;
+      auto rewritten = db.Prepare(sql, direct, &guard);
+      ASSERT_TRUE(rewritten.ok())
+          << rewritten.status().ToString() << "\n" << sql;
+      EXPECT_EQ(kept->qgm_before, rewritten->qgm_before) << sql;
+      EXPECT_EQ(kept->qgm_after, rewritten->qgm_after)
+          << StrategyName(kept->effective) << " (seed " << seed << " q" << q
+          << ")\n" << sql;
+
+      auto explained = db.Explain(sql, automatic);
+      auto explained_direct = db.Explain(sql, direct);
+      ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+      ASSERT_TRUE(explained_direct.ok())
+          << explained_direct.status().ToString();
+      EXPECT_NE(explained->plan_text, explained_direct->plan_text);
+      EXPECT_EQ(drop_auto_notes(explained->plan_text),
+                drop_auto_notes(explained_direct->plan_text))
+          << StrategyName(kept->effective) << " (seed " << seed << " q" << q
+          << ")\n" << sql;
+    }
+  }
+  // The corpus picks decorrelating strategies, so its kept graphs are trial
+  // graphs; cost_model_test's AutoSelectionTest covers kept pristine graphs
+  // (NI and NI+C picks) on the TPC-D figure queries.
+  for (const auto& [strategy, count] : picks) {
+    ::testing::Test::RecordProperty(
+        std::string("auto_kept_") + StrategyName(strategy), count);
   }
 }
 

@@ -386,6 +386,39 @@ TEST(ServerTest, FallbackResultsAreNeverCached) {
   EXPECT_EQ(server.stats().plan_cache.entries, 0);
 }
 
+TEST(ServerTest, ResultsReportTheStrategyThatRanAndFallbacksAreCounted) {
+  FaultInjector& fi = FaultInjector::Global();
+  fi.Reset();
+  Server server({}, MakeEmpDeptCatalog());
+  auto session = server.Connect();
+  QueryOptions automatic;
+  automatic.strategy = Strategy::kAuto;  // fallback defaults on
+  // An Auto query reports its pick, the strategy EXPLAIN's note names.
+  auto picked = session->Execute(kPaperExampleQuery, automatic);
+  ASSERT_TRUE(picked.ok()) << picked.status().ToString();
+  EXPECT_NE(picked->effective_strategy, Strategy::kAuto);
+  EXPECT_NE(picked->plan_text.find(
+                std::string("auto strategy: ") +
+                StrategyName(picked->effective_strategy) + " "),
+            std::string::npos)
+      << picked->plan_text;
+  EXPECT_TRUE(picked->fallback_reason.empty());
+  EXPECT_EQ(server.stats().ni_fallbacks, 0);
+
+  // A selector failure on a fresh text (a plan-cache miss) falls back: the
+  // result reports NI, and the server counts the fallback.
+  fi.Arm("rewrite.auto.select", Status::Internal("injected: selector"));
+  auto fell_back = session->Execute(
+      "SELECT d.name FROM dept d WHERE EXISTS "
+      "(SELECT 1 FROM emp e WHERE e.building = d.building)",
+      automatic);
+  fi.Reset();
+  ASSERT_TRUE(fell_back.ok()) << fell_back.status().ToString();
+  EXPECT_EQ(fell_back->effective_strategy, Strategy::kNestedIteration);
+  EXPECT_FALSE(fell_back->fallback_reason.empty());
+  EXPECT_EQ(server.stats().ni_fallbacks, 1);
+}
+
 TEST(ServerTest, StatsEpochBumpInvalidatesStaleAutoPlan) {
   Server server;
   ASSERT_TRUE(server

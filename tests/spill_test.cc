@@ -376,6 +376,57 @@ TEST_F(SpillExecTest, DistinctAggregatesSpillAndMatch) {
       "GROUP BY grp");
 }
 
+// A DISTINCT aggregate's values are group state: they count against the
+// memory budget like the groups of its twin, a DISTINCT derived table. With
+// spilling off both trip the budget; with it on, the single group's set
+// either spills and merges back to the exact count or trips cleanly.
+TEST_F(SpillExecTest, DistinctAggregateValuesCountAgainstTheBudget) {
+  TableSchema reals("reals",
+                    {{"id", TypeId::kInt64, false},
+                     {"v", TypeId::kDouble, false}},
+                    /*primary_key=*/{0});
+  ASSERT_TRUE(db_.CreateTable(reals).ok());
+  constexpr int64_t kValues = 4000;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < kValues; ++i) {
+    rows.push_back({I(i), Value::Double(0.25 + 0.5 * static_cast<double>(i))});
+  }
+  ASSERT_TRUE(db_.Insert("reals", rows).ok());
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+  // A quarter of what the values alone take.
+  const int64_t budget = kValues * static_cast<int64_t>(sizeof(Value)) / 4;
+  const char* distinct_agg = "SELECT COUNT(DISTINCT v) FROM reals";
+
+  QueryOptions base;
+  base.fallback = false;
+  auto unlimited = db_.Execute(distinct_agg, base);
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  ASSERT_EQ(unlimited->rows.size(), 1u);
+  EXPECT_EQ(unlimited->rows[0][0].int64_value(), kValues);
+  EXPECT_GT(unlimited->stats.peak_memory_bytes, budget);
+
+  QueryOptions bounded = base;
+  bounded.limits.memory_budget_bytes = budget;
+  for (const char* sql :
+       {distinct_agg,
+        "SELECT COUNT(*) FROM (SELECT DISTINCT v FROM reals) AS x(c)"}) {
+    auto r = db_.Execute(sql, bounded);
+    ASSERT_FALSE(r.ok()) << sql << " ran in " << budget << " bytes";
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+        << sql << ": " << r.status().ToString();
+  }
+
+  auto spilled = db_.Execute(distinct_agg, SpillOptions(budget));
+  if (spilled.ok()) {
+    EXPECT_EQ(Multiset(spilled->rows), Multiset(unlimited->rows));
+  } else {
+    EXPECT_EQ(spilled.status().code(), StatusCode::kResourceExhausted)
+        << spilled.status().ToString();
+  }
+  EXPECT_EQ(CountScratchEntries(scratch_), 0)
+      << "temp files leaked by the spilled DISTINCT aggregate";
+}
+
 TEST_F(SpillExecTest, GroupedAggregateWithVisibleOutputMatches) {
   ExpectSpillMatches("SELECT grp, COUNT(*), SUM(val) FROM fact GROUP BY grp");
 }
