@@ -58,7 +58,7 @@ int main() {
     std::printf("\n%-6s answers:", StrategyName(s));
     bool has_physics = false;
     for (const Row& row : result->rows) {
-      std::printf(" %s", row[0].string_value().c_str());
+      std::printf(" %s", std::string(row[0].string_value()).c_str());
       if (row[0].string_value() == "physics") has_physics = true;
     }
     if (s == Strategy::kKim && !has_physics) {

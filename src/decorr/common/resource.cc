@@ -7,20 +7,12 @@ namespace decorr {
 int64_t ApproxRowBytes(const Row& row) {
   int64_t bytes = static_cast<int64_t>(sizeof(Row)) +
                   static_cast<int64_t>(row.capacity() * sizeof(Value));
-  for (const Value& v : row) {
-    if (v.type() == TypeId::kString) {
-      bytes += static_cast<int64_t>(v.string_value().capacity());
-    }
-  }
+  for (const Value& v : row) bytes += static_cast<int64_t>(v.heap_bytes());
   return bytes;
 }
 
 int64_t ApproxValueBytes(const Value& value) {
-  int64_t bytes = static_cast<int64_t>(sizeof(Value));
-  if (value.type() == TypeId::kString) {
-    bytes += static_cast<int64_t>(value.string_value().capacity());
-  }
-  return bytes;
+  return static_cast<int64_t>(sizeof(Value) + value.heap_bytes());
 }
 
 Status MemoryTracker::Charge(int64_t bytes) {

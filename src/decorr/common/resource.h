@@ -33,11 +33,12 @@
 namespace decorr {
 
 // Approximate heap footprint of one materialized row (vector header,
-// per-value storage, string payloads). Used to charge MemoryTrackers;
-// deliberately an estimate — budgets bound order of magnitude, not bytes.
+// sizeof(Value) per allocated slot, the heap blocks of strings too long to
+// sit inline). Used to charge MemoryTrackers; deliberately an estimate —
+// budgets bound order of magnitude, not bytes.
 int64_t ApproxRowBytes(const Row& row);
-// The same estimate for one value held outside a row (its copy plus any
-// string payload), e.g. in a DISTINCT aggregate's set.
+// The same estimate for one value held outside a row (sizeof(Value) plus
+// its heap block, if any), e.g. in a DISTINCT aggregate's set.
 int64_t ApproxValueBytes(const Value& value);
 
 // Tracks bytes charged against an optional budget. Charge/Release/used/peak

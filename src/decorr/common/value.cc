@@ -7,35 +7,56 @@
 
 namespace decorr {
 
+void Value::AllocHeap(std::string_view v) {
+  const size_t n = v.size();
+  char* data = new char[n];
+  std::memcpy(data, v.data(), n);
+  rep_.size = kOnHeap;
+  std::memcpy(rep_.bytes + kWordAt, &data, sizeof(data));
+  std::memcpy(rep_.bytes + kHeapSizeAt, &n, sizeof(n));
+}
+
+void Value::CopyHeap(const Value& other) {
+  rep_.size = 0;  // owns nothing until the allocation succeeds
+  AllocHeap(other.string_value());
+}
+
+void Value::FreeHeap() {
+  delete[] heap_data();
+  rep_.size = 0;
+}
+
 int Value::Compare(const Value& other) const {
   if (is_null() || other.is_null()) {
     if (is_null() && other.is_null()) return 0;
     return is_null() ? -1 : 1;
   }
-  const bool self_num = type_ == TypeId::kInt64 || type_ == TypeId::kDouble;
+  const bool self_num = type() == TypeId::kInt64 || type() == TypeId::kDouble;
   const bool other_num =
-      other.type_ == TypeId::kInt64 || other.type_ == TypeId::kDouble;
+      other.type() == TypeId::kInt64 || other.type() == TypeId::kDouble;
   if (self_num && other_num) {
-    if (type_ == TypeId::kInt64 && other.type_ == TypeId::kInt64) {
-      if (i64_ < other.i64_) return -1;
-      return i64_ > other.i64_ ? 1 : 0;
+    if (type() == TypeId::kInt64 && other.type() == TypeId::kInt64) {
+      const int64_t a = word();
+      const int64_t b = other.word();
+      if (a < b) return -1;
+      return a > b ? 1 : 0;
     }
     const double a = AsDouble();
     const double b = other.AsDouble();
     if (a < b) return -1;
     return a > b ? 1 : 0;
   }
-  if (type_ != other.type_) {
-    return static_cast<int>(type_) < static_cast<int>(other.type_) ? -1 : 1;
+  if (type() != other.type()) {
+    return static_cast<int>(type()) < static_cast<int>(other.type()) ? -1 : 1;
   }
-  switch (type_) {
+  switch (type()) {
     case TypeId::kBool: {
-      const int a = i64_ != 0;
-      const int b = other.i64_ != 0;
+      const int a = bool_value();
+      const int b = other.bool_value();
       return a - b;
     }
     case TypeId::kString: {
-      const int c = str_.compare(other.str_);
+      const int c = string_value().compare(other.string_value());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     default:
@@ -44,17 +65,17 @@ int Value::Compare(const Value& other) const {
 }
 
 size_t Value::Hash() const {
-  switch (type_) {
+  switch (type()) {
     case TypeId::kNull:
       return 0x9e3779b97f4a7c15ULL;
     case TypeId::kBool:
-      return HashBool(i64_ != 0);
+      return HashBool(bool_value());
     case TypeId::kInt64:
-      return HashInt64(i64_);
+      return HashInt64(word());
     case TypeId::kDouble:
-      return HashDouble(dbl_);
+      return HashDouble(double_value());
     case TypeId::kString:
-      return HashString(str_);
+      return HashString(string_value());
   }
   return 0;
 }
@@ -74,20 +95,27 @@ size_t Value::HashString(std::string_view v) {
 }
 
 std::string Value::ToString() const {
-  switch (type_) {
+  switch (rep_.type) {
     case TypeId::kNull:
       return "NULL";
     case TypeId::kBool:
-      return i64_ ? "TRUE" : "FALSE";
+      return bool_value() ? "TRUE" : "FALSE";
     case TypeId::kInt64:
-      return std::to_string(i64_);
+      return std::to_string(word());
     case TypeId::kDouble: {
       char buf[48];
-      std::snprintf(buf, sizeof(buf), "%g", dbl_);
+      std::snprintf(buf, sizeof(buf), "%g", double_value());
       return buf;
     }
-    case TypeId::kString:
-      return "'" + str_ + "'";
+    case TypeId::kString: {
+      const std::string_view s = string_value();
+      std::string out;
+      out.reserve(s.size() + 2);
+      out += '\'';
+      out += s;
+      out += '\'';
+      return out;
+    }
   }
   return "?";
 }

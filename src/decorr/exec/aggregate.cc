@@ -393,6 +393,18 @@ Status HashAggregateOp::LoadNextAggPartition() {
   SpillReader reader(part.out.file.get());
   const size_t nk = group_keys_.size();
   bool repartitioned = false;
+  // Every record of one group lands in the same sub-partition, so a charge
+  // that trips while that group is the only one in memory (always, without
+  // group keys) cannot be split away: fail instead of rewriting the
+  // partition kSpillMaxDepth times.
+  auto split = [&](size_t groups_in_memory, const Row* cur_rec) -> Status {
+    if (groups_in_memory <= 1) {
+      return Status::ResourceExhausted(
+          "hash aggregate spill: one group's state exceeds the memory "
+          "budget");
+    }
+    return RepartitionAgg(&part, &reader, cur_rec);
+  };
   while (true) {
     Row rec;
     bool reof = false;
@@ -414,7 +426,7 @@ Status HashAggregateOp::LoadNextAggPartition() {
             static_cast<int64_t>(aggs_.size() * sizeof(AggState));
         bool spilled = false;
         Status st = ctx_->guard->ChargeMemoryOrSpill(
-            bytes, [&] { return RepartitionAgg(&part, &reader, &rec); },
+            bytes, [&] { return split(groups_.size() + 1, &rec); },
             &spilled);
         if (!st.ok()) return st;
         if (spilled) {
@@ -434,7 +446,7 @@ Status HashAggregateOp::LoadNextAggPartition() {
       bool spilled = false;
       DECORR_RETURN_IF_ERROR(ctx_->guard->ChargeMemoryOrSpill(
           distinct_bytes,
-          [&] { return RepartitionAgg(&part, &reader, /*cur_rec=*/nullptr); },
+          [&] { return split(groups_.size(), /*cur_rec=*/nullptr); },
           &spilled));
       if (spilled) {
         repartitioned = true;
@@ -525,7 +537,11 @@ std::string HashAggregateOp::ToString(int indent) const {
   for (size_t i = 0; i < aggs_.size(); ++i) {
     if (i > 0) out += ", ";
     out += AggKindName(aggs_[i].kind);
-    if (aggs_[i].arg) out += "(" + aggs_[i].arg->ToString() + ")";
+    if (aggs_[i].arg) {
+      out += '(';
+      out += aggs_[i].arg->ToString();
+      out += ')';
+    }
   }
   return out + "]\n" + child_->ToString(indent + 1);
 }

@@ -43,7 +43,7 @@ const Value* FixedValue(const Expr& e, const Row* params) {
 // which must outlive it.
 class LikeTest {
  public:
-  explicit LikeTest(const std::string& pattern) : pattern_(&pattern) {
+  explicit LikeTest(std::string_view pattern) : pattern_(pattern) {
     size_t begin = 0;
     size_t end = pattern.size();
     while (begin < end && pattern[begin] == '%') ++begin;
@@ -57,20 +57,20 @@ class LikeTest {
                     : (trailing ? kPrefix : kEquals);
   }
 
-  bool operator()(const std::string& text) const {
+  bool operator()(std::string_view text) const {
     switch (kind_) {
       case kEquals: return text == literal_;
       case kPrefix: return text.starts_with(literal_);
       case kSuffix: return text.ends_with(literal_);
-      case kContains: return text.find(literal_) != std::string::npos;
+      case kContains: return text.find(literal_) != std::string_view::npos;
       case kGeneral: break;
     }
-    return LikeMatch(text, *pattern_);
+    return LikeMatch(text, pattern_);
   }
 
  private:
   enum Kind : uint8_t { kGeneral, kEquals, kPrefix, kSuffix, kContains };
-  const std::string* pattern_;
+  std::string_view pattern_;
   Kind kind_ = kGeneral;
   std::string_view literal_;  // the pattern between its end '%'s
 };
@@ -263,9 +263,11 @@ bool CompareInPlace(const Expr& e, const Table& t, const Row* params,
     }
     case TypeId::kString: {
       if (fixed.type() != TypeId::kString) return false;
-      const std::string& rv = fixed.string_value();
+      const std::string_view rv = fixed.string_value();
       Narrow(rows, col, match,
-             [&](size_t r) { return ApplyCmp(op, col.StringAt(r), rv); });
+             [&](size_t r) {
+               return ApplyCmp(op, std::string_view(col.StringAt(r)), rv);
+             });
       return true;
     }
     case TypeId::kBool: {
@@ -535,11 +537,16 @@ void ApplyKeyFilter(const KeyFilter& filter, const Column& col,
 }  // namespace
 
 bool FilteredRowCursor::ApplyKeyFilters(const RowSet& chunk) {
+  // Direct tables first: they are the cheaper lookup, and a chained filter
+  // then skips the rows they rejected. Every filter only marks rows, so
+  // the verdicts do not depend on the order.
   bool any = false;
-  for (const auto& [column, filter] : key_filters_) {
-    if (!filter->live) continue;
-    any = true;
-    ApplyKeyFilter(*filter, *column, chunk, match_.data());
+  for (const bool direct : {true, false}) {
+    for (const auto& [column, filter] : key_filters_) {
+      if (!filter->live || filter->keys->direct() != direct) continue;
+      any = true;
+      ApplyKeyFilter(*filter, *column, chunk, match_.data());
+    }
   }
   return any;
 }

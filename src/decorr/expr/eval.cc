@@ -84,9 +84,9 @@ Value ArithmeticValues(BinaryOp op, TypeId result_type, const Value& lhs,
 // SQL LIKE: '%' matches any run (including empty), '_' any single
 // character; everything else is literal. Iterative matcher with the classic
 // last-star backtrack.
-bool LikeMatch(const std::string& text, const std::string& pattern) {
+bool LikeMatch(std::string_view text, std::string_view pattern) {
   size_t t = 0, p = 0;
-  size_t star_p = std::string::npos, star_t = 0;
+  size_t star_p = std::string_view::npos, star_t = 0;
   while (t < text.size()) {
     if (p < pattern.size() &&
         (pattern[p] == '_' || pattern[p] == text[t])) {
@@ -95,7 +95,7 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
     } else if (p < pattern.size() && pattern[p] == '%') {
       star_p = p++;
       star_t = t;
-    } else if (star_p != std::string::npos) {
+    } else if (star_p != std::string_view::npos) {
       p = star_p + 1;
       t = ++star_t;
     } else {

@@ -33,7 +33,7 @@ Value CompareValues(BinaryOp op, const Value& lhs, const Value& rhs);
 // SQL LIKE matching ('%' any run, '_' any single character). Shared by the
 // row evaluator and the in-place storage filter so both agree
 // character-for-character.
-bool LikeMatch(const std::string& text, const std::string& pattern);
+bool LikeMatch(std::string_view text, std::string_view pattern);
 
 }  // namespace decorr
 

@@ -113,24 +113,24 @@ Result<Value> ParseField(const RawField& field, const ColumnDef& column) {
   }
 }
 
-bool NeedsQuoting(const std::string& s) {
+bool NeedsQuoting(std::string_view s) {
   if (s.empty()) return true;  // empty string must be quoted (else NULL)
-  return s.find_first_of(",\"\n\r") != std::string::npos;
+  return s.find_first_of(",\"\n\r") != std::string_view::npos;
 }
 
 std::string FieldToCsv(const Value& v) {
-  if (v.is_null()) return "";
-  std::string text;
   switch (v.type()) {
+    case TypeId::kNull:
+      return "";
     case TypeId::kString:
-      text = v.string_value();
       break;
     case TypeId::kBool:
       return v.bool_value() ? "true" : "false";
     default:
       return v.ToString();
   }
-  if (!NeedsQuoting(text)) return text;
+  const std::string_view text = v.string_value();
+  if (!NeedsQuoting(text)) return std::string(text);
   std::string out = "\"";
   for (char c : text) {
     if (c == '"') out += "\"\"";

@@ -43,7 +43,7 @@ void Column::Append(const Value& v) {
       break;
     case TypeId::kString:
       DECORR_CHECK(v.type() == TypeId::kString);
-      str_.push_back(v.string_value());
+      str_.emplace_back(v.string_value());
       break;
     default:
       DECORR_CHECK_MSG(false, "column of NULL type cannot store values");

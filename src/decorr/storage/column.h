@@ -36,8 +36,9 @@ class Column {
   const std::string& StringAt(size_t row) const { return str_[row]; }
   bool BoolAt(size_t row) const { return i64_[row] != 0; }
 
-  // Materializes a Value (owning copy for strings). Inline: access paths
-  // call it for every projected cell of every row they return.
+  // Materializes a Value, copying a string's stored bytes straight into
+  // it. Inline: access paths call it for every projected cell of every row
+  // they return.
   Value GetValue(size_t row) const {
     if (IsNull(row)) return Value::Null();
     switch (type_) {

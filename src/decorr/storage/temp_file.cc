@@ -63,7 +63,7 @@ void AppendValue(const Value& v, std::string* out) {
       break;
     }
     case TypeId::kString: {
-      const std::string& s = v.string_value();
+      const std::string_view s = v.string_value();
       AppendU32(static_cast<uint32_t>(s.size()), out);
       out->append(s);
       break;
@@ -106,7 +106,7 @@ Status DecodeValue(const char* data, size_t size, size_t* pos, Value* v) {
       const uint32_t len = ReadU32(data + *pos);
       *pos += 4;
       if (*pos + len > size) break;
-      *v = Value::String(std::string(data + *pos, len));
+      *v = Value::String(std::string_view(data + *pos, len));
       *pos += len;
       return Status::OK();
     }

@@ -419,7 +419,7 @@ TEST_F(ChaosTest, CacheFaultsNeverYieldStaleOrPartialRows) {
   Database db(MakeEmpDeptCatalog());
   auto sorted_names = [](const std::vector<Row>& rows) {
     std::vector<std::string> names;
-    for (const Row& row : rows) names.push_back(row[0].string_value());
+    for (const Row& row : rows) names.emplace_back(row[0].string_value());
     std::sort(names.begin(), names.end());
     return names;
   };
@@ -491,7 +491,7 @@ TEST_F(ChaosTest, RewriteFaultsRecoverViaFallback) {
     EXPECT_FALSE(r->fallback_reason.empty()) << site;
     EXPECT_EQ(r->effective_strategy, Strategy::kNestedIteration) << site;
     std::vector<std::string> names;
-    for (const Row& row : r->rows) names.push_back(row[0].string_value());
+    for (const Row& row : r->rows) names.emplace_back(row[0].string_value());
     std::sort(names.begin(), names.end());
     EXPECT_EQ(names, PaperExampleAnswers()) << site;
   }
@@ -519,7 +519,7 @@ TEST_F(ChaosTest, AutoSelectionFaultsFallBackToNestedIteration) {
               std::string::npos)
         << site << ": " << r->fallback_reason;
     std::vector<std::string> names;
-    for (const Row& row : r->rows) names.push_back(row[0].string_value());
+    for (const Row& row : r->rows) names.emplace_back(row[0].string_value());
     std::sort(names.begin(), names.end());
     EXPECT_EQ(names, PaperExampleAnswers()) << site;
   }

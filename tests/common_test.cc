@@ -298,6 +298,99 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Bool(false).ToString(), "FALSE");
 }
 
+// Distinct text of each length: inline up to Value::kInlineCapacity (22)
+// bytes, on the heap beyond.
+std::string TextOfLength(size_t n) {
+  std::string text(n, ' ');
+  for (size_t i = 0; i < n; ++i) text[i] = static_cast<char>('a' + i % 26);
+  return text;
+}
+
+TEST(ValueTest, StringsRoundTripThroughCopiesAndMoves) {
+  const size_t lengths[] = {0, 1, 22, 23, 1000};
+  for (size_t n : lengths) {
+    const std::string text = TextOfLength(n);
+    const Value v = Value::String(text);
+    EXPECT_EQ(v.string_value(), text) << n;
+    Value copy(v);
+    EXPECT_EQ(copy.string_value(), text) << n;
+    EXPECT_EQ(v.string_value(), text) << n;
+    const Value moved(std::move(copy));
+    EXPECT_EQ(moved.string_value(), text) << n;
+    // Self-assignment keeps the value.
+    Value self = v;
+    const Value& alias = self;
+    self = alias;
+    EXPECT_EQ(self.string_value(), text) << n;
+  }
+  // Assignment between every pair of lengths: inline to heap, heap to
+  // inline, heap to heap, and over a number.
+  for (size_t from : lengths) {
+    for (size_t to : lengths) {
+      const std::string text = TextOfLength(to);
+      const Value source = Value::String(text);
+      Value copied = Value::String(TextOfLength(from));
+      copied = source;
+      EXPECT_EQ(copied.string_value(), text) << from << " <- " << to;
+      EXPECT_EQ(source.string_value(), text) << from << " <- " << to;
+      Value moved = Value::String(TextOfLength(from));
+      Value donor = source;
+      moved = std::move(donor);
+      EXPECT_EQ(moved.string_value(), text) << from << " <- " << to;
+    }
+    Value number = Value::Int64(7);
+    number = Value::String(TextOfLength(from));
+    EXPECT_EQ(number.string_value(), TextOfLength(from));
+    number = Value::Double(1.5);
+    EXPECT_EQ(number.double_value(), 1.5);
+  }
+}
+
+TEST(ValueTest, StringOrderEqualityAndHashAreStdStrings) {
+  const std::string prefix = TextOfLength(22);
+  const std::vector<std::string> texts = {
+      "",
+      "a",
+      "ab",
+      std::string("a\0b", 3),
+      std::string("a\0c", 3),
+      std::string("a\0", 2),
+      prefix.substr(0, 21),
+      prefix,
+      prefix + "x",  // 23 bytes, sharing 22 with the next two
+      prefix + "y",
+      prefix + std::string("\0", 1),
+      prefix + TextOfLength(100),
+  };
+  for (const std::string& a : texts) {
+    const Value va = Value::String(a);
+    EXPECT_EQ(va.Hash(), Value::HashString(a));
+    for (const std::string& b : texts) {
+      const Value vb = Value::String(b);
+      const int expected = a.compare(b);
+      const int got = va.Compare(vb);
+      EXPECT_EQ(got < 0, expected < 0) << RowToString({va, vb});
+      EXPECT_EQ(got > 0, expected > 0) << RowToString({va, vb});
+      EXPECT_EQ(va.Equals(vb), a == b) << RowToString({va, vb});
+      if (a == b) {
+        EXPECT_EQ(va.Hash(), vb.Hash());
+      }
+    }
+  }
+}
+
+TEST(ValueTest, MemoryChargeCountsHeapBytesOnly) {
+  EXPECT_EQ(ApproxValueBytes(Value::Int64(1)), 24);
+  EXPECT_EQ(ApproxValueBytes(Value::String("")), 24);
+  EXPECT_EQ(ApproxValueBytes(Value::String(TextOfLength(22))), 24);
+  EXPECT_EQ(ApproxValueBytes(Value::String(TextOfLength(23))), 24 + 23);
+  EXPECT_EQ(ApproxValueBytes(Value::String(TextOfLength(1000))), 24 + 1000);
+  Row row = {Value::String(TextOfLength(22)), Value::String(TextOfLength(40))};
+  row.shrink_to_fit();
+  EXPECT_EQ(ApproxRowBytes(row),
+            static_cast<int64_t>(sizeof(Row)) + 2 * 24 + 40);
+}
+
 TEST(RowTest, HashAndEquality) {
   Row a = {Value::Int64(1), Value::String("x")};
   Row b = {Value::Int64(1), Value::String("x")};
@@ -394,7 +487,7 @@ TEST(KeyTableTest, MultiColumnKeysDifferingInOneColumnStayApart) {
 
 TEST(KeyTableTest, StringKeys) {
   KeyTable table(1);
-  const std::string long_name(40, 'n');  // beyond the short-string buffer
+  const std::string long_name(40, 'n');  // on the heap
   EXPECT_EQ(Put(&table, {Value::String("")}), 0u);
   EXPECT_EQ(Put(&table, {Value::String("abc")}), 1u);
   EXPECT_EQ(Put(&table, {Value::String(long_name)}), 2u);
@@ -403,6 +496,29 @@ TEST(KeyTableTest, StringKeys) {
   EXPECT_EQ(table.Find({Value::String("")}), 0u);
   EXPECT_EQ(table.Find({Value::String("abd")}), KeyTable::kNotFound);
   EXPECT_EQ(table.key(2)[0].string_value(), long_name);
+}
+
+TEST(KeyTableTest, StringKeysAtTheInlineBoundSurviveGrowth) {
+  // Keys of 22 (inline) and 23 or more (heap) bytes, through enough
+  // inserts that the key array is reallocated many times.
+  KeyTable table(1);
+  constexpr int kKeys = 3000;
+  auto text = [](int i) {
+    const size_t lengths[] = {22, 23, 40};
+    std::string out = StrFormat("%d-", i);
+    out.resize(lengths[i % 3], '.');
+    return out;
+  };
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(Put(&table, {Value::String(text(i))}),
+              static_cast<uint32_t>(i));
+  }
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(table.Find({Value::String(text(i))}), static_cast<uint32_t>(i));
+    EXPECT_EQ(table.key(static_cast<uint32_t>(i))[0].string_value(),
+              text(i));
+  }
+  EXPECT_EQ(table.Find({Value::String(text(1) + "!")}), KeyTable::kNotFound);
 }
 
 TEST(KeyTableTest, EveryKeyFoundAfterGrowthThroughManyRehashes) {

@@ -89,9 +89,9 @@ TEST_F(CsvImportTest, FirstNullAfterNonNullRowsIsNull) {
   std::string second;
   for (int k = 2000; k < 3000; ++k) {
     const bool null = k >= 2500 && k % 3 == 0;
-    second += std::to_string(k) + "," +
-              (null ? "" : "n" + std::to_string(k % 10)) + "," +
-              (null ? "" : std::to_string(k % 10) + ".0") + "\n";
+    const std::string digit = std::to_string(k % 10);
+    second += std::to_string(k) + "," + (null ? "" : "n" + digit) + "," +
+              (null ? "" : digit + ".0") + "\n";
   }
   ASSERT_TRUE(ImportCsv(&db_, "t", second, false).ok());
   int64_t nulls = 0;
@@ -249,8 +249,8 @@ TEST(CaseTest, EvaluationOrderAndElse) {
       "FROM dept ORDER BY name");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   for (const Row& row : result->rows) {
-    const std::string& name = row[0].string_value();
-    const std::string& size = row[1].string_value();
+    const std::string_view name = row[0].string_value();
+    const std::string_view size = row[1].string_value();
     if (name == "physics") {
       EXPECT_EQ(size, "tiny");
     }

@@ -14,7 +14,7 @@ namespace {
 
 std::vector<std::string> NamesOf(const QueryResult& result) {
   std::vector<std::string> names;
-  for (const Row& row : result.rows) names.push_back(row[0].string_value());
+  for (const Row& row : result.rows) names.emplace_back(row[0].string_value());
   std::sort(names.begin(), names.end());
   return names;
 }

@@ -556,8 +556,9 @@ TablePtr ProbeTable() {
                            {"s", TypeId::kString, false}});
   auto table = std::make_shared<Table>(schema);
   for (int64_t r = 0; r < kProbeRows; ++r) {
-    (void)table->AppendRow({r % 7 == 0 ? N() : I(r % 100), I(r % 5),
-                            S("s" + std::to_string(r % 100))});
+    const std::string digits = std::to_string(r % 100);
+    (void)table->AppendRow(
+        {r % 7 == 0 ? N() : I(r % 100), I(r % 5), S("s" + digits)});
   }
   return table;
 }
@@ -755,6 +756,49 @@ TEST(KeyFilterTest, PassesThroughFilterProjectAndProbeSidesOnly) {
   Drain(on_build.get());
   EXPECT_EQ(build->metrics().keyfilter_rejected, 0);
   EXPECT_EQ(probe->metrics().rows_out, kProbeRows - CountProbeKeys({N()}));
+
+  // A direct-addressed filter (dense keys on g) and a chained one (sparse
+  // keys on k) on one scan, nested in both orders: the scan applies direct
+  // tables first, and either way keeps and rejects the same rows.
+  const std::vector<Value> dense = {I(1), I(3)};
+  const std::vector<Value> sparse = {I(3), I(41), I(97)};
+  for (const auto& [keys, direct] :
+       {std::pair{dense, true}, std::pair{sparse, false}}) {
+    KeyTable table_of(1);
+    for (const Value& key : keys) table_of.Append(&key, key.Hash());
+    table_of.FinishBuild();
+    ASSERT_EQ(table_of.direct(), direct);
+  }
+  // The scan's [k, g] of each output row.
+  auto probe_columns = [](std::vector<Row> rows) {
+    for (Row& row : rows) row.resize(2);
+    return Render(rows);
+  };
+  auto scan_kg = [&](SeqScanOp** out) {
+    auto op = std::make_unique<SeqScanOp>(table, std::vector<int>{0, 1},
+                                          nullptr);
+    *out = op.get();
+    return op;
+  };
+  SeqScanOp* direct_inner = nullptr;
+  OperatorPtr dense_then_sparse =
+      KeyJoin(KeyJoin(scan_kg(&direct_inner), 1, BuildKeys(dense)), 0,
+              BuildKeys(sparse));
+  SeqScanOp* chained_inner = nullptr;
+  OperatorPtr sparse_then_dense =
+      KeyJoin(KeyJoin(scan_kg(&chained_inner), 0, BuildKeys(sparse)), 1,
+              BuildKeys(dense));
+  SeqScanOp both_reference(table, {0, 1}, nullptr);
+  OperatorPtr both = KeyJoin(
+      KeyJoin(Unfiltered(&both_reference), 1, BuildKeys(dense)), 0,
+      BuildKeys(sparse));
+  const std::vector<std::string> expected = probe_columns(Drain(both.get()));
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(probe_columns(Drain(dense_then_sparse.get())), expected);
+  EXPECT_EQ(probe_columns(Drain(sparse_then_dense.get())), expected);
+  const int64_t rejected = kProbeRows - static_cast<int64_t>(expected.size());
+  EXPECT_EQ(direct_inner->metrics().keyfilter_rejected, rejected);
+  EXPECT_EQ(chained_inner->metrics().keyfilter_rejected, rejected);
 }
 
 TEST(KeyFilterTest, NullProbeKeysFollowTheJoinKeySemantics) {
@@ -1111,7 +1155,8 @@ TablePtr LateNullTable() {
                               {"s", TypeId::kString, true}});
   auto table = std::make_shared<Table>(schema);
   for (int64_t r = 0; r < kLateRows; ++r) {
-    const Value s = LateNull(r) ? N() : S("s" + std::to_string(r % 10));
+    const std::string digit = std::to_string(r % 10);
+    const Value s = LateNull(r) ? N() : S("s" + digit);
     (void)table->AppendRow({LateK(r), LateD(r), s});
   }
   return table;
@@ -1269,7 +1314,7 @@ TEST(HashJoinTest, ReopenedJoinNeverProbesThePreviousBuildsMap) {
     TempFileManager temp(::testing::TempDir(), 0);
     EXPECT_TRUE(temp.Open().ok());
     ResourceGuard guard;
-    // The large build needs about 400 KB, each of its partitions 50 KB.
+    // The large build needs about 250 KB, each of its partitions 32 KB.
     if (spill) guard.memory().set_budget(150000);
     ExecStats stats;
     ExecContext ctx;

@@ -202,7 +202,7 @@ TEST_F(GuardrailTest, ForcedRewriteFailureFallsBackToNestedIteration) {
             std::string::npos)
       << r->fallback_reason;
   std::vector<std::string> names;
-  for (const Row& row : r->rows) names.push_back(row[0].string_value());
+  for (const Row& row : r->rows) names.emplace_back(row[0].string_value());
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, PaperExampleAnswers());
 

@@ -388,7 +388,7 @@ TEST_F(PlannerTest, CorrelatedReferenceKeepsOuterColumns) {
     options.fallback = false;
     std::vector<std::string> names;
     for (const Row& row : Run(sql, options).rows) {
-      names.push_back(row[0].string_value());
+      names.emplace_back(row[0].string_value());
     }
     std::sort(names.begin(), names.end());
     EXPECT_EQ(names, (std::vector<std::string>{"chem", "ee", "math"}))

@@ -66,7 +66,7 @@ TEST(ServerTest, SessionLifecycleAndCounters) {
   auto r = alice->Execute(kPaperExampleQuery);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::vector<std::string> names;
-  for (const Row& row : r->rows) names.push_back(row[0].string_value());
+  for (const Row& row : r->rows) names.emplace_back(row[0].string_value());
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, PaperExampleAnswers());
 

@@ -105,6 +105,45 @@ TEST_F(SpillStorageTest, RowsRoundTripAcrossPageBoundaries) {
   EXPECT_TRUE(eof);
 }
 
+TEST_F(SpillStorageTest, StringsAtTheInlineBoundRoundTripExactly) {
+  TempFileManager temp(dir_, 0);
+  ASSERT_TRUE(temp.Open().ok());
+  auto file = temp.Create("strings");
+  ASSERT_TRUE(file.ok());
+  SpillWriter writer(file.value().get());
+  // Inline (up to 22 bytes) and heap (23 and more) strings, as keys and as
+  // payload columns.
+  std::vector<std::string> texts;
+  for (size_t n : {0, 21, 22, 23, 24, 64, 300}) {
+    std::string text(n, 'q');
+    for (size_t i = 0; i < n; ++i) text[i] = static_cast<char>('a' + i % 26);
+    texts.push_back(text);
+  }
+  std::vector<Row> rows;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    rows.push_back({S(texts[i]), I(static_cast<int64_t>(i)),
+                    S(texts[texts.size() - 1 - i])});
+  }
+  for (const Row& row : rows) ASSERT_TRUE(writer.WriteRow(row).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+
+  SpillReader reader(file.value().get());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Row got;
+    bool eof = true;
+    ASSERT_TRUE(reader.ReadRow(&got, &eof).ok());
+    ASSERT_FALSE(eof);
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0].string_value(), texts[i]);
+    EXPECT_EQ(got[1].int64_value(), static_cast<int64_t>(i));
+    EXPECT_EQ(got[2].string_value(), texts[texts.size() - 1 - i]);
+  }
+  Row got;
+  bool eof = false;
+  ASSERT_TRUE(reader.ReadRow(&got, &eof).ok());
+  EXPECT_TRUE(eof);
+}
+
 TEST_F(SpillStorageTest, NullsAndEmbeddedNulBytesRoundTripExactly) {
   TempFileManager temp(dir_, 0);
   ASSERT_TRUE(temp.Open().ok());
@@ -181,7 +220,8 @@ TEST_F(SpillStorageTest, PartitionHashIsSaltedByDepth) {
   std::set<uint64_t> depth1;
   int moved = 0;
   for (int64_t i = 0; i < 64; ++i) {
-    const Row key = {I(i), S("k" + std::to_string(i))};
+    const std::string digits = std::to_string(i);
+    const Row key = {I(i), S("k" + digits)};
     const uint64_t h0 = SpillPartitionHash(key, 0);
     const uint64_t h1 = SpillPartitionHash(key, 1);
     EXPECT_EQ(h0, SpillPartitionHash(key, 0)) << "hash not deterministic";
@@ -376,25 +416,33 @@ TEST_F(SpillExecTest, DistinctAggregatesSpillAndMatch) {
       "GROUP BY grp");
 }
 
+// reals(id, v): kReals rows of distinct DOUBLEs.
+constexpr int64_t kReals = 4000;
+
+void CreateReals(Database* db) {
+  TableSchema reals("reals",
+                    {{"id", TypeId::kInt64, false},
+                     {"v", TypeId::kDouble, false}},
+                    /*primary_key=*/{0});
+  ASSERT_TRUE(db->CreateTable(reals).ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < kReals; ++i) {
+    rows.push_back({I(i), Value::Double(0.25 + 0.5 * static_cast<double>(i))});
+  }
+  ASSERT_TRUE(db->Insert("reals", rows).ok());
+  ASSERT_TRUE(db->AnalyzeAll().ok());
+}
+
+// A quarter of what the reals' values alone take.
+constexpr int64_t kRealsBudget =
+    kReals * static_cast<int64_t>(sizeof(Value)) / 4;
+
 // A DISTINCT aggregate's values are group state: they count against the
 // memory budget like the groups of its twin, a DISTINCT derived table. With
 // spilling off both trip the budget; with it on, the single group's set
 // either spills and merges back to the exact count or trips cleanly.
 TEST_F(SpillExecTest, DistinctAggregateValuesCountAgainstTheBudget) {
-  TableSchema reals("reals",
-                    {{"id", TypeId::kInt64, false},
-                     {"v", TypeId::kDouble, false}},
-                    /*primary_key=*/{0});
-  ASSERT_TRUE(db_.CreateTable(reals).ok());
-  constexpr int64_t kValues = 4000;
-  std::vector<Row> rows;
-  for (int64_t i = 0; i < kValues; ++i) {
-    rows.push_back({I(i), Value::Double(0.25 + 0.5 * static_cast<double>(i))});
-  }
-  ASSERT_TRUE(db_.Insert("reals", rows).ok());
-  ASSERT_TRUE(db_.AnalyzeAll().ok());
-  // A quarter of what the values alone take.
-  const int64_t budget = kValues * static_cast<int64_t>(sizeof(Value)) / 4;
+  CreateReals(&db_);
   const char* distinct_agg = "SELECT COUNT(DISTINCT v) FROM reals";
 
   QueryOptions base;
@@ -402,21 +450,21 @@ TEST_F(SpillExecTest, DistinctAggregateValuesCountAgainstTheBudget) {
   auto unlimited = db_.Execute(distinct_agg, base);
   ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
   ASSERT_EQ(unlimited->rows.size(), 1u);
-  EXPECT_EQ(unlimited->rows[0][0].int64_value(), kValues);
-  EXPECT_GT(unlimited->stats.peak_memory_bytes, budget);
+  EXPECT_EQ(unlimited->rows[0][0].int64_value(), kReals);
+  EXPECT_GT(unlimited->stats.peak_memory_bytes, kRealsBudget);
 
   QueryOptions bounded = base;
-  bounded.limits.memory_budget_bytes = budget;
+  bounded.limits.memory_budget_bytes = kRealsBudget;
   for (const char* sql :
        {distinct_agg,
         "SELECT COUNT(*) FROM (SELECT DISTINCT v FROM reals) AS x(c)"}) {
     auto r = db_.Execute(sql, bounded);
-    ASSERT_FALSE(r.ok()) << sql << " ran in " << budget << " bytes";
+    ASSERT_FALSE(r.ok()) << sql << " ran in " << kRealsBudget << " bytes";
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
         << sql << ": " << r.status().ToString();
   }
 
-  auto spilled = db_.Execute(distinct_agg, SpillOptions(budget));
+  auto spilled = db_.Execute(distinct_agg, SpillOptions(kRealsBudget));
   if (spilled.ok()) {
     EXPECT_EQ(Multiset(spilled->rows), Multiset(unlimited->rows));
   } else {
@@ -425,6 +473,39 @@ TEST_F(SpillExecTest, DistinctAggregateValuesCountAgainstTheBudget) {
   }
   EXPECT_EQ(CountScratchEntries(scratch_), 0)
       << "temp files leaked by the spilled DISTINCT aggregate";
+}
+
+TEST_F(SpillExecTest, SingleGroupPartitionFailsWithoutRewriting) {
+  // A scalar aggregate's spilled records all carry the one (empty) group
+  // key, so no split can separate them: the loaded partition that trips
+  // the budget fails at once instead of being rewritten into
+  // sub-partitions until the depth cap.
+  CreateReals(&db_);
+  FaultInjector::Global().EnableRecording();
+  auto r = db_.Execute("SELECT COUNT(DISTINCT v) FROM reals",
+                       SpillOptions(kRealsBudget));
+  ASSERT_FALSE(r.ok()) << "ran in " << kRealsBudget << " bytes";
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("one group"), std::string::npos)
+      << r.status().ToString();
+  // TempFileManager::Open, then the first spill's partition files only.
+  EXPECT_EQ(FaultInjector::Global().HitCount("storage.tmpfile.create"),
+            1 + kSpillFanout);
+  EXPECT_EQ(CountScratchEntries(scratch_), 0)
+      << "temp files leaked by the single-group failure";
+
+  // A partition that holds several groups still splits, and completes.
+  auto grouped = db_.Execute(
+      "SELECT COUNT(*) FROM (SELECT id, COUNT(*) FROM reals GROUP BY id) "
+      "AS g(k, n)",
+      SpillOptions(kRealsBudget));
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  ASSERT_EQ(grouped->rows.size(), 1u);
+  EXPECT_EQ(grouped->rows[0][0].int64_value(), kReals);
+  EXPECT_GT(grouped->stats.spill_partitions, kSpillFanout)
+      << "no partition was repartitioned";
+  EXPECT_EQ(CountScratchEntries(scratch_), 0);
 }
 
 TEST_F(SpillExecTest, GroupedAggregateWithVisibleOutputMatches) {
