@@ -11,9 +11,10 @@ any machine; a change that only makes the same work faster passes.
 The same holds per operator: each strategy's `operators` tree is walked in
 step with the baseline's, and every node must name the same operator and
 report the same rows_out, rows_in, keyfilter_rejected, loops, next_calls,
-build_rows and index_probes (an absent field counts as 0). This catches work that moved
-between operators while the per-strategy totals stayed put. A baseline
-strategy without an operator tree is skipped with a note.
+build_rows, index_probes, cache_hits, cache_misses and cache_evictions (an
+absent field counts as 0). This catches work that moved between operators
+while the per-strategy totals stayed put. A baseline strategy without an
+operator tree is skipped with a note.
 
 Absolute wall times are machine-dependent, so the check also compares the
 vs_ni ratios (each strategy's wall time relative to nested iteration on
@@ -24,14 +25,17 @@ Ratios are skipped (with a note) when the nested-iteration time of
 either run is below --ni-floor-ms: dividing by a sub-millisecond NI
 time amplifies scheduler noise past any sane tolerance.
 
-Subquery-cache telemetry (subquery_cache_hits / subquery_cache_misses /
-cache_hit_rate on strategy entries, and the cache_sweep section's timing
-and hit-rate fields) is machine- and run-dependent and deliberately NOT
-compared — a baseline produced before those fields existed stays
-comparable. What IS enforced for the NI+C strategy: its ok status and
-row counts in every figure (like any other strategy), plus every fresh
-cache_sweep level must report rows_match_ni — a memoized run returning
-different rows than plain NI is a correctness bug, never noise.
+Subquery-cache hit and miss counts are fixed by the plan and the memo's
+budget, not by the run, so the per-operator cache_hits, cache_misses and
+cache_evictions above are compared exactly (a strategy entry's
+subquery_cache_hits and subquery_cache_misses are their sums). The derived
+cache_hit_rate on strategy entries and the cache_sweep section's timing and
+hit-rate fields stay telemetry and are NOT compared — a baseline produced
+before those fields existed stays comparable. What IS enforced for the NI+C
+strategy: its ok status and row counts in every figure (like any other
+strategy), plus every fresh cache_sweep level must report rows_match_ni — a
+memoized run returning different rows than plain NI is a correctness bug,
+never noise.
 
 The dedup_prune_sweep section follows the same split: its timings,
 speedups and `dedup pruned` notes are telemetry (not compared against
@@ -85,9 +89,10 @@ WORK_COUNTERS = ("rows_scanned", "index_lookups", "subquery_invocations",
                  "rows_materialized")
 # Deterministic per-operator counters, compared exactly node by node. The
 # JSON omits keyfilter_rejected, build_rows and index_probes when they are
-# zero.
+# zero, and the cache counters when the operator's memo was never probed.
 OPERATOR_COUNTERS = ("rows_out", "rows_in", "keyfilter_rejected", "loops",
-                     "next_calls", "build_rows", "index_probes")
+                     "next_calls", "build_rows", "index_probes",
+                     "cache_hits", "cache_misses", "cache_evictions")
 
 
 def load(path):

@@ -5,10 +5,12 @@ A change that only alters how plans are printed or how rows are laid out
 (slot numbers, projected columns, filter labels) must leave every work
 counter of the EXPLAIN ANALYZE trees in tests/golden/ unchanged. This
 script compares, golden by golden and line by line, the `rows=`, `in=`,
-`keyfilter=`, `loops=`, `build=` and `probes=` tokens of the committed
-goldens at a git revision against the working tree, and also requires the
-same operator on every line. A token printed only when nonzero
-(`keyfilter=`, `build=`, `probes=`) counts as 0 where it is absent.
+`keyfilter=`, `loops=`, `build=`, `probes=`, and the memo's `hits=`,
+`misses=` and `evict=` tokens of the committed goldens at a git revision
+against the working tree, and also requires the same operator on every
+line. A token printed only when nonzero (`keyfilter=`, `build=`,
+`probes=`, `evict=`; `hits=` and `misses=` once the memo was probed)
+counts as 0 where it is absent.
 
 Usage:
   python3 scripts/check_golden_work.py              # against HEAD
@@ -25,7 +27,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = "tests/golden"
-WORK_RE = re.compile(r"\b(rows|in|keyfilter|loops|build|probes)=(\d+)")
+WORK_RE = re.compile(
+    r"\b(rows|in|keyfilter|loops|build|probes|hits|misses|evict)=(\d+)")
 # The operator of an EXPLAIN ANALYZE line: its role prefix and name, up to
 # the first space or bracket ("left: IndexJoin(partsupp)", "input: Project").
 OP_RE = re.compile(r"^\s*(?:[a-z0-9 ]+: )?([A-Za-z]+(?:\([^)]*\))?)")

@@ -1,23 +1,30 @@
-// Apply operators: correlated subquery execution.
+// ApplyOp: the one operator that runs a correlated block. For each input
+// row it finds the inner row set of that row's binding in one of three ways:
+//   * re-run: bind the correlation parameters from the row and execute the
+//     inner plan (nested iteration, Section 2 of the paper; each run is one
+//     "subquery invocation");
+//   * memo: look the binding up in a KeyTable filled on a miss (the NI+C
+//     binding cache of Guravannavar & Sudarshan), while the context's
+//     subquery_cache_bytes is positive. A parameter-free inner is the
+//     width-0 key: it runs once per Open, whether the memo is on or not;
+//   * grouped: probe a KeyTable built once per Open from a parameter-free
+//     inner, grouped on its key columns (the "index on a temporary
+//     relation" that runs a decorrelated CI box, Section 4.4).
+// It then appends the subquery's verdict as one column or, as a correlated
+// lateral join, emits input ++ inner_row for every inner row.
 //
-// ApplyOp is nested iteration (Section 2 of the paper): for each input row
-// it binds the correlation parameters and re-executes the inner plan,
-// appending the subquery's verdict/value as an extra output column. The
-// planner rewrites the enclosing predicate to reference that column.
-//
-// GroupProbeApplyOp is the set-oriented cousin used for *decorrelated*
-// existential subqueries (the CI boxes of Section 4.4): the inner plan is
-// executed once, hashed on its binding columns ("index on a temporary
-// relation"), and each input row probes its group.
+// The memo charges each entry (its key and rows) to the query's guard and
+// to its own budget, subquery_cache_bytes: an entry larger than the budget,
+// or whose key the query's memory budget refuses, is used once and not
+// kept, and an entry that does not fit beside the others first flushes the
+// table, which never erases one key.
 #ifndef DECORR_EXEC_APPLY_H_
 #define DECORR_EXEC_APPLY_H_
 
-#include <memory>
 #include <vector>
 
 #include "decorr/common/key_table.h"
 #include "decorr/exec/operator.h"
-#include "decorr/exec/subquery_cache.h"
 #include "decorr/expr/expr.h"
 
 namespace decorr {
@@ -39,10 +46,8 @@ struct ParamSource {
   int index = 0;            // slot in input row, or index into outer params
 };
 
-// One correlated (or invariant) subquery attached to an ApplyOp.
-struct SubqueryPlan {
-  OperatorPtr plan;
-  std::vector<ParamSource> params;
+// The verdict an Apply appends for each input row.
+struct SubquerySemantics {
   SubqueryMode mode = SubqueryMode::kScalar;
   // kIn/kAny/kAll: the left-hand expression over the input row; kAny/kAll
   // also use `op`.
@@ -51,106 +56,32 @@ struct SubqueryPlan {
   bool negated = false;  // NOT EXISTS / NOT IN
 };
 
-// Appends, for each attached subquery, one column to every input row (the
-// scalar value, or the BOOL/NULL verdict). Inner plans with no parameters
-// are invariant: they execute once and the result is reused (the row set
-// when the verdict depends on a per-row lhs, otherwise the verdict itself).
-// With ExecContext::subquery_cache_bytes set, correlated subqueries memoize
-// their result sets per binding through a BindingKeyCache (NI+C).
-class ApplyOp : public Operator {
- public:
-  ApplyOp(OperatorPtr input, std::vector<SubqueryPlan> subqueries);
-
-  std::string name() const override { return "Apply"; }
-  std::string ToString(int indent) const override;
-  int output_width() const override {
-    return input_->output_width() + static_cast<int>(subqueries_.size());
-  }
-  void Introspect(PlanIntrospection* out) const override;
-
- protected:
-  Status OpenImpl(ExecContext* ctx) override;
-  Status NextImpl(Row* out, bool* eof) override;
-  void CloseImpl() override;
-
- private:
-  // Binds the correlation parameters for `sub` from the input row.
-  Row BindParams(const SubqueryPlan& sub, const Row& in) const;
-  // Runs the inner plan once under a nested context (one paper-metric
-  // "subquery invocation"); the rows' memory charge is transferred to
-  // *charged_bytes.
-  Status RunInner(const SubqueryPlan& sub, const Row& params,
-                  std::vector<Row>* rows, int64_t* charged_bytes);
-  // Applies the subquery mode to `rows`, evaluating lhs over `in`.
-  Status Verdict(const SubqueryPlan& sub, const Row& in,
-                 const std::vector<Row>& rows, Value* out) const;
-
-  OperatorPtr input_;
-  std::vector<SubqueryPlan> subqueries_;
-  ExecContext* ctx_ = nullptr;
-  // Invariant (parameter-free) subqueries: the verdict when it is itself
-  // row-independent, the materialized row set when only the inner plan is
-  // (its charge is held in invariant_charged_ until Close).
-  std::vector<bool> invariant_computed_;
-  std::vector<Value> invariant_value_;
-  std::vector<std::shared_ptr<const std::vector<Row>>> invariant_rows_;
-  int64_t invariant_charged_ = 0;
-  // Per-subquery memoization caches; null entries mean caching is off (or
-  // the subquery is invariant and needs no keyed cache).
-  std::vector<std::unique_ptr<BindingKeyCache>> caches_;
-};
-
-// Computes the verdict of one subquery result set under a mode (shared by
-// ApplyOp and GroupProbeApplyOp). `lhs` may be NULL for kScalar/kExists.
+// Computes the verdict of one subquery result set under a mode. `lhs` may
+// be NULL for kScalar/kExists.
 Value SubqueryVerdict(SubqueryMode mode, BinaryOp op, const Value& lhs,
                       const std::vector<Row>& rows, bool negated, Status* st);
 
-// Decorrelated existential probing: materializes `inner` once, hashed on
-// `inner_key_cols`; each input row evaluates `probe_keys` and applies the
-// subquery mode to its group only.
-class GroupProbeApplyOp : public Operator {
+class ApplyOp : public Operator {
  public:
-  GroupProbeApplyOp(OperatorPtr input, OperatorPtr inner,
-                    std::vector<int> inner_key_cols,
-                    std::vector<ExprPtr> probe_keys, SubqueryPlan semantics);
+  // Appends `semantics`' verdict over the rows `inner` returns with
+  // `params` bound from the input row (re-run or memo).
+  ApplyOp(OperatorPtr input, OperatorPtr inner,
+          std::vector<ParamSource> params, SubquerySemantics semantics);
+  // Grouped: `inner` is parameter-free, grouped on `inner_key_cols`; an
+  // input row's set is the group equal to its `probe_keys` (none when a key
+  // is NULL: equality bindings never match NULL).
+  ApplyOp(OperatorPtr input, OperatorPtr inner,
+          std::vector<int> inner_key_cols, std::vector<ExprPtr> probe_keys,
+          SubquerySemantics semantics);
+  // Lateral join (inner-join semantics) over an inner of `inner_width`
+  // columns, re-run or memoized on `params`.
+  ApplyOp(OperatorPtr input, OperatorPtr inner,
+          std::vector<ParamSource> params, int inner_width);
 
-  std::string name() const override { return "GroupProbeApply"; }
-  std::string ToString(int indent) const override;
-  int output_width() const override { return input_->output_width() + 1; }
-  void Introspect(PlanIntrospection* out) const override;
-
- protected:
-  Status OpenImpl(ExecContext* ctx) override;
-  Status NextImpl(Row* out, bool* eof) override;
-  void CloseImpl() override;
-
- private:
-  OperatorPtr input_;
-  OperatorPtr inner_;
-  std::vector<int> inner_key_cols_;
-  std::vector<ExprPtr> probe_keys_;
-  SubqueryPlan semantics_;  // plan member unused; mode/lhs/op/negated apply
-  ExecContext* ctx_ = nullptr;
-  // The hashed inner relation: group_rows_[id] holds, in inner order, the
-  // rows whose binding columns equal key id `id` of `groups_`.
-  KeyTable groups_;
-  std::vector<std::vector<Row>> group_rows_;
-  Row key_;  // scratch: a binding key (build) or probe key
-  int64_t charged_bytes_ = 0;  // materialized inner-table memory
-};
-
-// Correlated lateral join (nested iteration over a correlated derived
-// table): for each input row, binds the parameters, re-executes `inner`, and
-// emits input ++ inner_row for every inner row (inner-join semantics).
-class LateralJoinOp : public Operator {
- public:
-  LateralJoinOp(OperatorPtr input, OperatorPtr inner,
-                std::vector<ParamSource> params, int inner_width);
-
-  std::string name() const override { return "LateralJoin"; }
+  std::string name() const override;
   std::string ToString(int indent) const override;
   int output_width() const override {
-    return input_->output_width() + inner_width_;
+    return input_->output_width() + (lateral() ? inner_width_ : 1);
   }
   void Introspect(PlanIntrospection* out) const override;
 
@@ -160,19 +91,57 @@ class LateralJoinOp : public Operator {
   void CloseImpl() override;
 
  private:
+  ApplyOp(OperatorPtr input, OperatorPtr inner,
+          std::vector<ParamSource> params, std::vector<int> inner_key_cols,
+          std::vector<ExprPtr> probe_keys, SubquerySemantics semantics,
+          int inner_width);
+
+  bool grouped() const { return !probe_keys_.empty(); }
+  bool lateral() const { return inner_width_ >= 0; }
+
+  Status NextLateral(Row* out, bool* eof);
+  // Points *set at the inner row set of input row `in`'s binding.
+  Status FindSet(const Row& in, const std::vector<Row>** set);
+  // Runs the inner plan with key_ as its parameters; the rows' charge is
+  // added to *charged.
+  Status RunInner(std::vector<Row>* rows, int64_t* charged);
+  // Memo: enters `rows` (charged `charged`) as key_'s set, whose hash is
+  // `hash`, or keeps them in once_ when they cannot be kept.
+  Status Remember(size_t hash, std::vector<Row> rows, int64_t charged,
+                  const std::vector<Row>** set);
+  // Grouped: collects the inner and groups it on inner_key_cols_.
+  Status BuildGroups();
+  // Hands *bytes back to the guard and zeroes it.
+  void Release(int64_t* bytes);
+  // Drops once_ and its charge.
+  void DropOnce();
+
   OperatorPtr input_;
   OperatorPtr inner_;
-  std::vector<ParamSource> params_;
-  int inner_width_;
+  std::vector<ParamSource> params_;  // re-run and memo: the binding
+  std::vector<int> inner_key_cols_;  // grouped: the inner's key columns
+  std::vector<ExprPtr> probe_keys_;  // grouped: the input row's key
+  SubquerySemantics semantics_;      // unused by a lateral join
+  int inner_width_;                  // lateral join; -1 otherwise
   ExecContext* ctx_ = nullptr;
-  Row current_input_;
-  // Current inner result set: freshly collected, or borrowed from the
-  // memoization cache (which keeps it alive across evictions).
-  std::shared_ptr<const std::vector<Row>> inner_rows_;
-  int64_t charged_bytes_ = 0;  // charge owned here (0 when cache-owned)
-  size_t inner_cursor_ = 0;
-  bool input_eof_ = true;
-  std::unique_ptr<BindingKeyCache> cache_;  // null when caching is off
+
+  // Binding → id; sets_[id] holds that binding's inner rows, in inner
+  // order. table_bytes_ is what the table and its sets hold charged.
+  KeyTable table_;
+  std::vector<std::vector<Row>> sets_;
+  int64_t table_bytes_ = 0;
+  bool memo_ = false;  // this Open memoizes re-runs in table_
+  // A set not kept in the table (a re-run, or a memo entry used once) and
+  // the charge it still holds.
+  std::vector<Row> once_;
+  int64_t once_bytes_ = 0;
+  Row key_;  // scratch: the bound parameters, or a group's key
+
+  // Lateral join: the input row whose inner rows are being emitted.
+  Row current_;
+  const std::vector<Row>* set_ = nullptr;
+  size_t cursor_ = 0;
+  bool input_eof_ = false;
 };
 
 }  // namespace decorr

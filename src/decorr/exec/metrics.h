@@ -47,9 +47,9 @@ struct OperatorMetrics {
                                // buffers / cached result sets
   int64_t index_probes = 0;    // probes of persistent or temporary indexes
   int64_t bytes_charged = 0;   // bytes charged to the MemoryTracker
-  // Subquery memoization (BindingKeyCache in Apply/lateral operators):
-  // bindings served from cache, bindings that ran the inner plan, and
-  // entries evicted by the LRU budget. All zero when caching is off, so the
+  // Subquery memoization (an ApplyOp's binding memo): bindings served from
+  // the memo, bindings that ran the inner plan, and entries dropped when a
+  // full memo flushed. All zero when caching is off, so the
   // rendered output of uncached plans is unchanged.
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;

@@ -102,9 +102,9 @@ struct ExecContext {
   ExecStats* stats = nullptr;
   ResourceGuard* guard = nullptr;
   bool profile = false;
-  // Per-operator budget for the correlated-subquery memoization cache
-  // (BindingKeyCache); <= 0 disables caching. Like guard/profile this must
-  // be propagated into every nested context so nested Applies cache too.
+  // Budget of each ApplyOp's binding memo (exec/apply.h); <= 0 disables
+  // memoizing correlated inners. Like guard/profile this must be propagated
+  // into every nested context so nested Applies memoize too.
   int64_t subquery_cache_bytes = 0;
   // Spill-to-disk scratch space (null = spilling off). Owned by the query
   // runtime; shared by every nested context of the same query so all spill

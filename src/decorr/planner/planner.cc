@@ -140,6 +140,20 @@ struct SubUnit {
   std::set<int> required_qids;  // correlation sources + lhs references
 };
 
+// The verdict a subquery unit's Apply appends, its lhs over the Apply's
+// input row.
+Result<SubquerySemantics> Semantics(const SubUnit& unit,
+                                    const SlotContext& sctx) {
+  SubquerySemantics semantics;
+  semantics.mode = unit.mode;
+  semantics.op = unit.op;
+  semantics.negated = unit.negated;
+  if (unit.lhs) {
+    DECORR_ASSIGN_OR_RETURN(semantics.lhs, Slotify(*unit.lhs, sctx));
+  }
+  return semantics;
+}
+
 // Replaces subquery marker nodes in `expr` with placeholder column refs,
 // appending the extracted units.
 void ExtractSubqueryMarkers(Expr* expr, Box* box,
@@ -1323,10 +1337,10 @@ class Planner::Impl {
     if (child_env.sources.empty()) {
       inner = MaybeHoistInvariant(std::move(inner), inner_width);
     }
-    *current = std::make_unique<LateralJoinOp>(std::move(*current),
-                                               std::move(inner),
-                                               std::move(child_env.sources),
-                                               inner_width);
+    *current = std::make_unique<ApplyOp>(std::move(*current),
+                                         std::move(inner),
+                                         std::move(child_env.sources),
+                                         inner_width);
     RegisterSlots(info->quantifier, slots, width);
     bound_qids->insert(info->quantifier->id);
     return Status::OK();
@@ -1357,19 +1371,11 @@ class Planner::Impl {
       if (child_env.sources.empty()) {
         inner = MaybeHoistInvariant(std::move(inner), child->num_outputs());
       }
-      SubqueryPlan sub;
-      sub.plan = std::move(inner);
-      sub.params = std::move(child_env.sources);
-      sub.mode = unit->mode;
-      sub.op = unit->op;
-      sub.negated = unit->negated;
-      if (unit->lhs) {
-        DECORR_ASSIGN_OR_RETURN(sub.lhs, Slotify(*unit->lhs, sctx));
-      }
-      std::vector<SubqueryPlan> subs;
-      subs.push_back(std::move(sub));
-      *current =
-          std::make_unique<ApplyOp>(std::move(*current), std::move(subs));
+      DECORR_ASSIGN_OR_RETURN(SubquerySemantics semantics,
+                              Semantics(*unit, sctx));
+      *current = std::make_unique<ApplyOp>(
+          std::move(*current), std::move(inner),
+          std::move(child_env.sources), std::move(semantics));
     }
     (*placeholder_slots)[unit->placeholder_qid] = (*width)++;
     bound_placeholders->insert(unit->placeholder_qid);
@@ -1463,14 +1469,9 @@ class Planner::Impl {
       DECORR_ASSIGN_OR_RETURN(ExprPtr key, Slotify(*outer, sctx));
       probe_keys.push_back(std::move(key));
     }
-    SubqueryPlan semantics;
-    semantics.mode = unit->mode;
-    semantics.op = unit->op;
-    semantics.negated = unit->negated;
-    if (unit->lhs) {
-      DECORR_ASSIGN_OR_RETURN(semantics.lhs, Slotify(*unit->lhs, sctx));
-    }
-    *current = std::make_unique<GroupProbeApplyOp>(
+    DECORR_ASSIGN_OR_RETURN(SubquerySemantics semantics,
+                            Semantics(*unit, sctx));
+    *current = std::make_unique<ApplyOp>(
         std::move(*current), inner.MoveValue(), std::move(inner_key_cols),
         std::move(probe_keys), std::move(semantics));
     return true;

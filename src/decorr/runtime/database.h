@@ -30,7 +30,8 @@ inline constexpr bool kVerifyByDefault = false;
 inline constexpr bool kVerifyByDefault = true;
 #endif
 
-// Default LRU budget for the correlated-subquery memoization cache.
+// Default budget of each Apply's binding memo (DESIGN.md §10); a memo that
+// would outgrow it flushes and starts over.
 inline constexpr int64_t kDefaultSubqueryCacheBytes = 16 << 20;  // 16 MiB
 
 // Execution guardrails for one query. Zero / null means unlimited.
@@ -54,8 +55,11 @@ struct QueryOptions {
   // because perfbench (src/tpcd_workloads.cc) still assigns it; the next
   // change to the benchmark drops that assignment, and then this field.
   int dop = 1;
-  // Per-operator byte budget for memoizing correlated subquery results on
-  // their binding key (NI+C; DESIGN.md §10). 0 disables. Plain nested
+  // Per-Apply byte budget for memoizing correlated subquery results on
+  // their binding key (NI+C; DESIGN.md §10): each entry's key and rows are
+  // charged to it and to the query's memory budget, an entry larger than
+  // the budget is used once and not kept, and one that does not fit beside
+  // the others flushes the memo first. 0 disables. Plain nested
   // iteration (Strategy::kNestedIteration) never caches regardless — it is
   // the paper-faithful baseline the other strategies are measured against;
   // use Strategy::kNestedIterationCached for cached nested iteration.

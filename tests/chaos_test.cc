@@ -178,7 +178,7 @@ Status RunChaosWorkload() {
       "   UNION ALL (SELECT e2.emp_id FROM emp e2 "
       "              WHERE e2.building = d.building)) AS u(b)) AS t(c)",
       Strategy::kNestedIteration));
-  // Same lateral plan memoized (LateralJoinOp's binding-key cache path).
+  // Same lateral plan memoized (the lateral Apply's binding memo).
   DECORR_RETURN_IF_ERROR(run(
       "SELECT d.name, t.c FROM dept d, "
       "(SELECT SUM(b) FROM ((SELECT e.salary FROM emp e "

@@ -9,6 +9,7 @@
 
 #include "decorr/common/key_table.h"
 #include "decorr/common/resource.h"
+#include "decorr/common/string_util.h"
 #include "decorr/exec/aggregate.h"
 #include "decorr/exec/apply.h"
 #include "decorr/exec/filter_project.h"
@@ -928,12 +929,10 @@ TEST(KeyFilterTest, ReopenedJoinFiltersByItsNewBuild) {
   auto scan = std::make_unique<SeqScanOp>(table, std::vector<int>{0, 2},
                                           nullptr);
   SeqScanOp* probe = scan.get();
-  LateralJoinOp lateral(Rows(outer, 1), inner(std::move(scan)), {{false, 0}},
-                        3);
+  ApplyOp lateral(Rows(outer, 1), inner(std::move(scan)), {{false, 0}}, 3);
   SeqScanOp reference_scan(table, {0, 2}, nullptr);
-  LateralJoinOp reference(Rows(outer, 1),
-                          inner(Unfiltered(&reference_scan)), {{false, 0}},
-                          3);
+  ApplyOp reference(Rows(outer, 1), inner(Unfiltered(&reference_scan)),
+                    {{false, 0}}, 3);
   ExecStats stats;
   EXPECT_EQ(Render(Drain(&lateral, nullptr, &stats)),
             Render(Drain(&reference)));
@@ -1027,31 +1026,29 @@ TEST(KeyFilterTest, NoFilterPassesOperatorsThatCountShareOrCut) {
                                          nullptr, nullptr);
   }});
   cases.push_back({"Apply", 0, [&](Paths* paths) {
-    SubqueryPlan sub;
-    sub.plan = g_lookup(paths);
-    sub.params.push_back({false, 1});
-    sub.mode = SubqueryMode::kExists;
-    std::vector<SubqueryPlan> subs;
-    subs.push_back(std::move(sub));
-    return std::make_unique<ApplyOp>(scan(paths), std::move(subs));
+    SubquerySemantics exists;
+    exists.mode = SubqueryMode::kExists;
+    return std::make_unique<ApplyOp>(scan(paths), g_lookup(paths),
+                                     std::vector<ParamSource>{{false, 1}},
+                                     std::move(exists));
   }});
   cases.push_back({"GroupProbeApply", 0, [&](Paths* paths) {
-    SubqueryPlan semantics;
-    semantics.mode = SubqueryMode::kExists;
+    SubquerySemantics exists;
+    exists.mode = SubqueryMode::kExists;
     std::vector<ExprPtr> probe;
     probe.push_back(MakeSlotRef(0, TypeId::kInt64));
-    return std::make_unique<GroupProbeApplyOp>(
-        scan(paths), BuildKeys({I(5), I(6)}), std::vector<int>{0},
-        std::move(probe), std::move(semantics));
+    return std::make_unique<ApplyOp>(scan(paths), BuildKeys({I(5), I(6)}),
+                                     std::vector<int>{0}, std::move(probe),
+                                     std::move(exists));
   }});
   cases.push_back({"LateralJoin inner", 1, [&](Paths* paths) {
-    return std::make_unique<LateralJoinOp>(
-        Rows({{I(1)}, {I(3)}}, 1), g_lookup(paths),
-        std::vector<ParamSource>{{false, 0}}, 1);
+    return std::make_unique<ApplyOp>(Rows({{I(1)}, {I(3)}}, 1),
+                                     g_lookup(paths),
+                                     std::vector<ParamSource>{{false, 0}}, 1);
   }});
   cases.push_back({"LateralJoin input", 0, [&](Paths* paths) {
-    return std::make_unique<LateralJoinOp>(
-        scan(paths), BuildKeys({I(9)}), std::vector<ParamSource>{}, 1);
+    return std::make_unique<ApplyOp>(scan(paths), BuildKeys({I(9)}),
+                                     std::vector<ParamSource>{}, 1);
   }});
   cases.push_back({"CachedMaterialize", 0, [&](Paths* paths) {
     auto shared = std::make_shared<SharedSubplan>();
@@ -1697,22 +1694,29 @@ TEST(SubqueryVerdictTest, AnySemantics) {
 
 // ---- apply operators ----
 
-TEST(ApplyTest, ScalarSubqueryAppendsValue) {
-  // Inner: a filter over a rows source, keyed by param 0.
+// A filter over `rows` keeping the rows whose column 0 equals parameter 0,
+// projected to `columns`.
+OperatorPtr KeyedInner(std::vector<Row> rows, int width,
+                       std::vector<int> columns) {
   ExprPtr pred = MakeComparison(BinaryOp::kEq, MakeSlotRef(0, TypeId::kInt64),
                                 MakeParamRef(0, TypeId::kInt64));
-  SubqueryPlan sub;
-  sub.plan = std::make_unique<FilterOp>(
-      Rows({{I(1), I(100)}, {I(2), I(200)}}, 2), std::move(pred));
-  // Project the second column as the scalar value: wrap with ProjectOp.
+  OperatorPtr filter =
+      std::make_unique<FilterOp>(Rows(std::move(rows), width), std::move(pred));
   std::vector<ExprPtr> proj;
-  proj.push_back(MakeSlotRef(1, TypeId::kInt64));
-  sub.plan = std::make_unique<ProjectOp>(std::move(sub.plan), std::move(proj));
-  sub.params.push_back({false, 0});
-  sub.mode = SubqueryMode::kScalar;
-  std::vector<SubqueryPlan> subs;
-  subs.push_back(std::move(sub));
-  ApplyOp apply(Rows({{I(1)}, {I(2)}, {I(3)}}, 1), std::move(subs));
+  for (int c : columns) proj.push_back(MakeSlotRef(c, TypeId::kInt64));
+  return std::make_unique<ProjectOp>(std::move(filter), std::move(proj));
+}
+
+SubquerySemantics Mode(SubqueryMode mode) {
+  SubquerySemantics semantics;
+  semantics.mode = mode;
+  return semantics;
+}
+
+TEST(ApplyTest, ScalarSubqueryAppendsValue) {
+  ApplyOp apply(Rows({{I(1)}, {I(2)}, {I(3)}}, 1),
+                KeyedInner({{I(1), I(100)}, {I(2), I(200)}}, 2, {1}),
+                {{false, 0}}, Mode(SubqueryMode::kScalar));
   auto rows = Drain(&apply);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(rows[0][1].Equals(I(100)));
@@ -1721,102 +1725,264 @@ TEST(ApplyTest, ScalarSubqueryAppendsValue) {
 }
 
 TEST(ApplyTest, CountsInvocations) {
-  SubqueryPlan sub;
-  sub.plan = Rows({{I(1)}}, 1);
-  sub.params.push_back({false, 0});
-  sub.mode = SubqueryMode::kExists;
-  std::vector<SubqueryPlan> subs;
-  subs.push_back(std::move(sub));
-  ApplyOp apply(Rows({{I(1)}, {I(2)}}, 1), std::move(subs));
+  ApplyOp apply(Rows({{I(1)}, {I(2)}}, 1), Rows({{I(1)}}, 1), {{false, 0}},
+                Mode(SubqueryMode::kExists));
   ExecStats stats;
-  ExecContext ctx;
-  ctx.stats = &stats;
-  auto rows = CollectRows(&apply, &ctx);
-  ASSERT_TRUE(rows.ok());
+  Drain(&apply, nullptr, &stats);
   EXPECT_EQ(stats.subquery_invocations, 2);
 }
 
 TEST(ApplyTest, InvariantSubqueryCachedAcrossRows) {
-  SubqueryPlan sub;
-  sub.plan = Rows({{I(42)}}, 1);
-  sub.mode = SubqueryMode::kScalar;  // no params, no lhs: invariant
-  std::vector<SubqueryPlan> subs;
-  subs.push_back(std::move(sub));
-  ApplyOp apply(Rows({{I(1)}, {I(2)}, {I(3)}}, 1), std::move(subs));
+  // No params, no lhs: the width-0 key, run once per Open.
+  ApplyOp apply(Rows({{I(1)}, {I(2)}, {I(3)}}, 1), Rows({{I(42)}}, 1), {},
+                Mode(SubqueryMode::kScalar));
   ExecStats stats;
-  ExecContext ctx;
-  ctx.stats = &stats;
-  auto rows = CollectRows(&apply, &ctx);
-  ASSERT_TRUE(rows.ok());
+  auto rows = Drain(&apply, nullptr, &stats);
+  ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(stats.subquery_invocations, 1);
-  EXPECT_TRUE((*rows)[2][1].Equals(I(42)));
+  EXPECT_EQ(stats.subquery_cache_hits + stats.subquery_cache_misses, 0);
+  EXPECT_TRUE(rows[2][1].Equals(I(42)));
 }
 
-// Regression: a subquery whose predicate references zero outer columns
-// (degenerate correlation, e.g. an uncorrelated IN list surviving rewrite
-// cleanup) used to re-open the inner plan per outer row because its
-// row-dependent lhs defeated the verdict cache. The row *set* is still
-// invariant: one inner execution, verdicts recomputed per row.
+// A subquery whose predicate references zero outer columns (degenerate
+// correlation, e.g. an uncorrelated IN list surviving rewrite cleanup) runs
+// its inner once even though its row-dependent lhs makes each verdict
+// differ: the row set is invariant.
 TEST(ApplyTest, DegenerateCorrelationRunsInnerOnce) {
-  SubqueryPlan sub;
-  sub.plan = Rows({{I(100)}, {I(200)}}, 1);
-  sub.mode = SubqueryMode::kIn;
-  sub.lhs = MakeSlotRef(0, TypeId::kInt64);  // per-row lhs, no params
-  std::vector<SubqueryPlan> subs;
-  subs.push_back(std::move(sub));
-  ApplyOp apply(Rows({{I(100)}, {I(300)}, {I(200)}}, 1), std::move(subs));
+  SubquerySemantics in = Mode(SubqueryMode::kIn);
+  in.lhs = MakeSlotRef(0, TypeId::kInt64);  // per-row lhs, no params
+  ApplyOp apply(Rows({{I(100)}, {I(300)}, {I(200)}}, 1),
+                Rows({{I(100)}, {I(200)}}, 1), {}, std::move(in));
   ExecStats stats;
-  ExecContext ctx;
-  ctx.stats = &stats;
-  auto rows = CollectRows(&apply, &ctx);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 3u);
-  EXPECT_TRUE((*rows)[0][1].Equals(Value::Bool(true)));
-  EXPECT_TRUE((*rows)[1][1].Equals(Value::Bool(false)));
-  EXPECT_TRUE((*rows)[2][1].Equals(Value::Bool(true)));
-  EXPECT_EQ(stats.subquery_invocations, 1);  // was 3 before the fix
+  auto rows = Drain(&apply, nullptr, &stats);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_TRUE(rows[0][1].Equals(Value::Bool(true)));
+  EXPECT_TRUE(rows[1][1].Equals(Value::Bool(false)));
+  EXPECT_TRUE(rows[2][1].Equals(Value::Bool(true)));
+  EXPECT_EQ(stats.subquery_invocations, 1);
 }
 
-TEST(GroupProbeApplyTest, HashedExistential) {
-  SubqueryPlan semantics;
-  semantics.mode = SubqueryMode::kExists;
+TEST(ApplyTest, GroupedExistential) {
   std::vector<ExprPtr> probe;
   probe.push_back(MakeSlotRef(0, TypeId::kInt64));
-  GroupProbeApplyOp op(Rows({{I(1)}, {I(5)}}, 1),
-                       Rows({{I(1), S("x")}, {I(1), S("y")}, {I(2), S("z")}},
-                            2),
-                       {0}, std::move(probe), std::move(semantics));
+  ApplyOp op(Rows({{I(1)}, {I(5)}}, 1),
+             Rows({{I(1), S("x")}, {I(1), S("y")}, {I(2), S("z")}}, 2), {0},
+             std::move(probe), Mode(SubqueryMode::kExists));
+  EXPECT_EQ(op.name(), "GroupProbeApply");
   auto rows = Drain(&op);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_TRUE(rows[0][1].bool_value());
   EXPECT_FALSE(rows[1][1].bool_value());
 }
 
-TEST(GroupProbeApplyTest, ScalarMode) {
-  SubqueryPlan semantics;
-  semantics.mode = SubqueryMode::kScalar;
+TEST(ApplyTest, GroupedScalar) {
   std::vector<ExprPtr> probe;
   probe.push_back(MakeSlotRef(0, TypeId::kInt64));
-  GroupProbeApplyOp op(Rows({{I(2)}, {I(7)}}, 1),
-                       Rows({{I(100), I(1)}, {I(200), I(2)}}, 2), {1},
-                       std::move(probe), std::move(semantics));
+  ApplyOp op(Rows({{I(2)}, {I(7)}}, 1),
+             Rows({{I(100), I(1)}, {I(200), I(2)}}, 2), {1}, std::move(probe),
+             Mode(SubqueryMode::kScalar));
   auto rows = Drain(&op);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_TRUE(rows[0][1].Equals(I(200)));
   EXPECT_TRUE(rows[1][1].is_null());
 }
 
-TEST(LateralJoinTest, EmitsInnerRowsPerOuterRow) {
-  ExprPtr pred = MakeComparison(BinaryOp::kEq, MakeSlotRef(0, TypeId::kInt64),
-                                MakeParamRef(0, TypeId::kInt64));
-  OperatorPtr inner = std::make_unique<FilterOp>(
-      Rows({{I(1), S("a")}, {I(1), S("b")}, {I(2), S("c")}}, 2),
-      std::move(pred));
-  LateralJoinOp lateral(Rows({{I(1)}, {I(2)}, {I(9)}}, 1), std::move(inner),
-                        {{false, 0}}, 2);
+TEST(ApplyTest, LateralEmitsInnerRowsPerOuterRow) {
+  ApplyOp lateral(Rows({{I(1)}, {I(2)}, {I(9)}}, 1),
+                  KeyedInner({{I(1), I(10)}, {I(1), I(11)}, {I(2), I(20)}}, 2,
+                             {0, 1}),
+                  {{false, 0}}, 2);
+  EXPECT_EQ(lateral.name(), "LateralJoin");
+  EXPECT_EQ(lateral.output_width(), 3);
   auto rows = Drain(&lateral);
-  EXPECT_EQ(rows.size(), 3u);  // 2 + 1 + 0 (inner-join semantics)
+  ASSERT_EQ(rows.size(), 3u);  // 2 + 1 + 0 (inner-join semantics)
   EXPECT_EQ(rows[0].size(), 3u);
+  EXPECT_TRUE(rows[1][2].Equals(I(11)));
+  EXPECT_TRUE(rows[2][0].Equals(I(2)));
+}
+
+// The same outer rows and inner relation through the re-run, memo and
+// grouped shapes give the verdict SubqueryVerdict gives for each binding's
+// rows, in every mode. Outer rows are (binding, lhs); the inner relation
+// (v, k) has two rows for binding 1, a NULL v for binding 2, none for 4
+// and a NULL k, which no binding matches.
+TEST(ApplyTest, ShapesAgreeOnEveryVerdict) {
+  const std::vector<Row> inner = {{I(10), I(1)}, {I(20), I(1)},
+                                  {I(30), I(2)}, {N(), I(2)},
+                                  {I(40), I(3)}, {I(50), N()}};
+  std::vector<Row> outer;
+  for (const Value& b : {I(1), I(2), I(3), I(4), N()}) {
+    for (const Value& lhs : {I(10), I(30), I(45), N()}) {
+      outer.push_back({b, lhs});
+    }
+  }
+  auto group_of = [&](const Value& b) {
+    std::vector<Row> rows;
+    for (const Row& row : inner) {
+      if (!b.is_null() && row[1].Equals(b)) rows.push_back(row);
+    }
+    return rows;
+  };
+  enum Shape { kReRun, kMemo, kGrouped };
+  // The verdict column the shape appends, or its error.
+  auto run = [&](Shape shape, const std::vector<Row>& outer_rows,
+                 SubqueryMode mode, BinaryOp op, bool negated,
+                 ExecStats* stats) -> Result<std::vector<std::string>> {
+    SubquerySemantics semantics = Mode(mode);
+    semantics.op = op;
+    semantics.negated = negated;
+    if (mode != SubqueryMode::kScalar && mode != SubqueryMode::kExists) {
+      semantics.lhs = MakeSlotRef(1, TypeId::kInt64);
+    }
+    OperatorPtr apply;
+    if (shape == kGrouped) {
+      std::vector<ExprPtr> probe;
+      probe.push_back(MakeSlotRef(0, TypeId::kInt64));
+      apply = std::make_unique<ApplyOp>(Rows(outer_rows, 2), Rows(inner, 2),
+                                        std::vector<int>{1}, std::move(probe),
+                                        std::move(semantics));
+    } else {
+      // (k, v) filtered on k = :0, projected to (v, k).
+      std::vector<Row> kv;
+      for (const Row& row : inner) kv.push_back({row[1], row[0]});
+      apply = std::make_unique<ApplyOp>(
+          Rows(outer_rows, 2), KeyedInner(std::move(kv), 2, {1, 0}),
+          std::vector<ParamSource>{{false, 0}}, std::move(semantics));
+    }
+    ExecContext ctx;
+    ctx.stats = stats;
+    ctx.subquery_cache_bytes = shape == kMemo ? 1 << 20 : 0;
+    DECORR_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                            CollectRows(apply.get(), &ctx));
+    std::vector<std::string> column;
+    for (const Row& row : rows) column.push_back(row[2].ToString());
+    return column;
+  };
+  struct Case {
+    SubqueryMode mode;
+    BinaryOp op;
+    bool negated;
+  };
+  const Case cases[] = {
+      {SubqueryMode::kExists, BinaryOp::kEq, false},
+      {SubqueryMode::kExists, BinaryOp::kEq, true},
+      {SubqueryMode::kIn, BinaryOp::kEq, false},
+      {SubqueryMode::kIn, BinaryOp::kEq, true},
+      {SubqueryMode::kAny, BinaryOp::kLt, false},
+      {SubqueryMode::kAny, BinaryOp::kLt, true},
+      {SubqueryMode::kAll, BinaryOp::kLt, false},
+      {SubqueryMode::kAll, BinaryOp::kGe, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(StrFormat("mode=%s op=%d negated=%d",
+                           SubqueryModeName(c.mode), static_cast<int>(c.op),
+                           c.negated));
+    std::vector<std::string> expected;
+    for (const Row& row : outer) {
+      Status st;
+      const Value v = SubqueryVerdict(c.mode, c.op, row[1], group_of(row[0]),
+                                      c.negated, &st);
+      ASSERT_TRUE(st.ok());
+      expected.push_back(v.ToString());
+    }
+    ExecStats rerun, memo, grouped;
+    auto a = run(kReRun, outer, c.mode, c.op, c.negated, &rerun);
+    auto b = run(kMemo, outer, c.mode, c.op, c.negated, &memo);
+    auto g = run(kGrouped, outer, c.mode, c.op, c.negated, &grouped);
+    ASSERT_TRUE(a.ok() && b.ok() && g.ok());
+    EXPECT_EQ(*a, expected);
+    EXPECT_EQ(*b, expected);
+    EXPECT_EQ(*g, expected);
+    EXPECT_EQ(rerun.subquery_invocations, 20);
+    // Five distinct bindings, NULL one of them; each recurs four times.
+    EXPECT_EQ(memo.subquery_invocations, 5);
+    EXPECT_EQ(memo.subquery_cache_misses, 5);
+    EXPECT_EQ(memo.subquery_cache_hits, 15);
+    EXPECT_EQ(grouped.subquery_invocations, 0);
+    EXPECT_EQ(grouped.index_lookups, 16);  // a NULL binding probes nothing
+  }
+  // Scalar: bindings with at most one row (3, 4 and NULL) agree; binding 1's
+  // two rows fail every shape the same way.
+  std::vector<Row> single;
+  for (const Row& row : outer) {
+    if (row[0].is_null() || row[0].int64_value() >= 3) single.push_back(row);
+  }
+  std::vector<std::string> expected;
+  for (const Row& row : single) {
+    expected.push_back(row[0].Equals(I(3)) ? "40" : "NULL");
+  }
+  for (Shape shape : {kReRun, kMemo, kGrouped}) {
+    ExecStats stats;
+    auto ok = run(shape, single, SubqueryMode::kScalar, BinaryOp::kEq, false,
+                  &stats);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(*ok, expected);
+    auto two = run(shape, {{I(1), I(10)}}, SubqueryMode::kScalar,
+                   BinaryOp::kEq, false, &stats);
+    ASSERT_FALSE(two.ok());
+    EXPECT_EQ(two.status().code(), StatusCode::kExecutionError);
+    EXPECT_EQ(two.status().message(),
+              "scalar subquery produced more than one row");
+  }
+}
+
+// The grouped build hands back, at once, the charge of the inner rows it
+// drops for a NULL key, and keeps the rest until Close.
+TEST(ApplyTest, GroupedBuildReleasesNullKeyRows) {
+  const Row kept_a = {I(1), S("a")};
+  const Row dropped = {N(), S("this string is too long to be inline")};
+  const Row kept_b = {I(2), S("b")};
+  std::vector<ExprPtr> probe;
+  probe.push_back(MakeSlotRef(0, TypeId::kInt64));
+  ApplyOp op(Rows({{I(1)}, {N()}}, 1), Rows({kept_a, dropped, kept_b}, 2),
+             {0}, std::move(probe), Mode(SubqueryMode::kExists));
+  ResourceGuard guard;
+  ExecStats stats;
+  ExecContext ctx;
+  ctx.stats = &stats;
+  ctx.guard = &guard;
+  ASSERT_TRUE(op.Open(&ctx).ok());
+  EXPECT_EQ(guard.memory().used(),
+            ApproxRowBytes(kept_a) + ApproxRowBytes(kept_b));
+  EXPECT_EQ(op.metrics().bytes_charged, ApproxRowBytes(kept_a) +
+                                            ApproxRowBytes(dropped) +
+                                            ApproxRowBytes(kept_b));
+  op.Close();
+  EXPECT_EQ(guard.memory().used(), 0);
+}
+
+// Every shape reports what it charged in bytes_charged (EXPLAIN ANALYZE's
+// bytes=) and hands all of it back by Close.
+TEST(ApplyTest, EveryShapeReportsItsCharges) {
+  const std::vector<Row> inner = {{I(1), I(10)}, {I(1), I(11)}, {I(2), I(20)}};
+  const std::vector<Row> outer = {{I(1)}, {I(2)}, {I(1)}};
+  auto charged = [](Operator* op, int64_t cache_bytes) {
+    ResourceGuard guard;
+    ExecStats stats;
+    ExecContext ctx;
+    ctx.stats = &stats;
+    ctx.guard = &guard;
+    ctx.subquery_cache_bytes = cache_bytes;
+    auto rows = CollectRows(op, &ctx);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(guard.memory().used(), 0);
+    return op->metrics().bytes_charged;
+  };
+  const int64_t one = ApproxRowBytes({I(10)});  // every inner row's charge
+  const int64_t key = ApproxRowBytes({I(1)});
+  ApplyOp rerun(Rows(outer, 1), KeyedInner(inner, 2, {1}), {{false, 0}},
+                Mode(SubqueryMode::kExists));
+  EXPECT_EQ(charged(&rerun, 0), 5 * one);  // 2 + 1 + 2 rows
+  ApplyOp memo(Rows(outer, 1), KeyedInner(inner, 2, {1}), {{false, 0}},
+               Mode(SubqueryMode::kExists));
+  EXPECT_EQ(charged(&memo, 1 << 20), 3 * one + 2 * key);  // two misses
+  ApplyOp lateral(Rows(outer, 1), KeyedInner(inner, 2, {1}), {{false, 0}}, 1);
+  EXPECT_EQ(charged(&lateral, 0), 5 * one);
+  std::vector<ExprPtr> probe;
+  probe.push_back(MakeSlotRef(0, TypeId::kInt64));
+  ApplyOp grouped(Rows(outer, 1), Rows(inner, 2), {0}, std::move(probe),
+                  Mode(SubqueryMode::kExists));
+  EXPECT_EQ(charged(&grouped, 0), 3 * ApproxRowBytes(inner[0]));
 }
 
 }  // namespace

@@ -127,13 +127,10 @@ TEST(MetricsTest, ApplyInnerWorkRollsUp) {
       MakeComparison(BinaryOp::kEq, MakeSlotRef(2, TypeId::kInt64),
                      MakeParamRef(0, TypeId::kInt64)));
   SeqScanOp* inner_ptr = inner.get();
-  SubqueryPlan sub;
-  sub.plan = std::move(inner);
-  sub.params.push_back({/*from_outer=*/false, /*index=*/0});
-  sub.mode = SubqueryMode::kExists;
-  std::vector<SubqueryPlan> subs;
-  subs.push_back(std::move(sub));
-  ApplyOp apply(Rows({{I(10)}, {I(20)}, {I(30)}}, 1), std::move(subs));
+  SubquerySemantics exists;
+  exists.mode = SubqueryMode::kExists;
+  ApplyOp apply(Rows({{I(10)}, {I(20)}, {I(30)}}, 1), std::move(inner),
+                {{/*from_outer=*/false, /*index=*/0}}, std::move(exists));
 
   ExecStats stats;
   auto rows = Drain(&apply, /*profile=*/true, nullptr, &stats);
@@ -160,14 +157,13 @@ TEST(MetricsTest, ApplyInnerWorkRollsUp) {
 // ---- GroupProbeApply: probes are index lookups, not invocations ----
 
 TEST(MetricsTest, GroupProbeCountsProbesNotInvocations) {
-  SubqueryPlan semantics;
-  semantics.mode = SubqueryMode::kExists;
+  SubquerySemantics exists;
+  exists.mode = SubqueryMode::kExists;
   std::vector<ExprPtr> probe_keys;
   probe_keys.push_back(MakeSlotRef(0, TypeId::kInt64));
-  GroupProbeApplyOp op(Rows({{I(1)}, {I(2)}, {N()}}, 1),
-                       Rows({{I(1)}, {I(1)}, {I(3)}}, 1),
-                       /*inner_key_cols=*/{0}, std::move(probe_keys),
-                       std::move(semantics));
+  ApplyOp op(Rows({{I(1)}, {I(2)}, {N()}}, 1),
+             Rows({{I(1)}, {I(1)}, {I(3)}}, 1),
+             /*inner_key_cols=*/{0}, std::move(probe_keys), std::move(exists));
   ExecStats stats;
   auto rows = Drain(&op, /*profile=*/false, nullptr, &stats);
   ASSERT_EQ(rows.size(), 3u);

@@ -95,9 +95,9 @@ TEST(PropertyDiffTest, RandomizedSweepAllStrategiesMatchNestedIteration) {
 // Cache differential sweep: the same 240 seeded queries, every strategy
 // (NI+C included), with subquery memoization on vs off — multiset-identical,
 // fallback off. The baseline is the strategy's own cache-off run, so the
-// comparison isolates exactly what the
-// BindingKeyCache changes (nothing, if it is correct). A tiny-budget pass
-// (1 KB) forces constant eviction through the same queries.
+// comparison isolates exactly what the Apply's binding memo changes
+// (nothing, if it is correct). A tiny-budget pass (1 KB) forces constant
+// flushes and declined entries through the same queries.
 TEST(PropertyDiffTest, CacheSweepRowIdenticalOnVsOffForEveryStrategy) {
   constexpr uint64_t kDatabases = 8;
   constexpr int kQueriesPerDatabase = 30;  // 240 total, same seeds as above

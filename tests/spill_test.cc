@@ -14,6 +14,9 @@
 #include <vector>
 
 #include "decorr/common/fault.h"
+#include "decorr/exec/apply.h"
+#include "decorr/exec/join.h"
+#include "decorr/exec/scan.h"
 #include "decorr/runtime/database.h"
 #include "decorr/storage/temp_file.h"
 #include "tests/test_util.h"
@@ -544,6 +547,57 @@ TEST_F(SpillExecTest, RepartitionDepthCapSurfacesCleanly) {
       << r.status().ToString();
   EXPECT_EQ(CountScratchEntries(scratch_), 0)
       << "temp files leaked after depth-cap abort";
+}
+
+// A grouped Apply's inner set has no spill path (DESIGN.md §12): the rows
+// it collects are charged as they arrive, and nothing can move them to
+// disk. Here the inner is a hash join whose build spills first; its output,
+// 512 rows against a 2 KB budget, then trips the budget inside the grouped
+// build, as fig8 Mag does on its spill ladder. The trip is a clean
+// kResourceExhausted that leaves no temp files and no charge behind.
+TEST_F(SpillExecTest, GroupedApplyInnerSetTripsCleanly) {
+  auto fact = db_.catalog().GetTable("fact");
+  auto dim = db_.catalog().GetTable("dim");
+  ASSERT_TRUE(fact.ok() && dim.ok());
+  std::vector<ExprPtr> left_key, right_key, probe_key;
+  left_key.push_back(MakeSlotRef(1, TypeId::kInt64));   // f.grp
+  right_key.push_back(MakeSlotRef(0, TypeId::kInt64));  // d.g
+  auto join = std::make_unique<HashJoinOp>(
+      std::make_unique<SeqScanOp>(*fact, std::vector<int>{0, 1}, nullptr),
+      std::make_unique<SeqScanOp>(*dim, std::vector<int>{0, 1}, nullptr),
+      std::move(left_key), std::move(right_key), nullptr, JoinType::kInner);
+  const HashJoinOp* spilling = join.get();
+  probe_key.push_back(MakeSlotRef(0, TypeId::kInt64));
+  SubquerySemantics exists;
+  exists.mode = SubqueryMode::kExists;
+  auto outer = std::make_shared<const std::vector<Row>>(
+      std::vector<Row>{{I(1)}, {I(2)}});
+  auto plan = std::make_unique<ApplyOp>(
+      std::make_unique<RowsScanOp>(outer, 1), std::move(join),
+      /*inner_key_cols=*/std::vector<int>{1}, std::move(probe_key),
+      std::move(exists));
+
+  ResourceGuard guard;
+  guard.memory().set_budget(2048);
+  {
+    TempFileManager temp(scratch_, 0);
+    ASSERT_TRUE(temp.Open().ok());
+    ExecStats stats;
+    ExecContext ctx;
+    ctx.stats = &stats;
+    ctx.guard = &guard;
+    ctx.temp = &temp;
+    auto rows = CollectRows(plan.get(), &ctx);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted)
+        << rows.status().ToString();
+    EXPECT_GT(spilling->metrics().spill_partitions, 0)
+        << "the join under the grouped build should have spilled first";
+    plan.reset();
+  }
+  EXPECT_EQ(guard.memory().used(), 0);
+  EXPECT_EQ(CountScratchEntries(scratch_), 0)
+      << "temp files leaked after the grouped build tripped the budget";
 }
 
 TEST_F(SpillExecTest, CancellationMidSpillLeavesNoTempFiles) {

@@ -1,14 +1,13 @@
-// Cache-semantics battery for the correlated-subquery memoization layer
-// (BindingKeyCache + its ApplyOp/LateralJoinOp wiring): key hashing incl.
-// NULL bindings and numeric type mixes, LRU eviction order, MemoryTracker
-// charge/release symmetry, and hit/miss counter accuracy on hand-built
-// plans. The cache must never change results — only skip inner re-runs.
+// Cache-semantics battery for the correlated-subquery memo (ApplyOp's memo
+// shape, exec/apply.h): binding keys incl. NULL bindings and numeric type
+// mixes, the budget's decline and flush rules, MemoryTracker charge/release
+// symmetry, and hit/miss counter accuracy on hand-built plans. The memo
+// must never change results — only skip inner re-runs.
 #include <gtest/gtest.h>
 
 #include "decorr/exec/apply.h"
 #include "decorr/exec/filter_project.h"
 #include "decorr/exec/scan.h"
-#include "decorr/exec/subquery_cache.h"
 #include "tests/test_util.h"
 
 namespace decorr {
@@ -19,296 +18,239 @@ OperatorPtr Rows(std::vector<Row> rows, int width) {
   return std::make_unique<RowsScanOp>(data, width);
 }
 
-using SharedRows = std::shared_ptr<const std::vector<Row>>;
-
-Status Insert(BindingKeyCache* cache, const Row& key, std::vector<Row> rows,
-              int64_t charged, ResourceGuard* guard = nullptr) {
-  if (guard != nullptr) {
-    (void)guard->ChargeMemory(charged);  // mimic CollectRows' transfer
-  }
-  SharedRows out;
-  return cache->Insert(key, std::move(rows), charged, &out);
-}
-
-// ---- key semantics ----
-
-TEST(BindingKeyCacheTest, HitMissAndCounters) {
-  BindingKeyCache cache(1 << 20, nullptr, nullptr);
-  ASSERT_TRUE(Insert(&cache, {I(1)}, {{I(10)}}, 64).ok());
-  SharedRows rows;
-  ASSERT_TRUE(cache.Lookup({I(1)}, &rows).ok());
-  ASSERT_NE(rows, nullptr);
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_TRUE((*rows)[0][0].Equals(I(10)));
-  ASSERT_TRUE(cache.Lookup({I(2)}, &rows).ok());
-  EXPECT_EQ(rows, nullptr);
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.misses(), 1);
-  EXPECT_EQ(cache.entries(), 1);
-}
-
-TEST(BindingKeyCacheTest, NullBindingsCollide) {
-  // NULL keys memoize like HashJoin's <=> semantics: a NULL binding always
-  // produces the same inner result as another NULL binding, so they must
-  // share one entry (NULL == NULL for cache purposes).
-  BindingKeyCache cache(1 << 20, nullptr, nullptr);
-  ASSERT_TRUE(Insert(&cache, {N(), I(7)}, {{S("x")}}, 64).ok());
-  SharedRows rows;
-  ASSERT_TRUE(cache.Lookup({N(), I(7)}, &rows).ok());
-  ASSERT_NE(rows, nullptr);
-  EXPECT_TRUE((*rows)[0][0].Equals(S("x")));
-  // A different non-NULL slot still misses.
-  ASSERT_TRUE(cache.Lookup({N(), I(8)}, &rows).ok());
-  EXPECT_EQ(rows, nullptr);
-}
-
-TEST(BindingKeyCacheTest, NumericTypeMixCollides) {
-  // Value::Hash/Equals treat INT64 4 and DOUBLE 4.0 as the same key (the
-  // same contract HashJoinOp relies on), so a mixed-type binding hits.
-  BindingKeyCache cache(1 << 20, nullptr, nullptr);
-  ASSERT_TRUE(Insert(&cache, {I(4)}, {{I(1)}}, 64).ok());
-  SharedRows rows;
-  ASSERT_TRUE(cache.Lookup({D(4.0)}, &rows).ok());
-  EXPECT_NE(rows, nullptr);
-  ASSERT_TRUE(cache.Lookup({D(4.5)}, &rows).ok());
-  EXPECT_EQ(rows, nullptr);
-}
-
-// ---- LRU eviction ----
-
-TEST(BindingKeyCacheTest, EvictsLeastRecentlyUsedFirst) {
-  // Each entry costs `charged` + ApproxRowBytes(key); size the budget for
-  // exactly two entries.
-  const int64_t key_bytes = ApproxRowBytes({I(1)});
-  const int64_t charged = 100;
-  BindingKeyCache cache(2 * (charged + key_bytes), nullptr, nullptr);
-  ASSERT_TRUE(Insert(&cache, {I(1)}, {{I(10)}}, charged).ok());
-  ASSERT_TRUE(Insert(&cache, {I(2)}, {{I(20)}}, charged).ok());
-  // Touch key 1 so key 2 becomes the LRU victim.
-  SharedRows rows;
-  ASSERT_TRUE(cache.Lookup({I(1)}, &rows).ok());
-  ASSERT_NE(rows, nullptr);
-  ASSERT_TRUE(Insert(&cache, {I(3)}, {{I(30)}}, charged).ok());
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_EQ(cache.entries(), 2);
-  ASSERT_TRUE(cache.Lookup({I(2)}, &rows).ok());
-  EXPECT_EQ(rows, nullptr);  // evicted
-  ASSERT_TRUE(cache.Lookup({I(1)}, &rows).ok());
-  EXPECT_NE(rows, nullptr);  // survived
-  ASSERT_TRUE(cache.Lookup({I(3)}, &rows).ok());
-  EXPECT_NE(rows, nullptr);
-}
-
-TEST(BindingKeyCacheTest, EvictionDoesNotInvalidateBorrowedRows) {
-  const int64_t key_bytes = ApproxRowBytes({I(1)});
-  BindingKeyCache cache(100 + key_bytes, nullptr, nullptr);
-  ASSERT_TRUE(Insert(&cache, {I(1)}, {{I(10)}}, 100).ok());
-  SharedRows borrowed;
-  ASSERT_TRUE(cache.Lookup({I(1)}, &borrowed).ok());
-  ASSERT_NE(borrowed, nullptr);
-  // Inserting key 2 evicts key 1 while its rows are still borrowed.
-  ASSERT_TRUE(Insert(&cache, {I(2)}, {{I(20)}}, 100).ok());
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_TRUE((*borrowed)[0][0].Equals(I(10)));
-}
-
-// ---- MemoryTracker symmetry ----
-
-TEST(BindingKeyCacheTest, ChargeReleaseSymmetryOnEvictionAndTeardown) {
-  ResourceGuard guard;
-  const int64_t key_bytes = ApproxRowBytes({I(1)});
-  const int64_t charged = 200;
-  {
-    BindingKeyCache cache(2 * (charged + key_bytes), &guard, nullptr);
-    ASSERT_TRUE(Insert(&cache, {I(1)}, {{I(10)}}, charged, &guard).ok());
-    ASSERT_TRUE(Insert(&cache, {I(2)}, {{I(20)}}, charged, &guard).ok());
-    EXPECT_EQ(guard.memory().used(), cache.bytes_used());
-    EXPECT_EQ(cache.bytes_used(), 2 * (charged + key_bytes));
-    // Third insert evicts the first; the victim's full charge (rows + key)
-    // is released.
-    ASSERT_TRUE(Insert(&cache, {I(3)}, {{I(30)}}, charged, &guard).ok());
-    EXPECT_EQ(cache.evictions(), 1);
-    EXPECT_EQ(guard.memory().used(), cache.bytes_used());
-    cache.Clear();
-    EXPECT_EQ(cache.bytes_used(), 0);
-    EXPECT_EQ(guard.memory().used(), 0);
-    // Destructor after re-population must release too.
-    ASSERT_TRUE(Insert(&cache, {I(4)}, {{I(40)}}, charged, &guard).ok());
-  }
-  EXPECT_EQ(guard.memory().used(), 0);
-}
-
-TEST(BindingKeyCacheTest, OversizedEntryDeclinedButUsable) {
-  ResourceGuard guard;
-  BindingKeyCache cache(/*budget_bytes=*/64, &guard, nullptr);
-  (void)guard.ChargeMemory(10000);
-  SharedRows out;
-  ASSERT_TRUE(cache.Insert({I(1)}, {{I(10)}}, 10000, &out).ok());
-  // The rows come back for immediate use even though nothing was retained,
-  // and the declined charge was released.
-  ASSERT_NE(out, nullptr);
-  EXPECT_TRUE((*out)[0][0].Equals(I(10)));
-  EXPECT_EQ(cache.entries(), 0);
-  EXPECT_EQ(guard.memory().used(), 0);
-}
-
-TEST(BindingKeyCacheTest, ZeroBudgetNeverRetains) {
-  BindingKeyCache cache(0, nullptr, nullptr);
-  SharedRows out;
-  ASSERT_TRUE(cache.Insert({I(1)}, {{I(10)}}, 0, &out).ok());
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(cache.entries(), 0);
-  ASSERT_TRUE(cache.Lookup({I(1)}, &out).ok());
-  EXPECT_EQ(out, nullptr);
-}
-
-// ---- operator wiring: hand-built plans ----
-
-// Apply with a correlated filter inner; outer bindings are duplicate-heavy.
-TEST(ApplyCacheTest, MemoizesPerBindingAndCounts) {
+// Column 1 of the rows of {{1, 100}, {2, 200}} whose column 0 equals
+// parameter 0.
+OperatorPtr ValueOf() {
   ExprPtr pred = MakeComparison(BinaryOp::kEq, MakeSlotRef(0, TypeId::kInt64),
                                 MakeParamRef(0, TypeId::kInt64));
-  SubqueryPlan sub;
-  sub.plan = std::make_unique<FilterOp>(
+  OperatorPtr filter = std::make_unique<FilterOp>(
       Rows({{I(1), I(100)}, {I(2), I(200)}}, 2), std::move(pred));
   std::vector<ExprPtr> proj;
   proj.push_back(MakeSlotRef(1, TypeId::kInt64));
-  sub.plan = std::make_unique<ProjectOp>(std::move(sub.plan), std::move(proj));
-  sub.params.push_back({false, 0});
-  sub.mode = SubqueryMode::kScalar;
-  std::vector<SubqueryPlan> subs;
-  subs.push_back(std::move(sub));
-  // Five outer rows but only two distinct bindings.
-  ApplyOp apply(Rows({{I(1)}, {I(1)}, {I(2)}, {I(2)}, {I(1)}}, 1),
-                std::move(subs));
+  return std::make_unique<ProjectOp>(std::move(filter), std::move(proj));
+}
+
+// A scalar Apply over ValueOf(), bound to input column 0.
+std::unique_ptr<ApplyOp> ScalarApply(std::vector<Row> outer) {
+  return std::make_unique<ApplyOp>(Rows(std::move(outer), 1), ValueOf(),
+                                   std::vector<ParamSource>{{false, 0}},
+                                   SubquerySemantics{});
+}
+
+// What one memo entry of ScalarApply charges: its key and its one row.
+int64_t EntryBytes() {
+  return ApproxRowBytes({I(1)}) + ApproxRowBytes({I(100)});
+}
+
+struct MemoRun {
   ExecStats stats;
+  ResourceGuard guard;
   ExecContext ctx;
-  ctx.stats = &stats;
-  ctx.subquery_cache_bytes = 1 << 20;
-  auto rows = CollectRows(&apply, &ctx);
+  explicit MemoRun(int64_t cache_bytes) {
+    ctx.stats = &stats;
+    ctx.guard = &guard;
+    ctx.subquery_cache_bytes = cache_bytes;
+  }
+};
+
+// ---- key semantics ----
+
+TEST(ApplyMemoTest, MemoizesPerBindingAndCounts) {
+  // Five outer rows but only two distinct bindings.
+  auto apply = ScalarApply({{I(1)}, {I(1)}, {I(2)}, {I(2)}, {I(1)}});
+  MemoRun run(1 << 20);
+  auto rows = CollectRows(apply.get(), &run.ctx);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 5u);
   EXPECT_TRUE((*rows)[0][1].Equals(I(100)));
   EXPECT_TRUE((*rows)[2][1].Equals(I(200)));
   EXPECT_TRUE((*rows)[4][1].Equals(I(100)));
-  EXPECT_EQ(stats.subquery_invocations, 2);  // one per distinct binding
-  EXPECT_EQ(stats.subquery_cache_hits, 3);
-  EXPECT_EQ(stats.subquery_cache_misses, 2);
-  EXPECT_EQ(apply.metrics().cache_hits, 3);
-  EXPECT_EQ(apply.metrics().cache_misses, 2);
-  EXPECT_EQ(apply.metrics().cache_evictions, 0);
+  EXPECT_EQ(run.stats.subquery_invocations, 2);  // one per distinct binding
+  EXPECT_EQ(run.stats.subquery_cache_hits, 3);
+  EXPECT_EQ(run.stats.subquery_cache_misses, 2);
+  EXPECT_EQ(apply->metrics().cache_hits, 3);
+  EXPECT_EQ(apply->metrics().cache_misses, 2);
+  EXPECT_EQ(apply->metrics().cache_evictions, 0);
+  EXPECT_EQ(run.guard.memory().used(), 0);
 }
 
-TEST(ApplyCacheTest, CacheOffReExecutesPerRow) {
+TEST(ApplyMemoTest, NullBindingsShareAnEntry) {
+  // NULL keys memoize like HashJoin's <=> semantics: a NULL binding always
+  // produces the same inner result as another NULL binding, so they share
+  // one entry (NULL == NULL for memo purposes).
+  ApplyOp apply(Rows({{N(), I(7)}, {N(), I(7)}, {N(), I(8)}}, 2),
+                Rows({{S("x")}}, 1),
+                std::vector<ParamSource>{{false, 0}, {false, 1}},
+                SubquerySemantics{});
+  MemoRun run(1 << 20);
+  auto rows = CollectRows(&apply, &run.ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_TRUE((*rows)[1][2].Equals(S("x")));
+  // A different non-NULL slot still misses.
+  EXPECT_EQ(run.stats.subquery_cache_hits, 1);
+  EXPECT_EQ(run.stats.subquery_cache_misses, 2);
+  EXPECT_EQ(run.stats.subquery_invocations, 2);
+}
+
+TEST(ApplyMemoTest, NumericTypeMixSharesAnEntry) {
+  // Value::Hash/Equals treat INT64 4 and DOUBLE 4.0 as the same key (the
+  // same contract HashJoinOp relies on), so a mixed-type binding hits.
+  ApplyOp apply(Rows({{I(4)}, {D(4.0)}, {D(4.5)}}, 1), Rows({{I(1)}}, 1),
+                std::vector<ParamSource>{{false, 0}}, SubquerySemantics{});
+  MemoRun run(1 << 20);
+  auto rows = CollectRows(&apply, &run.ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(run.stats.subquery_cache_hits, 1);    // 4.0 found 4
+  EXPECT_EQ(run.stats.subquery_cache_misses, 2);  // 4.5 did not
+}
+
+// ---- the budget ----
+
+TEST(ApplyMemoTest, OversizedEntryUsedOnceNotKept) {
+  // The budget is one byte short of one entry: every binding runs its inner
+  // and is used once, its charge handed back at once.
+  auto apply = ScalarApply({{I(1)}, {I(1)}, {I(2)}});
+  MemoRun run(EntryBytes() - 1);
+  auto rows = CollectRows(apply.get(), &run.ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_TRUE((*rows)[1][1].Equals(I(100)));
+  EXPECT_TRUE((*rows)[2][1].Equals(I(200)));
+  EXPECT_EQ(run.stats.subquery_invocations, 3);
+  EXPECT_EQ(run.stats.subquery_cache_hits, 0);
+  EXPECT_EQ(run.stats.subquery_cache_misses, 3);
+  EXPECT_EQ(apply->metrics().cache_evictions, 0);  // nothing was kept
+  EXPECT_EQ(run.guard.memory().used(), 0);
+}
+
+TEST(ApplyMemoTest, ZeroBudgetRunsLikeNestedIteration) {
+  const std::vector<Row> outer = {{I(1)}, {I(1)}, {I(2)}, {I(1)}};
+  auto cached = ScalarApply(outer);
+  MemoRun off(0);
+  auto rows = CollectRows(cached.get(), &off.ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(off.stats.subquery_invocations, 4);  // NI's count: one per row
+  EXPECT_EQ(off.stats.subquery_cache_hits + off.stats.subquery_cache_misses,
+            0);
+  EXPECT_EQ(cached->metrics().cache_hits + cached->metrics().cache_misses, 0);
+}
+
+// A memo entry that does not fit beside the others flushes the whole table
+// (a KeyTable never erases one key), and every flushed entry counts as an
+// eviction. Bindings 1, 2, 3, 1, 3 under a budget of two entries: 3 flushes
+// {1, 2}, so 1 misses again, and 3 then hits beside it.
+TEST(ApplyMemoTest, FullMemoFlushes) {
+  auto apply = ScalarApply({{I(1)}, {I(2)}, {I(3)}, {I(1)}, {I(3)}});
+  MemoRun run(2 * EntryBytes());
+  auto rows = CollectRows(apply.get(), &run.ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 5u);
+  EXPECT_TRUE((*rows)[0][1].Equals(I(100)));
+  EXPECT_TRUE((*rows)[1][1].Equals(I(200)));
+  EXPECT_TRUE((*rows)[2][1].is_null());
+  EXPECT_TRUE((*rows)[3][1].Equals(I(100)));
+  EXPECT_TRUE((*rows)[4][1].is_null());
+  EXPECT_EQ(apply->metrics().cache_evictions, 2);
+  EXPECT_EQ(run.stats.subquery_cache_misses, 4);
+  EXPECT_EQ(run.stats.subquery_cache_hits, 1);
+  EXPECT_EQ(run.stats.subquery_invocations, 4);
+}
+
+// ---- MemoryTracker symmetry ----
+
+TEST(ApplyMemoTest, ChargesStaySymmetricThroughFlushesAndTeardown) {
+  const int64_t budget = 2 * EntryBytes();
+  auto apply = ScalarApply({{I(1)}, {I(2)}, {I(1)}, {I(3)}, {I(2)}, {I(1)}});
+  MemoRun run(budget);
+  ASSERT_TRUE(apply->Open(&run.ctx).ok());
+  int rows = 0;
+  while (true) {
+    Row row;
+    bool eof = false;
+    ASSERT_TRUE(apply->Next(&row, &eof).ok());
+    if (eof) break;
+    ++rows;
+    EXPECT_LE(run.guard.memory().used(), budget + EntryBytes())
+        << "after row " << rows;
+  }
+  EXPECT_EQ(rows, 6);
+  EXPECT_GT(apply->metrics().cache_evictions, 0);
+  apply->Close();
+  EXPECT_EQ(run.guard.memory().used(), 0);
+  // A re-open starts from an empty memo, and its teardown releases too.
+  ASSERT_TRUE(apply->Open(&run.ctx).ok());
+  Row row;
+  bool eof = false;
+  ASSERT_TRUE(apply->Next(&row, &eof).ok());
+  EXPECT_GT(run.guard.memory().used(), 0);
+  apply->Close();
+  EXPECT_EQ(run.guard.memory().used(), 0);
+}
+
+// ---- what the memo must not change ----
+
+TEST(ApplyMemoTest, CacheOffReExecutesPerRow) {
   ExprPtr pred = MakeComparison(BinaryOp::kEq, MakeSlotRef(0, TypeId::kInt64),
                                 MakeParamRef(0, TypeId::kInt64));
-  SubqueryPlan sub;
-  sub.plan = std::make_unique<FilterOp>(Rows({{I(1)}}, 1), std::move(pred));
-  sub.params.push_back({false, 0});
-  sub.mode = SubqueryMode::kExists;
-  std::vector<SubqueryPlan> subs;
-  subs.push_back(std::move(sub));
-  ApplyOp apply(Rows({{I(1)}, {I(1)}, {I(1)}}, 1), std::move(subs));
-  ExecStats stats;
-  ExecContext ctx;
-  ctx.stats = &stats;  // subquery_cache_bytes defaults to 0: off
-  auto rows = CollectRows(&apply, &ctx);
+  SubquerySemantics exists;
+  exists.mode = SubqueryMode::kExists;
+  ApplyOp apply(Rows({{I(1)}, {I(1)}, {I(1)}}, 1),
+                std::make_unique<FilterOp>(Rows({{I(1)}}, 1), std::move(pred)),
+                std::vector<ParamSource>{{false, 0}}, std::move(exists));
+  MemoRun run(0);
+  auto rows = CollectRows(&apply, &run.ctx);
   ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(stats.subquery_invocations, 3);
-  EXPECT_EQ(stats.subquery_cache_hits, 0);
-  EXPECT_EQ(stats.subquery_cache_misses, 0);
+  EXPECT_EQ(run.stats.subquery_invocations, 3);
+  EXPECT_EQ(run.stats.subquery_cache_hits, 0);
+  EXPECT_EQ(run.stats.subquery_cache_misses, 0);
   EXPECT_EQ(apply.metrics().cache_hits + apply.metrics().cache_misses, 0);
 }
 
-// The per-row verdict must be recomputed even on a cache hit: kIn's lhs
-// comes from the outer row, only the inner row set is binding-keyed.
-TEST(ApplyCacheTest, HitRecomputesLhsDependentVerdict) {
+// The per-row verdict must be recomputed even on a hit: kIn's lhs comes
+// from the outer row, only the inner row set is binding-keyed.
+TEST(ApplyMemoTest, HitRecomputesLhsDependentVerdict) {
   ExprPtr pred = MakeComparison(BinaryOp::kEq, MakeSlotRef(0, TypeId::kInt64),
                                 MakeParamRef(0, TypeId::kInt64));
-  SubqueryPlan sub;
-  // Inner emits its second column for group `param`.
-  sub.plan = std::make_unique<FilterOp>(
+  OperatorPtr inner = std::make_unique<FilterOp>(
       Rows({{I(1), I(100)}, {I(1), I(200)}}, 2), std::move(pred));
   std::vector<ExprPtr> proj;
   proj.push_back(MakeSlotRef(1, TypeId::kInt64));
-  sub.plan = std::make_unique<ProjectOp>(std::move(sub.plan), std::move(proj));
-  sub.params.push_back({false, 0});
-  sub.mode = SubqueryMode::kIn;
-  sub.lhs = MakeSlotRef(1, TypeId::kInt64);
-  std::vector<SubqueryPlan> subs;
-  subs.push_back(std::move(sub));
+  inner = std::make_unique<ProjectOp>(std::move(inner), std::move(proj));
+  SubquerySemantics in;
+  in.mode = SubqueryMode::kIn;
+  in.lhs = MakeSlotRef(1, TypeId::kInt64);
   // Same binding (1) but different lhs values per row.
   ApplyOp apply(Rows({{I(1), I(100)}, {I(1), I(300)}, {I(1), I(200)}}, 2),
-                std::move(subs));
-  ExecStats stats;
-  ExecContext ctx;
-  ctx.stats = &stats;
-  ctx.subquery_cache_bytes = 1 << 20;
-  auto rows = CollectRows(&apply, &ctx);
+                std::move(inner), std::vector<ParamSource>{{false, 0}},
+                std::move(in));
+  MemoRun run(1 << 20);
+  auto rows = CollectRows(&apply, &run.ctx);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 3u);
   EXPECT_TRUE((*rows)[0][2].Equals(Value::Bool(true)));   // 100 IN {100,200}
   EXPECT_TRUE((*rows)[1][2].Equals(Value::Bool(false)));  // 300 not in
   EXPECT_TRUE((*rows)[2][2].Equals(Value::Bool(true)));   // 200 IN (a hit!)
-  EXPECT_EQ(stats.subquery_invocations, 1);
-  EXPECT_EQ(stats.subquery_cache_hits, 2);
+  EXPECT_EQ(run.stats.subquery_invocations, 1);
+  EXPECT_EQ(run.stats.subquery_cache_hits, 2);
 }
 
-TEST(ApplyCacheTest, TinyBudgetEvictsButStaysCorrect) {
-  ExprPtr pred = MakeComparison(BinaryOp::kEq, MakeSlotRef(0, TypeId::kInt64),
-                                MakeParamRef(0, TypeId::kInt64));
-  SubqueryPlan sub;
-  sub.plan = std::make_unique<FilterOp>(
-      Rows({{I(1), I(100)}, {I(2), I(200)}}, 2), std::move(pred));
-  std::vector<ExprPtr> proj;
-  proj.push_back(MakeSlotRef(1, TypeId::kInt64));
-  sub.plan = std::make_unique<ProjectOp>(std::move(sub.plan), std::move(proj));
-  sub.params.push_back({false, 0});
-  sub.mode = SubqueryMode::kScalar;
-  std::vector<SubqueryPlan> subs;
-  subs.push_back(std::move(sub));
-  // Alternating bindings under a budget that fits at most one entry: every
-  // lookup misses (or the entry was just evicted), yet results stay right.
-  ApplyOp apply(Rows({{I(1)}, {I(2)}, {I(1)}, {I(2)}}, 1), std::move(subs));
-  ExecStats stats;
-  ExecContext ctx;
-  ctx.stats = &stats;
-  ctx.subquery_cache_bytes = ApproxRowBytes({I(1)}) + ApproxRowBytes({I(100)});
-  ResourceGuard guard;
-  ctx.guard = &guard;
-  auto rows = CollectRows(&apply, &ctx);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  ASSERT_EQ(rows->size(), 4u);
-  EXPECT_TRUE((*rows)[0][1].Equals(I(100)));
-  EXPECT_TRUE((*rows)[1][1].Equals(I(200)));
-  EXPECT_TRUE((*rows)[2][1].Equals(I(100)));
-  EXPECT_TRUE((*rows)[3][1].Equals(I(200)));
-  EXPECT_EQ(stats.subquery_cache_hits, 0);
-  EXPECT_EQ(stats.subquery_invocations, 4);
-  apply.Close();
-  EXPECT_EQ(guard.memory().used(), 0);  // all charges released on teardown
-}
-
-TEST(LateralCacheTest, MemoizesPerBinding) {
+TEST(ApplyMemoTest, LateralMemoizesPerBinding) {
   ExprPtr pred = MakeComparison(BinaryOp::kEq, MakeSlotRef(0, TypeId::kInt64),
                                 MakeParamRef(0, TypeId::kInt64));
   auto inner = std::make_unique<FilterOp>(
       Rows({{I(1), I(100)}, {I(1), I(101)}, {I(2), I(200)}}, 2),
       std::move(pred));
-  LateralJoinOp lateral(Rows({{I(1)}, {I(2)}, {I(1)}}, 1), std::move(inner),
-                        {{false, 0}}, 2);
-  ExecStats stats;
-  ExecContext ctx;
-  ctx.stats = &stats;
-  ctx.subquery_cache_bytes = 1 << 20;
-  auto rows = CollectRows(&lateral, &ctx);
+  ApplyOp lateral(Rows({{I(1)}, {I(2)}, {I(1)}}, 1), std::move(inner),
+                  std::vector<ParamSource>{{false, 0}}, 2);
+  MemoRun run(1 << 20);
+  auto rows = CollectRows(&lateral, &run.ctx);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 5u);  // 2 + 1 + 2
   EXPECT_TRUE((*rows)[4][2].Equals(I(101)));
-  EXPECT_EQ(stats.subquery_invocations, 2);
-  EXPECT_EQ(stats.subquery_cache_hits, 1);
-  EXPECT_EQ(stats.subquery_cache_misses, 2);
+  EXPECT_EQ(run.stats.subquery_invocations, 2);
+  EXPECT_EQ(run.stats.subquery_cache_hits, 1);
+  EXPECT_EQ(run.stats.subquery_cache_misses, 2);
   EXPECT_EQ(lateral.metrics().cache_hits, 1);
+  EXPECT_EQ(run.guard.memory().used(), 0);
 }
 
 }  // namespace

@@ -198,6 +198,39 @@ TEST_F(TpcdTest, MagicEliminatesInvocationsOnAllPaperQueries) {
   }
 }
 
+// With the memo on, the planner hoists an inner that draws no parameter
+// from its outer row into a compute-once shared subplan: the uncorrelated
+// AVG over parts, nested in a subquery correlated on each supplier, is
+// computed once per query instead of once per re-open of its Apply (once
+// per supplier under NI).
+TEST_F(TpcdTest, InvariantInnerIsHoistedWhenTheMemoIsOn) {
+  const char* sql =
+      "SELECT s.s_name FROM suppliers s WHERE s.s_acctbal > "
+      "(SELECT AVG(ps.ps_supplycost) FROM partsupp ps "
+      " WHERE ps.ps_suppkey = s.s_suppkey AND ps.ps_supplycost > "
+      "   (SELECT AVG(p.p_retailprice) FROM parts p))";
+  QueryOptions ni;
+  ni.strategy = Strategy::kNestedIteration;
+  QueryOptions cached;
+  cached.strategy = Strategy::kNestedIterationCached;
+  auto plain = Db().Execute(sql, ni);
+  auto hoisted = Db().Execute(sql, cached);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(hoisted.ok()) << hoisted.status().ToString();
+  EXPECT_EQ(plain->plan_text.find("CachedMaterialize"), std::string::npos)
+      << plain->plan_text;
+  EXPECT_NE(hoisted->plan_text.find("CachedMaterialize"), std::string::npos)
+      << hoisted->plan_text;
+  // 100 suppliers scanned; under NI each one's inner re-scans the 2,000
+  // parts, under NI+C the parts are scanned once.
+  EXPECT_EQ(plain->stats.rows_scanned, 100 + 100 * 2000 + 8000);
+  EXPECT_EQ(hoisted->stats.rows_scanned, 100 + 2000 + 8000);
+  std::multiset<std::string> a, b;
+  for (const Row& row : plain->rows) a.insert(row[0].ToString());
+  for (const Row& row : hoisted->rows) b.insert(row[0].ToString());
+  EXPECT_EQ(a, b);
+}
+
 TEST_F(TpcdTest, Query3HasFiveDistinctBindings) {
   // "The correlation column has only 5 unique values" — the European
   // nations.
