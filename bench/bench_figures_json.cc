@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace decorr::bench;
+  const Output out = OpenOutput(argc, argv);
   decorr::JsonWriter w;
   w.BeginObject();
   WriteMeta(w);
@@ -52,5 +53,5 @@ int main(int argc, char** argv) {
   WriteSpillSweep(w, Fig7Database(), "partsupp indexes dropped",
                   {{"fig7_mag", "fig7", decorr::TpcdQuery1Variant()}});
   w.EndObject();
-  return EmitDocument(argc, argv, std::move(w).str());
+  return EmitDocument(out, std::move(w).str());
 }

@@ -235,39 +235,66 @@ inline void WriteMeta(JsonWriter& w) {
   w.EndObject();
 }
 
-// Writes `doc` to `-o <path>` (or stdout without the flag). Returns an exit
-// code for main().
-inline int EmitDocument(int argc, char** argv, const std::string& doc) {
-  const char* path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "-o") == 0) path = argv[i + 1];
+// Where a benchmark binary writes its JSON document.
+struct Output {
+  std::FILE* file = stdout;
+  const char* path = nullptr;  // the `-o` file; null writes to stdout
+};
+
+// Parses the command line, `[-o PATH]`, and opens PATH before any section
+// runs, so a mistyped argument or an unwritable path ends the process at
+// once instead of after a multi-minute run. `--help` prints the usage line
+// and exits 0; any other argument prints it to stderr and exits 2; a PATH
+// that cannot be opened exits 1.
+inline Output OpenOutput(int argc, char** argv) {
+  Output out;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc &&
+        out.path == nullptr) {
+      out.path = argv[++i];
+      continue;
+    }
+    const bool help = std::strcmp(argv[i], "--help") == 0;
+    std::fprintf(help ? stdout : stderr, "usage: %s [-o PATH]\n", argv[0]);
+    std::exit(help ? 0 : 2);
   }
-  if (path == nullptr) {
-    std::printf("%s\n", doc.c_str());
-    return 0;
+  if (out.path != nullptr) {
+    out.file = std::fopen(out.path, "w");
+    if (out.file == nullptr) {
+      std::fprintf(stderr, "cannot open %s\n", out.path);
+      std::exit(1);
+    }
   }
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
+  return out;
+}
+
+// Writes `doc` to `out` and closes a file output. Returns an exit code for
+// main().
+inline int EmitDocument(const Output& out, const std::string& doc) {
+  std::fprintf(out.file, "%s\n", doc.c_str());
+  if (out.path == nullptr) return 0;
+  if (std::fclose(out.file) != 0) {
+    std::fprintf(stderr, "cannot write %s\n", out.path);
     return 1;
   }
-  std::fprintf(f, "%s\n", doc.c_str());
-  std::fclose(f);
-  std::fprintf(stderr, "[bench] wrote %s\n", path);
+  std::fprintf(stderr, "[bench] wrote %s\n", out.path);
   return 0;
 }
 
 // Standard main body for a single-figure binary: {"meta":…,"figures":[…]}.
-inline int FigureMain(int argc, char** argv, Database& db,
+// Takes the database as a function so that it loads after the arguments
+// are parsed.
+inline int FigureMain(int argc, char** argv, Database& (*db)(),
                       const FigureSpec& spec) {
+  const Output out = OpenOutput(argc, argv);
   JsonWriter w;
   w.BeginObject();
   WriteMeta(w);
   w.Key("figures").BeginArray();
-  WriteFigure(w, db, spec);
+  WriteFigure(w, db(), spec);
   w.EndArray();
   w.EndObject();
-  return EmitDocument(argc, argv, std::move(w).str());
+  return EmitDocument(out, std::move(w).str());
 }
 
 }  // namespace bench

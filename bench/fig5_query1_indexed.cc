@@ -7,5 +7,5 @@
 
 int main(int argc, char** argv) {
   using namespace decorr::bench;
-  return FigureMain(argc, argv, TpcdDb(), Fig5Spec());
+  return FigureMain(argc, argv, TpcdDb, Fig5Spec());
 }

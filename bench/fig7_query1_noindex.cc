@@ -8,5 +8,5 @@
 
 int main(int argc, char** argv) {
   using namespace decorr::bench;
-  return FigureMain(argc, argv, Fig7Database(), Fig7Spec());
+  return FigureMain(argc, argv, Fig7Database, Fig7Spec());
 }

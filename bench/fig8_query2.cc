@@ -9,5 +9,5 @@
 
 int main(int argc, char** argv) {
   using namespace decorr::bench;
-  return FigureMain(argc, argv, TpcdDb(), Fig8Spec());
+  return FigureMain(argc, argv, TpcdDb, Fig8Spec());
 }

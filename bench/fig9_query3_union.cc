@@ -10,5 +10,5 @@
 
 int main(int argc, char** argv) {
   using namespace decorr::bench;
-  return FigureMain(argc, argv, TpcdDb(), Fig9Spec());
+  return FigureMain(argc, argv, TpcdDb, Fig9Spec());
 }

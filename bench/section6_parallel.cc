@@ -10,11 +10,12 @@
 
 int main(int argc, char** argv) {
   using namespace decorr::bench;
+  const Output out = OpenOutput(argc, argv);
   decorr::JsonWriter w;
   w.BeginObject();
   WriteMeta(w);
   w.Key("parallel");
   WriteParallel(w);
   w.EndObject();
-  return EmitDocument(argc, argv, std::move(w).str());
+  return EmitDocument(out, std::move(w).str());
 }

@@ -532,9 +532,6 @@ class Planner::Impl {
       info.lateral = IsCorrelatedTo(q->child, box);
       quants.push_back(info);
     }
-    if (quants.empty()) {
-      return Status::Internal("select box with no FROM quantifiers");
-    }
 
     // Record local predicates (single local quantifier, no placeholders)
     // for cardinality estimation; they are consumed later by the access
@@ -560,18 +557,32 @@ class Planner::Impl {
       info.card = std::max(card, 1.0);
     }
 
+    // An outer-join box (the COUNT-bug removal's) joins its null-padded
+    // quantifier last, after every other quantifier (the preserved side).
+    const QuantPlanInfo* padded = nullptr;
     if (box->null_padded_qid >= 0) {
-      return PlanLeftOuterSelect(box, env, std::move(preds), std::move(outputs),
-                                 std::move(units), quants, pred_used);
+      if (!units.empty()) {
+        return Status::NotImplemented(
+            "subqueries inside an outer-join select box");
+      }
+      for (const QuantPlanInfo& info : quants) {
+        if (info.quantifier->id == box->null_padded_qid) padded = &info;
+      }
+      if (padded == nullptr) {
+        return Status::Internal("null_padded_qid not among F quantifiers");
+      }
     }
 
-    // ---- greedy join order over non-lateral quantifiers ----
+    // ---- greedy join order over non-lateral preserved quantifiers ----
     std::vector<const QuantPlanInfo*> order;
     std::vector<double> est_after;  // estimated rows after each step
     {
       std::vector<const QuantPlanInfo*> remaining;
       for (const QuantPlanInfo& info : quants) {
-        if (!info.lateral) remaining.push_back(&info);
+        if (!info.lateral && &info != padded) remaining.push_back(&info);
+      }
+      if (remaining.empty()) {
+        return Status::Internal("select box with no FROM quantifier to join");
       }
       std::sort(remaining.begin(), remaining.end(),
                 [](const QuantPlanInfo* a, const QuantPlanInfo* b) {
@@ -587,7 +598,7 @@ class Planner::Impl {
           if (order.empty()) {
             card = remaining[i]->card;
           } else {
-            card = JoinStepEstimate(box, preds, bound, current, *remaining[i]);
+            card = JoinStepEstimate(preds, bound, current, *remaining[i]);
           }
           if (best_card < 0 || card < best_card) {
             best_card = card;
@@ -631,7 +642,7 @@ class Planner::Impl {
       units_at[choose_position(unit.required_qids)].push_back(&unit);
     }
     for (QuantPlanInfo& info : quants) {
-      if (!info.lateral) continue;
+      if (!info.lateral || &info == padded) continue;
       std::set<int> required;
       for (const auto& [qid, col] :
            CorrelationColumnsFrom(info.quantifier->child, box)) {
@@ -701,52 +712,12 @@ class Planner::Impl {
         DECORR_RETURN_IF_ERROR(attach_step_extras(step));
         continue;
       }
-      // Extract equality join keys between bound set and the new quantifier
-      // (plain or null-safe binding equality).
-      std::vector<ExprPtr> left_keys, right_keys;
-      std::vector<bool> null_safe_keys;
-      std::map<SlotKey, int> right_slots;
-      int right_width = 0;
-      RegisterSlots(info.quantifier, &right_slots, &right_width);
-      SlotContext right_ctx;
-      right_ctx.slots = &right_slots;
-      right_ctx.env = env;
-      for (size_t p = 0; p < preds.size(); ++p) {
-        if (pred_used[p]) continue;
-        const Expr& pred = *preds[p];
-        if (pred.kind != ExprKind::kComparison ||
-            (pred.op != BinaryOp::kEq && pred.op != BinaryOp::kNullEq)) {
-          continue;
-        }
-        const Expr* lhs = pred.children[0].get();
-        const Expr* rhs = pred.children[1].get();
-        if (lhs->kind != ExprKind::kColumnRef ||
-            rhs->kind != ExprKind::kColumnRef) {
-          continue;
-        }
-        const Expr* bound_side = nullptr;
-        const Expr* new_side = nullptr;
-        if (bound_qids.count(lhs->qid) &&
-            rhs->qid == info.quantifier->id) {
-          bound_side = lhs;
-          new_side = rhs;
-        } else if (bound_qids.count(rhs->qid) &&
-                   lhs->qid == info.quantifier->id) {
-          bound_side = rhs;
-          new_side = lhs;
-        } else {
-          continue;
-        }
-        DECORR_ASSIGN_OR_RETURN(ExprPtr lkey, Slotify(*bound_side, sctx));
-        DECORR_ASSIGN_OR_RETURN(ExprPtr rkey, Slotify(*new_side, right_ctx));
-        left_keys.push_back(std::move(lkey));
-        right_keys.push_back(std::move(rkey));
-        null_safe_keys.push_back(pred.op == BinaryOp::kNullEq);
-        pred_used[p] = true;
-      }
+      DECORR_ASSIGN_OR_RETURN(
+          JoinKeys keys,
+          TakeJoinKeys(preds, pred_used, bound_qids, info.quantifier, sctx));
       const bool any_null_safe =
-          std::find(null_safe_keys.begin(), null_safe_keys.end(), true) !=
-          null_safe_keys.end();
+          std::find(keys.null_safe.begin(), keys.null_safe.end(), true) !=
+          keys.null_safe.end();
       // Small-outer + indexed base table: index nested-loop join (the
       // access pattern the paper's NI plans and decoupled subqueries rely
       // on). Otherwise hash join on the extracted keys, else a cross
@@ -755,34 +726,55 @@ class Planner::Impl {
       // find.
       bool used_index_join = false;
       std::vector<int> index_join_cols;
-      if (options_.use_indexes && !left_keys.empty() && !any_null_safe &&
+      if (options_.use_indexes && !keys.left.empty() && !any_null_safe &&
           info.quantifier->child->kind() == BoxKind::kBaseTable &&
           est_after[step - 1] <
               static_cast<double>(info.quantifier->child->table->num_rows())) {
         DECORR_ASSIGN_OR_RETURN(
             used_index_join,
-            TryIndexJoin(box, info, preds, pred_used, env, left_keys,
-                         right_keys, width, &current, &index_join_cols));
+            TryIndexJoin(box, info, preds, pred_used, env, keys.left,
+                         keys.right, width, &current, &index_join_cols));
       }
       if (!used_index_join) {
         DECORR_ASSIGN_OR_RETURN(
             OperatorPtr right,
             BuildAccessPath(box, info, preds, pred_used, env));
-        if (!left_keys.empty()) {
-          current = std::make_unique<HashJoinOp>(
-              std::move(current), std::move(right), std::move(left_keys),
-              std::move(right_keys), nullptr, JoinType::kInner,
-              std::move(null_safe_keys));
-        } else {
-          current = std::make_unique<NestedLoopJoinOp>(
-              std::move(current), std::move(right), nullptr, JoinType::kInner);
-        }
+        current = MakeJoin(std::move(current), std::move(right),
+                           std::move(keys), nullptr, JoinType::kInner);
       }
       RegisterSlots(info.quantifier, &slots, &width,
                     used_index_join ? &index_join_cols : nullptr);
       bound_qids.insert(info.quantifier->id);
       DECORR_RETURN_IF_ERROR(apply_ready_preds());
       DECORR_RETURN_IF_ERROR(attach_step_extras(step));
+    }
+
+    // The null-padded quantifier joins last, as a left outer join: its
+    // equalities with the preserved side are the hash keys and every other
+    // predicate on it is the join condition, evaluated over the joined row,
+    // so a preserved row that meets none of them is padded, not dropped.
+    if (padded != nullptr) {
+      DECORR_ASSIGN_OR_RETURN(
+          JoinKeys keys,
+          TakeJoinKeys(preds, pred_used, bound_qids, padded->quantifier, sctx));
+      std::vector<int> on_padded;
+      for (size_t p = 0; p < preds.size(); ++p) {
+        std::set<int> qids, placeholders;
+        CollectRequirements(*preds[p], box, &qids, &placeholders);
+        if (!pred_used[p] && qids.count(padded->quantifier->id)) {
+          on_padded.push_back(static_cast<int>(p));
+        }
+      }
+      DECORR_ASSIGN_OR_RETURN(
+          OperatorPtr right,
+          BuildAccessPath(box, *padded, preds, pred_used, env));
+      RegisterSlots(padded->quantifier, &slots, &width);
+      DECORR_ASSIGN_OR_RETURN(
+          ExprPtr condition,
+          TakeConjunction(on_padded, preds, pred_used, sctx));
+      current = MakeJoin(std::move(current), std::move(right),
+                         std::move(keys), std::move(condition),
+                         JoinType::kLeftOuter);
     }
 
     // Any predicate still pending is a bug in the scheduling above.
@@ -812,286 +804,94 @@ class Planner::Impl {
     return current;
   }
 
-  // Left-outer select boxes produced by the COUNT-bug removal: the
-  // null-padded quantifier joins the tree of all other quantifiers.
-  Result<OperatorPtr> PlanLeftOuterSelect(Box* box, ParamEnv* env,
-                                          std::vector<ExprPtr> preds,
-                                          std::vector<ExprPtr> outputs,
-                                          std::vector<SubUnit> units,
-                                          std::vector<QuantPlanInfo>& quants,
-                                          std::vector<bool>& pred_used) {
-    if (!units.empty()) {
-      return Status::NotImplemented(
-          "subqueries inside an outer-join select box");
-    }
-    QuantPlanInfo* padded = nullptr;
-    std::map<SlotKey, int> slots;
-    int width = 0;
-    OperatorPtr left;
-    std::set<int> bound_qids;
-    SlotContext left_ctx;
-    left_ctx.slots = &slots;
-    left_ctx.env = env;
-    // Build the preserved side greedily (smallest estimate first), wiring
-    // equality predicates between preserved quantifiers as hash-join keys.
-    {
-      std::vector<QuantPlanInfo*> remaining;
-      for (QuantPlanInfo& info : quants) {
-        if (info.quantifier->id == box->null_padded_qid) {
-          padded = &info;
-          continue;
-        }
-        remaining.push_back(&info);
-      }
-      std::sort(remaining.begin(), remaining.end(),
-                [](const QuantPlanInfo* a, const QuantPlanInfo* b) {
-                  return a->card < b->card;
-                });
-      double running_est = 0.0;
-      for (QuantPlanInfo* info : remaining) {
-        // Join keys between bound set and the new quantifier.
-        std::vector<ExprPtr> left_keys, right_keys;
-        std::vector<bool> null_safe_keys;
-        std::map<SlotKey, int> right_slots;
-        int right_width = 0;
-        RegisterSlots(info->quantifier, &right_slots, &right_width);
-        SlotContext right_ctx;
-        right_ctx.slots = &right_slots;
-        right_ctx.env = env;
-        if (left) {
-          for (size_t p = 0; p < preds.size(); ++p) {
-            if (pred_used[p]) continue;
-            const Expr& pred = *preds[p];
-            if (pred.kind != ExprKind::kComparison ||
-                (pred.op != BinaryOp::kEq &&
-                 pred.op != BinaryOp::kNullEq)) {
-              continue;
-            }
-            const Expr* lhs = pred.children[0].get();
-            const Expr* rhs = pred.children[1].get();
-            if (lhs->kind != ExprKind::kColumnRef ||
-                rhs->kind != ExprKind::kColumnRef) {
-              continue;
-            }
-            const Expr* bound_side = nullptr;
-            const Expr* new_side = nullptr;
-            if (bound_qids.count(lhs->qid) &&
-                rhs->qid == info->quantifier->id) {
-              bound_side = lhs;
-              new_side = rhs;
-            } else if (bound_qids.count(rhs->qid) &&
-                       lhs->qid == info->quantifier->id) {
-              bound_side = rhs;
-              new_side = lhs;
-            } else {
-              continue;
-            }
-            DECORR_ASSIGN_OR_RETURN(ExprPtr lkey,
-                                    Slotify(*bound_side, left_ctx));
-            DECORR_ASSIGN_OR_RETURN(ExprPtr rkey, Slotify(*new_side,
-                                                          right_ctx));
-            left_keys.push_back(std::move(lkey));
-            right_keys.push_back(std::move(rkey));
-            null_safe_keys.push_back(pred.op == BinaryOp::kNullEq);
-            pred_used[p] = true;
-          }
-        }
-        const bool any_null_safe =
-            std::find(null_safe_keys.begin(), null_safe_keys.end(), true) !=
-            null_safe_keys.end();
-        bool used_index_join = false;
-        std::vector<int> index_join_cols;
-        if (left && options_.use_indexes && !left_keys.empty() &&
-            !any_null_safe &&
-            info->quantifier->child->kind() == BoxKind::kBaseTable &&
-            running_est <
-                static_cast<double>(
-                    info->quantifier->child->table->num_rows())) {
-          DECORR_ASSIGN_OR_RETURN(
-              used_index_join,
-              TryIndexJoin(box, *info, preds, pred_used, env, left_keys,
-                           right_keys, width, &left, &index_join_cols));
-        }
-        if (!used_index_join) {
-          DECORR_ASSIGN_OR_RETURN(
-              OperatorPtr access,
-              BuildAccessPath(box, *info, preds, pred_used, env));
-          if (!left) {
-            left = std::move(access);
-          } else if (!left_keys.empty()) {
-            left = std::make_unique<HashJoinOp>(
-                std::move(left), std::move(access), std::move(left_keys),
-                std::move(right_keys), nullptr, JoinType::kInner,
-                std::move(null_safe_keys));
-          } else {
-            left = std::make_unique<NestedLoopJoinOp>(
-                std::move(left), std::move(access), nullptr, JoinType::kInner);
-          }
-        }
-        running_est = left ? (bound_qids.empty()
-                                  ? info->card
-                                  : JoinStepEstimate(box, preds, bound_qids,
-                                                     running_est, *info))
-                           : info->card;
-        RegisterSlots(info->quantifier, &slots, &width,
-                      used_index_join ? &index_join_cols : nullptr);
-        bound_qids.insert(info->quantifier->id);
-        // Preserved-side predicates that became evaluable.
-        for (size_t p = 0; p < preds.size(); ++p) {
-          if (pred_used[p]) continue;
-          std::set<int> qids, placeholders;
-          CollectRequirements(*preds[p], box, &qids, &placeholders);
-          if (qids.count(box->null_padded_qid) || !placeholders.empty()) {
-            continue;
-          }
-          if (!std::includes(bound_qids.begin(), bound_qids.end(),
-                             qids.begin(), qids.end())) {
-            continue;
-          }
-          DECORR_ASSIGN_OR_RETURN(ExprPtr slotted,
-                                  Slotify(*preds[p], left_ctx));
-          left = std::make_unique<FilterOp>(std::move(left),
-                                            std::move(slotted));
-          pred_used[p] = true;
-        }
-      }
-    }
-    if (padded == nullptr) {
-      return Status::Internal("null_padded_qid not among F quantifiers");
-    }
-
-    std::map<SlotKey, int> right_slots;
-    int right_width = 0;
-    RegisterSlots(padded->quantifier, &right_slots, &right_width);
-    SlotContext right_ctx;
-    right_ctx.slots = &right_slots;
-    right_ctx.env = env;
-
-    // Predicates touching the padded quantifier form the join condition.
-    std::vector<ExprPtr> left_keys, right_keys;
-    std::vector<bool> null_safe_keys;
-    std::vector<ExprPtr> residual_parts;
-    // Combined row layout: left columns, then the padded side's columns.
-    std::map<SlotKey, int> combined_slots = slots;
-    int combined_width = width;
-    RegisterSlots(padded->quantifier, &combined_slots, &combined_width);
-    SlotContext combined_ctx;
-    combined_ctx.slots = &combined_slots;
-    combined_ctx.env = env;
-
-    for (size_t p = 0; p < preds.size(); ++p) {
-      if (pred_used[p]) continue;
-      std::set<int> qids, placeholders;
-      CollectRequirements(*preds[p], box, &qids, &placeholders);
-      if (!qids.count(padded->quantifier->id)) continue;
-      const Expr& pred = *preds[p];
-      const Expr* lhs = pred.children.empty() ? nullptr
-                                              : pred.children[0].get();
-      const Expr* rhs =
-          pred.children.size() > 1 ? pred.children[1].get() : nullptr;
-      if (pred.kind == ExprKind::kComparison &&
-          (pred.op == BinaryOp::kEq || pred.op == BinaryOp::kNullEq) &&
-          lhs && rhs && lhs->kind == ExprKind::kColumnRef &&
-          rhs->kind == ExprKind::kColumnRef) {
-        const Expr* outer_side =
-            lhs->qid == padded->quantifier->id ? rhs : lhs;
-        const Expr* inner_side =
-            lhs->qid == padded->quantifier->id ? lhs : rhs;
-        if (inner_side->qid == padded->quantifier->id &&
-            outer_side->qid != padded->quantifier->id) {
-          DECORR_ASSIGN_OR_RETURN(ExprPtr lkey, Slotify(*outer_side, left_ctx));
-          DECORR_ASSIGN_OR_RETURN(ExprPtr rkey,
-                                  Slotify(*inner_side, right_ctx));
-          left_keys.push_back(std::move(lkey));
-          right_keys.push_back(std::move(rkey));
-          null_safe_keys.push_back(pred.op == BinaryOp::kNullEq);
-          pred_used[p] = true;
-          continue;
-        }
-      }
-      DECORR_ASSIGN_OR_RETURN(ExprPtr slotted, Slotify(pred, combined_ctx));
-      residual_parts.push_back(std::move(slotted));
-      pred_used[p] = true;
-    }
-
-    DECORR_ASSIGN_OR_RETURN(
-        OperatorPtr right,
-        BuildAccessPath(box, *padded, preds, pred_used, env));
-
-    ExprPtr residual;
-    if (!residual_parts.empty()) residual = MakeAnd(std::move(residual_parts));
-    OperatorPtr join;
-    if (!left_keys.empty()) {
-      join = std::make_unique<HashJoinOp>(
-          std::move(left), std::move(right), std::move(left_keys),
-          std::move(right_keys), std::move(residual), JoinType::kLeftOuter,
-          std::move(null_safe_keys));
-    } else {
-      join = std::make_unique<NestedLoopJoinOp>(std::move(left),
-                                                std::move(right),
-                                                std::move(residual),
-                                                JoinType::kLeftOuter);
-    }
-
-    // Remaining predicates (not touching the padded side) run post-join.
-    OperatorPtr current = std::move(join);
-    for (size_t p = 0; p < preds.size(); ++p) {
-      if (pred_used[p]) continue;
-      DECORR_ASSIGN_OR_RETURN(ExprPtr slotted, Slotify(*preds[p],
-                                                       combined_ctx));
-      current = std::make_unique<FilterOp>(std::move(current),
-                                           std::move(slotted));
-      pred_used[p] = true;
-    }
-
-    std::vector<ExprPtr> projections;
-    for (ExprPtr& out : outputs) {
-      DECORR_ASSIGN_OR_RETURN(ExprPtr slotted, Slotify(*out, combined_ctx));
-      projections.push_back(std::move(slotted));
-    }
-    current = std::make_unique<ProjectOp>(std::move(current),
-                                          std::move(projections));
-    if (box->distinct) {
-      current = MakeDistinct(std::move(current));
-    } else if (box->dedup_check && options_.check_derived_keys) {
-      // A DISTINCT was pruned here on the strength of a derived key; assert
-      // the key at runtime so a wrong derivation fails loudly.
-      current = std::make_unique<UniquenessCheckOp>(std::move(current),
-                                                    box->dedup_key);
-    }
-    return current;
-  }
-
   // ---- helpers ----
 
-  double JoinStepEstimate(Box* box, const std::vector<ExprPtr>& preds,
+  // The column references of `pred` when it is an equality (plain or
+  // null-safe) between a column of a `bound` quantifier and a column of
+  // quantifier `qid`, bound side first; {nullptr, nullptr} otherwise.
+  static std::pair<const Expr*, const Expr*> JoinKeyPair(
+      const Expr& pred, const std::set<int>& bound, int qid) {
+    if (pred.kind != ExprKind::kComparison ||
+        (pred.op != BinaryOp::kEq && pred.op != BinaryOp::kNullEq)) {
+      return {nullptr, nullptr};
+    }
+    const Expr* lhs = pred.children[0].get();
+    const Expr* rhs = pred.children[1].get();
+    if (lhs->kind != ExprKind::kColumnRef ||
+        rhs->kind != ExprKind::kColumnRef) {
+      return {nullptr, nullptr};
+    }
+    if (bound.count(lhs->qid) && rhs->qid == qid) return {lhs, rhs};
+    if (bound.count(rhs->qid) && lhs->qid == qid) return {rhs, lhs};
+    return {nullptr, nullptr};
+  }
+
+  double JoinStepEstimate(const std::vector<ExprPtr>& preds,
                           const std::set<int>& bound, double current,
                           const QuantPlanInfo& next) {
-    (void)box;
     double card = current * next.card;
     for (const ExprPtr& pred : preds) {
-      if (pred->kind != ExprKind::kComparison ||
-          (pred->op != BinaryOp::kEq && pred->op != BinaryOp::kNullEq)) {
-        continue;
-      }
-      const Expr* lhs = pred->children[0].get();
-      const Expr* rhs = pred->children[1].get();
-      if (lhs->kind != ExprKind::kColumnRef ||
-          rhs->kind != ExprKind::kColumnRef) {
-        continue;
-      }
-      const bool connects =
-          (bound.count(lhs->qid) && rhs->qid == next.quantifier->id) ||
-          (bound.count(rhs->qid) && lhs->qid == next.quantifier->id);
-      if (!connects) continue;
-      const Quantifier* lq = graph_->FindQuantifier(lhs->qid);
-      const Quantifier* rq = graph_->FindQuantifier(rhs->qid);
+      const auto [bound_side, next_side] =
+          JoinKeyPair(*pred, bound, next.quantifier->id);
+      if (bound_side == nullptr) continue;
+      const Quantifier* bq = graph_->FindQuantifier(bound_side->qid);
       const double ndv =
-          std::max(estimator_.EstimateDistinct(lq->child, lhs->col),
-                   estimator_.EstimateDistinct(rq->child, rhs->col));
+          std::max(estimator_.EstimateDistinct(bq->child, bound_side->col),
+                   estimator_.EstimateDistinct(next.quantifier->child,
+                                               next_side->col));
       card /= std::max(ndv, 1.0);
     }
     return std::max(card, 1.0);
+  }
+
+  struct JoinKeys {
+    std::vector<ExprPtr> left;   // over the bound row
+    std::vector<ExprPtr> right;  // over the joining quantifier's row
+    std::vector<bool> null_safe;
+  };
+
+  // Takes every pending JoinKeyPair between the bound quantifiers and q as
+  // a join key: the bound side slotted by `sctx`, q's side over q's
+  // access-path row.
+  Result<JoinKeys> TakeJoinKeys(const std::vector<ExprPtr>& preds,
+                                std::vector<bool>& pred_used,
+                                const std::set<int>& bound_qids,
+                                const Quantifier* q, const SlotContext& sctx) {
+    std::map<SlotKey, int> q_slots;
+    int q_width = 0;
+    RegisterSlots(q, &q_slots, &q_width);
+    SlotContext q_ctx;
+    q_ctx.slots = &q_slots;
+    q_ctx.env = sctx.env;
+    JoinKeys keys;
+    for (size_t p = 0; p < preds.size(); ++p) {
+      if (pred_used[p]) continue;
+      const auto [bound_side, q_side] =
+          JoinKeyPair(*preds[p], bound_qids, q->id);
+      if (bound_side == nullptr) continue;
+      DECORR_ASSIGN_OR_RETURN(ExprPtr left, Slotify(*bound_side, sctx));
+      DECORR_ASSIGN_OR_RETURN(ExprPtr right, Slotify(*q_side, q_ctx));
+      keys.left.push_back(std::move(left));
+      keys.right.push_back(std::move(right));
+      keys.null_safe.push_back(preds[p]->op == BinaryOp::kNullEq);
+      pred_used[p] = true;
+    }
+    return keys;
+  }
+
+  // A hash join on `keys`, or a nested-loop join when there are none; the
+  // join condition beyond the keys is `condition` (may be null).
+  static OperatorPtr MakeJoin(OperatorPtr left, OperatorPtr right,
+                              JoinKeys keys, ExprPtr condition,
+                              JoinType type) {
+    if (keys.left.empty()) {
+      return std::make_unique<NestedLoopJoinOp>(
+          std::move(left), std::move(right), std::move(condition), type);
+    }
+    return std::make_unique<HashJoinOp>(
+        std::move(left), std::move(right), std::move(keys.left),
+        std::move(keys.right), std::move(condition), type,
+        std::move(keys.null_safe));
   }
 
   // Appends q's columns to a row layout: `cols` when given (an index join's

@@ -100,19 +100,31 @@ PreparedQuery PreparedQuery::Clone() const {
   return out;
 }
 
+void ArmGuard(const QueryLimits& limits, ResourceGuard* guard) {
+  if (limits.timeout_micros > 0) {
+    guard->set_deadline_after_micros(limits.timeout_micros);
+  }
+  if (limits.memory_budget_bytes > 0) {
+    guard->memory().set_budget(limits.memory_budget_bytes);
+  }
+  if (limits.row_budget > 0) guard->set_row_budget(limits.row_budget);
+  if (limits.cancel) guard->set_cancel(limits.cancel);
+}
+
+void RecordGuardUsage(const ResourceGuard& guard, ExecStats* stats) {
+  stats->peak_memory_bytes = guard.memory().peak();
+  stats->rows_materialized = guard.rows_materialized();
+}
+
+std::string NiFallbackReason(Strategy requested, const Status& failure) {
+  return StrFormat("%s rewrite failed (%s); fell back to nested iteration",
+                   StrategyName(requested), failure.ToString().c_str());
+}
+
 Result<QueryResult> Database::Run(const std::string& sql,
                                   const QueryOptions& options, bool execute) {
   ResourceGuard guard;
-  if (options.limits.timeout_micros > 0) {
-    guard.set_deadline_after_micros(options.limits.timeout_micros);
-  }
-  if (options.limits.memory_budget_bytes > 0) {
-    guard.memory().set_budget(options.limits.memory_budget_bytes);
-  }
-  if (options.limits.row_budget > 0) {
-    guard.set_row_budget(options.limits.row_budget);
-  }
-  if (options.limits.cancel) guard.set_cancel(options.limits.cancel);
+  ArmGuard(options.limits, &guard);
   // Catch an already-tripped token or pre-expired deadline before doing any
   // work (the stride sampler always checks on the first call).
   DECORR_RETURN_IF_ERROR(guard.Check());
@@ -130,16 +142,10 @@ Result<QueryResult> Database::Run(const std::string& sql,
     // re-binds from the SQL text, so the fallback starts from a clean graph.
     result = RunOnce(sql, ni, execute, &guard, &prepared);
     if (result.ok()) {
-      result->fallback_reason =
-          StrFormat("%s rewrite failed (%s); fell back to nested iteration",
-                    StrategyName(options.strategy),
-                    failure.ToString().c_str());
+      result->fallback_reason = NiFallbackReason(options.strategy, failure);
     }
   }
-  if (result.ok()) {
-    result->stats.peak_memory_bytes = guard.memory().peak();
-    result->stats.rows_materialized = guard.rows_materialized();
-  }
+  if (result.ok()) RecordGuardUsage(guard, &result->stats);
   return result;
 }
 

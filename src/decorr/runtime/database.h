@@ -152,6 +152,19 @@ struct QueryResult {
   std::string ToString(size_t max_rows = 50) const;
 };
 
+// The three steps around one query's run that Database::Run and the
+// server share.
+//
+// Arms `guard` with `limits`: the deadline (counted from now), the memory
+// and row budgets, and the cancellation token when one is given.
+void ArmGuard(const QueryLimits& limits, ResourceGuard* guard);
+// Records what `guard` measured over the whole query, every attempt
+// included, in `stats`: peak memory and rows materialized.
+void RecordGuardUsage(const ResourceGuard& guard, ExecStats* stats);
+// QueryResult::fallback_reason for a `requested` rewrite that failed with
+// `failure` and was run again under nested iteration.
+std::string NiFallbackReason(Strategy requested, const Status& failure);
+
 class Database {
  public:
   Database() : catalog_(std::make_shared<Catalog>()) {}

@@ -125,18 +125,9 @@ Result<QueryResult> Server::RunForSession(Session* session,
   const bool execute = mode != RunMode::kExplain;
 
   ResourceGuard guard;
-  if (options.limits.timeout_micros > 0) {
-    // Set before admission: the deadline covers queue time.
-    guard.set_deadline_after_micros(options.limits.timeout_micros);
-  }
-  if (options.limits.memory_budget_bytes > 0) {
-    guard.memory().set_budget(options.limits.memory_budget_bytes);
-  }
-  if (options.limits.row_budget > 0) {
-    guard.set_row_budget(options.limits.row_budget);
-  }
-  guard.set_cancel(options.limits.cancel ? options.limits.cancel
-                                         : session->cancel_token());
+  // Armed before admission: the deadline covers queue time.
+  ArmGuard(options.limits, &guard);
+  if (!options.limits.cancel) guard.set_cancel(session->cancel_token());
   guard.memory().set_parent(&total_memory_);
   DECORR_RETURN_IF_ERROR(guard.CheckNow());
 
@@ -225,16 +216,10 @@ Result<QueryResult> Server::RunAdmitted(const std::string& sql,
     };
     result = retry();
     if (result.ok()) {
-      result->fallback_reason =
-          StrFormat("%s rewrite failed (%s); fell back to nested iteration",
-                    StrategyName(options.strategy),
-                    failure.ToString().c_str());
+      result->fallback_reason = NiFallbackReason(options.strategy, failure);
     }
   }
-  if (result.ok()) {
-    result->stats.peak_memory_bytes = guard->memory().peak();
-    result->stats.rows_materialized = guard->rows_materialized();
-  }
+  if (result.ok()) RecordGuardUsage(*guard, &result->stats);
   return result;
 }
 

@@ -321,6 +321,56 @@ TEST_F(PlannerTest, LeftOuterPaddedSidePredicatesKeepTheirColumns) {
   EXPECT_EQ(got, want);
 }
 
+TEST_F(PlannerTest, LeftOuterWithoutEqualityJoinsByNestedLoopCondition) {
+  // dept D LEFT OUTER JOIN emp E ON E.emp_id > D.num_emps, kept where
+  // D.num_emps > 5, built by hand. The one predicate on the padded side is
+  // not an equality, so there is no hash key: it becomes the condition of
+  // a nested-loop left outer join, and bio (9 employees, no emp_id above 9)
+  // is padded, not dropped.
+  QueryGraph graph;
+  auto dept = db_.catalog().GetTable("dept");
+  auto emp = db_.catalog().GetTable("emp");
+  ASSERT_TRUE(dept.ok() && emp.ok());
+  Box* box = graph.NewBox(BoxKind::kSelect);
+  Quantifier* d = graph.NewQuantifier(box, graph.NewBaseTableBox(*dept),
+                                      QuantifierKind::kForeach, "D");
+  Quantifier* e = graph.NewQuantifier(box, graph.NewBaseTableBox(*emp),
+                                      QuantifierKind::kForeach, "E");
+  box->null_padded_qid = e->id;
+  box->predicates.push_back(MakeComparison(
+      BinaryOp::kGt, MakeColumnRef(e->id, 0, TypeId::kInt64, "emp_id"),
+      MakeColumnRef(d->id, 2, TypeId::kInt64, "num_emps")));
+  box->predicates.push_back(MakeComparison(
+      BinaryOp::kGt, MakeColumnRef(d->id, 2, TypeId::kInt64, "num_emps"),
+      MakeConstant(I(5))));
+  box->outputs.push_back(
+      {"dname", MakeColumnRef(d->id, 0, TypeId::kString, "name")});
+  box->outputs.push_back(
+      {"ename", MakeColumnRef(e->id, 1, TypeId::kString, "name")});
+  graph.set_root(box);
+
+  Planner planner(db_.catalog());
+  auto plan = planner.PlanGraph(&graph);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string text = plan->ToString();
+  EXPECT_NE(text.find("NestedLoopJoin on ($2:emp_id > $1:num_emps) "
+                      "(left outer)"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("Hash"), std::string::npos) << text;
+
+  ExecStats stats;
+  ExecContext ctx;
+  ctx.stats = &stats;
+  auto rows = CollectRows(plan->root.get(), &ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  std::multiset<std::string> got;
+  for (const Row& row : *rows) got.insert(RowToString(row));
+  const std::multiset<std::string> want = {"('cs', 'gil')", "('cs', 'hal')",
+                                           "('bio', NULL)"};
+  EXPECT_EQ(got, want);
+}
+
 TEST_F(PlannerTest, IndexJoinKeepsUncoveredKeyPairAsResidual) {
   ASSERT_TRUE(db_.CreateTable(TableSchema("l_t",
                                           {{"k", TypeId::kInt64, false},
